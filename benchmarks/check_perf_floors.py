@@ -17,10 +17,10 @@ resident bytes).  Guarded reports:
   must survive the wire), the multi-process sharded worker pool vs
   the same serial baseline (the win must survive the process boundary),
   batched ``/predict`` model inference vs its scalar one-request
-  oracle, coalesced ``/paths`` enumeration vs its serial scalar-DFS
-  baseline, and the distributed tier's scaling efficiency (the same
-  coalesced load on a width-2 pool vs a width-1 pool, bit-identical
-  answers enforced).
+  oracle, and coalesced ``/paths`` enumeration vs its serial scalar-DFS
+  baseline.  The distributed tier's 1 -> 2 worker scaling ratio is
+  recorded in the same report but not guarded: on small hosts it
+  measures scheduler noise, not placement.
 * ``BENCH_artifacts.json`` (``test_perf_artifacts.py``): worker warm time
   off the memory-mapped artifact store vs pickled-graph registration,
   and the per-worker resident-memory ceiling of the zero-copy path.
@@ -35,8 +35,6 @@ Run after the perf benchmarks::
         benchmarks/test_perf_serving.py benchmarks/test_perf_artifacts.py
     python benchmarks/check_perf_floors.py            # all reports
     python benchmarks/check_perf_floors.py BENCH_serving.json   # one report
-    # one benchmark out of a report (CI jobs that only run a slice):
-    python benchmarks/check_perf_floors.py BENCH_serving.json:serving_distributed_scaling
 
 Bounds are maintained next to each benchmark (``FLOORS`` in
 ``test_perf_sampling.py``, ``FLOOR`` in ``test_perf_serving.py``,
@@ -63,7 +61,6 @@ REPORTS = {
         "serving_pool_throughput",
         "serving_predict_throughput",
         "serving_paths_throughput",
-        "serving_distributed_scaling",
     ),
     "BENCH_artifacts.json": (
         "artifact_warm_time",
@@ -115,21 +112,10 @@ def main(argv=None) -> int:
     selected = argv if argv else sorted(REPORTS)
     failures = []
     for report_name in selected:
-        # `REPORT.json:benchmark` narrows the check to one entry, for CI
-        # jobs that only run a slice of a report's benchmarks.
-        report_name, _, only = report_name.partition(":")
         expected = REPORTS.get(report_name)
         if expected is None:
             print(f"perf-guard: unknown report {report_name!r}; know {sorted(REPORTS)}")
             return 2
-        if only:
-            if only not in expected:
-                print(
-                    f"perf-guard: unknown benchmark {only!r} in {report_name}; "
-                    f"know {sorted(expected)}"
-                )
-                return 2
-            expected = (only,)
         failures.extend(check_report(os.path.join(REPORT_DIR, report_name), expected))
     if failures:
         print(f"perf-guard: {len(failures)} benchmark(s) regressed: {', '.join(failures)}")

@@ -77,9 +77,8 @@ def extract_tosg(
         SPARQL page size, or the bs target-batch for BRW/IBS (defaults:
         100 000 rows / all targets).
     workers:
-        SPARQL request-handler threads (default 4).  For ``"ibs"`` the knob
-        is deprecated and ignored — passing it forwards to the sampler,
-        which raises a :class:`DeprecationWarning`.
+        SPARQL request-handler threads (default 4); the other methods
+        run vectorized kernels and take no threads.
     rng:
         Required for the stochastic methods (BRW, IBS target choice).
 
@@ -134,7 +133,6 @@ def extract_tosg(
             batch_size=batch_size if batch_size is not None else max(len(task.target_nodes), 1),
             alpha=alpha,
             eps=eps,
-            workers=workers,  # deprecated no-op; the sampler warns if set
         )
         sampled = sampler.sample(task, rng)
         subgraph, mapping = sampled.subgraph, sampled.mapping

@@ -19,7 +19,6 @@ comes from interpreter overhead.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,10 +44,6 @@ class InfluenceBasedSampler:
         ``bs`` — number of targets in the partition (paper default 20 000).
     alpha / eps:
         PPR teleport probability and push tolerance (paper: 0.25 / 2e-4).
-    workers:
-        Deprecated no-op.  The per-target thread pool ("the functions at
-        lines 2 to 4 are parallelized using multi-threading") is superseded
-        by the vectorized batch kernel, which needs no threads.
     chunk_size:
         Targets per dense batch-kernel chunk; ``None`` sizes chunks to keep
         each dense kernel matrix around 64 MB (a few such matrices live at
@@ -64,26 +59,17 @@ class InfluenceBasedSampler:
         batch_size: int = 20000,
         alpha: float = 0.25,
         eps: float = 2e-4,
-        workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ):
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if workers is not None:
-            warnings.warn(
-                "InfluenceBasedSampler(workers=...) is deprecated and ignored: "
-                "the batched PPR kernel runs all targets in one vectorized pass",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.kg = kg
         self.top_k = top_k
         self.batch_size = batch_size
         self.alpha = alpha
         self.eps = eps
-        self.workers = workers
         self.chunk_size = chunk_size
 
     @property

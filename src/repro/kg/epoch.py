@@ -28,13 +28,14 @@ giving up a single bit-exactness contract:
   so nothing is recomputed), and a bounded ring of recent epochs keeps
   in-flight requests pinned to the epoch they were admitted under.
 
-* The hot kernels become **delta-aware with retained oracles**:
-  per-target batch-PPR results are cached together with their *support
-  set* (every node whose adjacency row or degree the push schedule
-  read), and ego extractions with their node sets.  An ingest
-  invalidates exactly the entries whose support intersects the dirty
-  nodes — everything else provably replays the identical schedule on
-  the new epoch, so serving it from cache is bit-exact.
+* The hot kernels become **delta-aware with retained oracles**: one
+  retained store per kernel kind keeps each per-key answer together with
+  its *support set* — the nodes whose adjacency rows or degrees the
+  kernel read (the PPR push schedule's reach, an ego scope's node set, a
+  path enumeration's expanded nodes).  An ingest invalidates exactly the
+  entries whose support intersects the dirty nodes — everything else
+  provably replays the identical computation on the new epoch, so
+  serving it from cache is bit-exact.
 
 See ``docs/live-graphs.md`` for the operator-facing lifecycle.
 """
@@ -42,7 +43,7 @@ See ``docs/live-graphs.md`` for the operator-facing lifecycle.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +59,7 @@ from repro.kg.triples import TripleStore
 #: callers that far behind are metrics readers, not correctness paths).
 EPOCH_HISTORY = 16
 
-#: Bound on retained per-target kernel caches (FIFO eviction).
+#: Bound on each retained per-key kernel store (FIFO eviction).
 KERNEL_CACHE_CAPACITY = 4096
 
 
@@ -303,8 +304,8 @@ class LiveGraph:
     One ``LiveGraph`` wraps one registered graph: :meth:`ingest` appends
     triples (bumping the epoch), :meth:`compact` folds the delta log, and
     :meth:`ppr_top_k` / :meth:`ego_batch` / :meth:`paths_batch` answer
-    kernel requests through per-target caches that survive ingests
-    untouched by them.  Epoch
+    kernel requests through per-key retained stores (:meth:`_retained`)
+    that survive ingests untouched by them.  Epoch
     resolution by number keeps in-flight requests on the snapshot they
     were admitted under (a bounded ring; see :data:`EPOCH_HISTORY`).
     """
@@ -322,23 +323,17 @@ class LiveGraph:
         self._history = max(int(history), 1)
         self.compact_every = max(int(compact_every), 0)
         self._cache_capacity = max(int(cache_capacity), 0)
-        # (target, k, alpha, eps) -> (top-k pairs, support node array)
-        self._ppr_cache: Dict[Tuple, Tuple[list, np.ndarray]] = {}
-        # (root, depth, fanout, salt) -> ego extraction
-        self._ego_cache: Dict[Tuple, object] = {}
-        # (src, dst, max_hops, max_paths) -> (path lists, support node array)
-        self._paths_cache: Dict[Tuple, Tuple[list, np.ndarray]] = {}
+        # Per kernel kind: (key, params) -> (answer, support node array),
+        # and the counters stats() reports as "<kind>_cache".
+        kinds = ("ppr", "ego", "paths")
+        self._stores: Dict[str, Dict[Tuple, Tuple[object, np.ndarray]]] = {
+            kind: {} for kind in kinds
+        }
+        self._counts = {
+            kind: {"hits": 0, "misses": 0, "invalidated": 0} for kind in kinds
+        }
         self.ingested_triples = 0
         self.compactions = 0
-        self.ppr_hits = 0
-        self.ppr_misses = 0
-        self.ppr_invalidated = 0
-        self.ego_hits = 0
-        self.ego_misses = 0
-        self.ego_invalidated = 0
-        self.paths_hits = 0
-        self.paths_misses = 0
-        self.paths_invalidated = 0
 
     # -- epoch access --
 
@@ -466,36 +461,62 @@ class LiveGraph:
         dirty = np.zeros(self._current.kg.num_nodes, dtype=bool)
         dirty[arr[:, 0]] = True
         dirty[arr[:, 2]] = True
-        stale = [
-            key
-            for key, (_, support) in self._ppr_cache.items()
-            if support.size and dirty[support].any()
-        ]
-        for key in stale:
-            del self._ppr_cache[key]
-        self.ppr_invalidated += len(stale)
-        stale = [
-            key
-            for key, ego in self._ego_cache.items()
-            if getattr(ego, "nodes").size and dirty[getattr(ego, "nodes")].any()
-        ]
-        for key in stale:
-            del self._ego_cache[key]
-        self.ego_invalidated += len(stale)
-        stale = [
-            key
-            for key, (_, support) in self._paths_cache.items()
-            if support.size and dirty[support].any()
-        ]
-        for key in stale:
-            del self._paths_cache[key]
-        self.paths_invalidated += len(stale)
-
-    def _evict(self, cache: Dict) -> None:
-        while self._cache_capacity and len(cache) > self._cache_capacity:
-            del cache[next(iter(cache))]
+        for kind, store in self._stores.items():
+            stale = [
+                key
+                for key, (_, support) in store.items()
+                if support.size and dirty[support].any()
+            ]
+            for key in stale:
+                del store[key]
+            self._counts[kind]["invalidated"] += len(stale)
 
     # -- delta-aware kernels --
+
+    def _retained(
+        self,
+        kind: str,
+        keys: List[Hashable],
+        params: Tuple,
+        epoch: Optional[int],
+        kernel: Callable[[KnowledgeGraph, list], list],
+    ) -> list:
+        """Answer one window of ``keys`` through ``kind``'s retained store.
+
+        ``kernel(kg, distinct_keys)`` returns one ``(answer, support
+        nodes)`` pair per key.  On the current epoch, retained keys answer
+        from the store and the kernel runs once on the distinct rest; fresh
+        answers are retained with their support unless an ingest advanced
+        the epoch meanwhile.  A window pinned to an older epoch bypasses the
+        store and runs the kernel on that snapshot — still bit-exact, never
+        mixed with another epoch's answers.  Returns one answer per
+        position of ``keys``.
+        """
+        store, counts = self._stores[kind], self._counts[kind]
+        distinct = list(dict.fromkeys(keys))
+        with self._lock:
+            snapshot = self.resolve(epoch)
+            use_store = snapshot is self._current
+            answers: Dict[Hashable, object] = {}
+            if use_store:
+                for key in distinct:
+                    hit = store.get((key, params))
+                    if hit is not None:
+                        answers[key] = hit[0]
+                counts["hits"] += len(answers)
+                counts["misses"] += len(distinct) - len(answers)
+        missing = [key for key in distinct if key not in answers]
+        if missing:
+            fresh = kernel(snapshot.kg, missing)
+            with self._lock:
+                retain = use_store and self._current is snapshot
+                for key, (answer, support) in zip(missing, fresh):
+                    answers[key] = answer
+                    if retain:
+                        store[(key, params)] = (answer, support)
+                while retain and self._cache_capacity and len(store) > self._cache_capacity:
+                    del store[next(iter(store))]
+        return [answers[key] for key in keys]
 
     def ppr_top_k(
         self,
@@ -505,54 +526,24 @@ class LiveGraph:
         eps: float = 2e-4,
         epoch: Optional[int] = None,
     ) -> Dict[int, List[Tuple[int, float]]]:
-        """`batch_ppr_top_k` through the retained per-target cache.
+        """`batch_ppr_top_k` through the retained per-target store.
 
-        Requests for the current epoch serve cached targets and batch the
-        rest through :func:`repro.sampling.ppr.batch_ppr_top_k_with_support`,
-        retaining each fresh result with its support set.  Requests pinned
-        to an older epoch bypass the cache and run on that snapshot —
-        still bit-exact, never mixed with another epoch's answers.
+        Misses run :func:`repro.sampling.ppr.batch_ppr_top_k_with_support`
+        (support: every node the push schedule read); see :meth:`_retained`.
         """
-        from repro.sampling.ppr import batch_ppr_top_k, batch_ppr_top_k_with_support
+        from repro.sampling.ppr import batch_ppr_top_k_with_support
+
+        def kernel(kg, distinct):
+            table = batch_ppr_top_k_with_support(
+                artifacts_for(kg).csr("both"), distinct, k, alpha=alpha, eps=eps
+            )
+            return [table[target] for target in distinct]
 
         targets = [int(t) for t in targets]
-        with self._lock:
-            snapshot = self._current
-            if epoch is not None and int(epoch) != snapshot.number:
-                snapshot = self._ring.get(int(epoch), snapshot)
-                use_cache = snapshot is self._current
-            else:
-                use_cache = True
-            results: Dict[int, List[Tuple[int, float]]] = {}
-            missing: List[int] = []
-            if use_cache:
-                for target in targets:
-                    hit = self._ppr_cache.get((target, int(k), float(alpha), float(eps)))
-                    if hit is None:
-                        missing.append(target)
-                    else:
-                        results[target] = hit[0]
-                self.ppr_hits += len(results)
-                self.ppr_misses += len(set(missing))
-        if not use_cache:
-            adjacency = artifacts_for(snapshot.kg).csr("both")
-            return batch_ppr_top_k(adjacency, targets, k, alpha=alpha, eps=eps)
-        if missing:
-            adjacency = artifacts_for(snapshot.kg).csr("both")
-            fresh = batch_ppr_top_k_with_support(
-                adjacency, missing, k, alpha=alpha, eps=eps
-            )
-            with self._lock:
-                retain = self._current is snapshot
-                for target, (pairs, support) in fresh.items():
-                    results[target] = pairs
-                    if retain:
-                        self._ppr_cache[
-                            (target, int(k), float(alpha), float(eps))
-                        ] = (pairs, support)
-                if retain:
-                    self._evict(self._ppr_cache)
-        return results
+        answers = self._retained(
+            "ppr", targets, (int(k), float(alpha), float(eps)), epoch, kernel
+        )
+        return dict(zip(targets, answers))
 
     def ego_batch(
         self,
@@ -562,46 +553,27 @@ class LiveGraph:
         salt: int,
         epoch: Optional[int] = None,
     ) -> List[object]:
-        """`extract_ego_batch` through the retained per-root cache.
+        """`extract_ego_batch` through the retained per-root store.
 
         An ego extraction only ever reads the adjacency rows of nodes it
-        reached, so a cached extraction stays valid until an ingest dirties
-        one of its nodes — the invalidation rule :meth:`ingest` applies.
+        reached, so its node set is its support: a retained scope stays
+        valid until an ingest dirties one of its nodes.
         """
         from repro.models.shadowsaint import extract_ego_batch
 
-        roots = [int(r) for r in roots]
-        with self._lock:
-            snapshot = self._current
-            if epoch is not None and int(epoch) != snapshot.number:
-                snapshot = self._ring.get(int(epoch), snapshot)
-                use_cache = snapshot is self._current
-            else:
-                use_cache = True
-            cached: Dict[int, object] = {}
-            missing: List[int] = []
-            if use_cache:
-                for root in roots:
-                    hit = self._ego_cache.get((root, int(depth), int(fanout), int(salt)))
-                    if hit is None:
-                        missing.append(root)
-                    else:
-                        cached[root] = hit
-                self.ego_hits += len(cached)
-                self.ego_misses += len(set(missing))
-        if not use_cache:
-            return extract_ego_batch(snapshot.kg, roots, depth, fanout, salt)
-        if missing:
-            fresh = extract_ego_batch(snapshot.kg, missing, depth, fanout, salt)
-            with self._lock:
-                retain = self._current is snapshot
-                for root, ego in zip(missing, fresh):
-                    cached[root] = ego
-                    if retain:
-                        self._ego_cache[(root, int(depth), int(fanout), int(salt))] = ego
-                if retain:
-                    self._evict(self._ego_cache)
-        return [cached[root] for root in roots]
+        def kernel(kg, distinct):
+            return [
+                (ego, ego.nodes)
+                for ego in extract_ego_batch(kg, distinct, depth, fanout, salt)
+            ]
+
+        return self._retained(
+            "ego",
+            [int(r) for r in roots],
+            (int(depth), int(fanout), int(salt)),
+            epoch,
+            kernel,
+        )
 
     def paths_batch(
         self,
@@ -610,62 +582,28 @@ class LiveGraph:
         max_paths: int = 64,
         epoch: Optional[int] = None,
     ) -> List[list]:
-        """`enumerate_paths_batch` through the retained per-pair cache.
+        """`enumerate_paths_batch` through the retained per-pair store.
 
-        Requests for the current epoch serve cached ``(src, dst)`` pairs
-        and batch the rest through
-        :func:`repro.sampling.paths.enumerate_paths_batch_with_support`,
-        retaining each fresh path list with its support set (every node
-        the enumeration expanded — see the kernel's docstring for why an
-        ingest outside the support cannot change the answer).  Requests
-        pinned to an older epoch bypass the cache and run on that
-        snapshot.  Returns one path list per input pair, in order.
+        Misses run
+        :func:`repro.sampling.paths.enumerate_paths_batch_with_support`
+        (support: every node the enumeration expanded — see the kernel's
+        docstring for why an ingest outside it cannot change the answer).
+        Returns one path list per input ``(src, dst)`` pair, in order.
         """
-        from repro.sampling.paths import (
-            enumerate_paths_batch,
-            enumerate_paths_batch_with_support,
-        )
+        from repro.sampling.paths import enumerate_paths_batch_with_support
 
-        pair_keys = [(int(src), int(dst)) for src, dst in pairs]
-        with self._lock:
-            snapshot = self._current
-            if epoch is not None and int(epoch) != snapshot.number:
-                snapshot = self._ring.get(int(epoch), snapshot)
-                use_cache = snapshot is self._current
-            else:
-                use_cache = True
-            cached: Dict[Tuple[int, int], list] = {}
-            missing: List[Tuple[int, int]] = []
-            if use_cache:
-                for pair in pair_keys:
-                    hit = self._paths_cache.get((pair, int(max_hops), int(max_paths)))
-                    if hit is None:
-                        missing.append(pair)
-                    else:
-                        cached[pair] = hit[0]
-                self.paths_hits += len(cached)
-                self.paths_misses += len(set(missing))
-        if not use_cache:
-            return enumerate_paths_batch(
-                snapshot.kg, pair_keys, max_hops=max_hops, max_paths=max_paths
+        def kernel(kg, distinct):
+            return enumerate_paths_batch_with_support(
+                kg, distinct, max_hops=max_hops, max_paths=max_paths
             )
-        if missing:
-            distinct = sorted(set(missing))
-            fresh = enumerate_paths_batch_with_support(
-                snapshot.kg, distinct, max_hops=max_hops, max_paths=max_paths
-            )
-            with self._lock:
-                retain = self._current is snapshot
-                for pair, (paths, support) in zip(distinct, fresh):
-                    cached[pair] = paths
-                    if retain:
-                        self._paths_cache[(pair, int(max_hops), int(max_paths))] = (
-                            paths,
-                            support,
-                        )
-                if retain:
-                    self._evict(self._paths_cache)
-        return [cached[pair] for pair in pair_keys]
+
+        return self._retained(
+            "paths",
+            [(int(src), int(dst)) for src, dst in pairs],
+            (int(max_hops), int(max_paths)),
+            epoch,
+            kernel,
+        )
 
     # -- observability --
 
@@ -679,22 +617,8 @@ class LiveGraph:
                 "ingested_triples": self.ingested_triples,
                 "compactions": self.compactions,
                 "compact_every": self.compact_every,
-                "ppr_cache": {
-                    "entries": len(self._ppr_cache),
-                    "hits": self.ppr_hits,
-                    "misses": self.ppr_misses,
-                    "invalidated": self.ppr_invalidated,
-                },
-                "ego_cache": {
-                    "entries": len(self._ego_cache),
-                    "hits": self.ego_hits,
-                    "misses": self.ego_misses,
-                    "invalidated": self.ego_invalidated,
-                },
-                "paths_cache": {
-                    "entries": len(self._paths_cache),
-                    "hits": self.paths_hits,
-                    "misses": self.paths_misses,
-                    "invalidated": self.paths_invalidated,
+                **{
+                    f"{kind}_cache": {"entries": len(store), **self._counts[kind]}
+                    for kind, store in self._stores.items()
                 },
             }

@@ -33,7 +33,8 @@ from repro.serve.loadgen import (
     run_predict_load,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import WorkerCrashed, WorkerError, WorkerPool, shard_for
+from repro.serve.placement import shard_for
+from repro.serve.pool import WorkerCrashed, WorkerError, WorkerPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import (
     AsyncSparqlEndpoint,

@@ -1,12 +1,16 @@
-"""The single definition of a dispatched extraction or inference batch.
+"""The single definition of a dispatched extraction or inference window.
 
-Both serving modes execute coalesced windows through these helpers: the
-in-process service (``service.py``, on ``asyncio.to_thread``) and the
-pool workers (``pool.py``, in their own processes).  The bit-exactness
-contract — pooled answers identical to in-process answers — reduces to
-these functions being the *only* place the batch kernels are invoked
-with serving parameters, so a future signature or artifact change cannot
-silently diverge the two modes.
+:func:`run_window` is the one place a coalesced window runs, and both
+serving modes call it: the in-process service (``service.py``, on
+``asyncio.to_thread``) and the pool workers (``transport.py``, in their
+own processes), with the same payload dict either way.  ``ppr``, ``ego``
+and ``paths`` windows go through the graph's
+:class:`~repro.kg.epoch.LiveGraph` retained stores (the batch kernel runs
+on misses only); ``predict`` windows through :func:`run_predict_batch`.
+The bit-exactness contract — pooled answers identical to in-process
+answers — reduces to this function being the *only* place the batch
+kernels are invoked with serving parameters, so a future signature or
+artifact change cannot silently diverge the two modes.
 
 The ``/predict`` pair extends the contract to model inference:
 :func:`run_predict_batch` serves one coalesced window of prediction
@@ -29,46 +33,55 @@ import numpy as np
 from repro.kg.cache import artifacts_for
 from repro.kg.graph import KnowledgeGraph
 
+#: Ops whose coalesced windows :func:`run_window` executes.
+WINDOW_OPS = ("ppr", "ego", "paths", "predict")
+
 #: PPR parameters used for link-prediction candidate generation (the same
 #: defaults the ``/ppr`` op serves; candidates must match extraction).
 PREDICT_PPR_ALPHA = 0.25
 PREDICT_PPR_EPS = 2e-4
 
 
-def run_ppr_batch(
-    kg: KnowledgeGraph,
-    targets: Sequence[int],
-    k: int,
-    alpha: float,
-    eps: float,
-) -> List[List[Tuple[int, float]]]:
-    """One coalesced PPR window: top-``k`` list per target, target order."""
-    from repro.sampling.ppr import batch_ppr_top_k
+def run_window(live, registry, op: str, payload: dict) -> list:
+    """Run one coalesced ``op`` window: one answer per item, item order.
 
-    target_array = np.asarray(targets, dtype=np.int64)
-    table = batch_ppr_top_k(
-        artifacts_for(kg).csr("both"), target_array, k, alpha=alpha, eps=eps
-    )
-    return [table[int(target)] for target in target_array]
-
-
-def run_ego_batch(
-    kg: KnowledgeGraph,
-    roots: Sequence[int],
-    depth: int,
-    fanout: int,
-    salt: int,
-) -> list:
-    """One coalesced ego window: one ``_EgoGraph`` per root, root order."""
-    from repro.models.shadowsaint import extract_ego_batch
-
-    return extract_ego_batch(
-        kg,
-        np.asarray(roots, dtype=np.int64),
-        depth=depth,
-        fanout=fanout,
-        salt=salt,
-    )
+    ``payload`` is exactly what the pool ships for the window — ``graph``,
+    the admission ``epoch``, the items (``targets`` / ``roots`` / ``pairs``
+    / ``items``) and the op's parameters — so in-process and pooled
+    serving execute the identical call.  ``live`` is the graph's
+    :class:`~repro.kg.epoch.LiveGraph`; ``registry`` its model registry.
+    """
+    epoch = payload.get("epoch")
+    if op == "ppr":
+        table = live.ppr_top_k(
+            payload["targets"], payload["k"],
+            alpha=payload["alpha"], eps=payload["eps"], epoch=epoch,
+        )
+        return [table[int(target)] for target in payload["targets"]]
+    if op == "ego":
+        return live.ego_batch(
+            payload["roots"], payload["depth"], payload["fanout"],
+            payload["salt"], epoch=epoch,
+        )
+    if op == "paths":
+        # Path lists are interleaved plain-int rows, so they cross every
+        # wire (pickle pipe, JSON frames) without a codec branch.
+        return live.paths_batch(
+            payload["pairs"],
+            max_hops=payload["max_hops"], max_paths=payload["max_paths"],
+            epoch=epoch,
+        )
+    if op == "predict":
+        # The registry keys its built state (model + logits) with the
+        # resolved snapshot's epoch, so a window can never answer from
+        # another epoch's forward pass.
+        snapshot = live.resolve(epoch)
+        return run_predict_batch(
+            snapshot.kg, registry, payload["graph"], payload["task"],
+            payload["model"], payload["items"], payload["k"],
+            payload["candidates"], epoch=snapshot.number,
+        )
+    raise ValueError(f"unknown window op {op!r}")
 
 
 # -- /predict: model inference over checkpointed models -----------------------
@@ -181,14 +194,16 @@ def run_predict_batch(
         # Batched candidate generation through the same PPR kernel the
         # /ppr op serves — bit-exact against the scalar ppr_top_k by the
         # existing kernel contract.
-        ppr_lists = (
-            run_ppr_batch(
-                kg, heads[valid], candidates, PREDICT_PPR_ALPHA, PREDICT_PPR_EPS
+        from repro.sampling.ppr import batch_ppr_top_k
+
+        ppr_by_head = (
+            batch_ppr_top_k(
+                artifacts_for(kg).csr("both"), heads[valid], candidates,
+                alpha=PREDICT_PPR_ALPHA, eps=PREDICT_PPR_EPS,
             )
             if valid.any()
-            else []
+            else {}
         )
-        ppr_by_head = dict(zip(heads[valid].tolist(), ppr_lists))
         tail_sets = [
             _candidate_tails(pool, ppr_by_head[int(head)]) if ok else None
             for head, ok in zip(heads, valid)

@@ -34,7 +34,8 @@ The pool is the top of a three-layer split:
 
 Contracts (unchanged by the refactor):
 
-* **Deterministic placement by default** — :func:`shard_for` is a stable
+* **Deterministic placement by default** —
+  :func:`~repro.serve.placement.shard_for` is a stable
   hash of the graph *name*; the same graph always lands on the same home
   shard, and a graph is served by ``replicas`` consecutive workers
   starting there (default: all workers).  Batches round-robin over the
@@ -75,8 +76,6 @@ from repro.serve.placement import (
     HashPlacement,
     PlacementPolicy,
     WorkerLoad,
-    replica_shards,
-    shard_for,
 )
 from repro.serve.transport import (
     SHUTDOWN_GRACE_SECONDS,
@@ -91,8 +90,6 @@ __all__ = [
     "WorkerCrashed",
     "WorkerError",
     "WorkerPool",
-    "replica_shards",
-    "shard_for",
 ]
 
 #: Seconds a request waits for a crashed worker slot to finish

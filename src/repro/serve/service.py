@@ -45,13 +45,11 @@ from repro.models.shadowsaint import _EgoGraph, extract_ego
 from repro.sampling.paths import enumerate_paths_scalar
 from repro.sampling.ppr import ppr_top_k
 from repro.serve.coalesce import MAX_BATCH, MAX_DELAY_SECONDS, Coalescer
-from repro.serve.kernels import (
-    run_predict_batch,
-    run_predict_oracle,
-)
+from repro.serve.kernels import run_predict_oracle, run_window
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import WorkerPool
 from repro.serve.registry import ModelRegistry
+from repro.serve.transport import graph_cache_stats
 from repro.sparql.ast import SelectQuery
 from repro.sparql.endpoint import (
     EndpointStats,
@@ -229,30 +227,19 @@ class ExtractionService:
         self._graphs: Dict[str, _RegisteredGraph] = {}
         self._pending = 0
         self._serial_lock = asyncio.Lock()
-        self._ppr = Coalescer(
-            self._dispatch_ppr,
-            max_batch=max_batch,
-            max_delay=max_delay,
-            metrics=self.metrics,
-        )
-        self._ego = Coalescer(
-            self._dispatch_ego,
-            max_batch=max_batch,
-            max_delay=max_delay,
-            metrics=self.metrics,
-        )
-        self._predict = Coalescer(
-            self._dispatch_predict,
-            max_batch=max_batch,
-            max_delay=max_delay,
-            metrics=self.metrics,
-        )
-        self._paths = Coalescer(
-            self._dispatch_paths,
-            max_batch=max_batch,
-            max_delay=max_delay,
-            metrics=self.metrics,
-        )
+        self.max_batch = max_batch
+        self.max_delay = max_delay
+        # One coalescing scheduler per window op, each dispatching through
+        # its ``_dispatch_<op>`` method (looked up by name on the class).
+        self._coalescers = {
+            op: Coalescer(
+                getattr(self, f"_dispatch_{op}"),
+                max_batch=max_batch,
+                max_delay=max_delay,
+                metrics=self.metrics,
+            )
+            for op in ("ppr", "ego", "predict", "paths")
+        }
         # Checkpointed models (lazy, identity-cached).  In pool mode the
         # parent registry holds *metadata only* (for routing); the models
         # themselves live in the owning workers' registries.
@@ -337,15 +324,8 @@ class ExtractionService:
         entry = self._graph(graph)
         arr = entry.live.validate_triples(triples)  # fail fast: ValueError → 400
         async with entry.ingest_lock:
-            if len(arr) == 0:
-                epoch = entry.live.epoch
-                return {
-                    "graph": graph,
-                    "added": 0,
-                    "epoch": epoch.number,
-                    "delta_rows": epoch.delta_rows,
-                    "compacted": False,
-                }
+            if len(arr) == 0:  # no epoch bump, nothing to ship
+                return {"graph": graph, **entry.live.ingest(arr)}
             compact = entry.live.would_compact(len(arr))
             if self.pool is not None:
                 # Owning workers first (all acks awaited): once the client
@@ -419,15 +399,15 @@ class ExtractionService:
         if per_request == 0.0:
             # No completions of this kind yet: fall back to the aggregate
             # rate, then to one coalescing window.
-            per_request = self.metrics.ewma_request_seconds(default=self._ppr.max_delay)
+            per_request = self.metrics.ewma_request_seconds(default=self.max_delay)
         drain = self._pending * per_request
         if self.coalesce and self._coalesced_kind(kind):
             occupancy = self.metrics.batch_occupancy()
-            batch_factor = min(max(occupancy, 1.0), float(self._ppr.max_batch))
+            batch_factor = min(max(occupancy, 1.0), float(self.max_batch))
             drain /= batch_factor
             # Floored at one coalescing window: capacity cannot free up
             # before the currently open window closes.
-            return max(drain, self._ppr.max_delay)
+            return max(drain, self.max_delay)
         # Non-coalesced kinds: capacity frees when one in-flight request
         # of this kind completes, so the floor is one service time.
         return max(drain, per_request)
@@ -481,10 +461,11 @@ class ExtractionService:
                 # The window key carries the epoch at admission: requests
                 # admitted under different epochs never share a batch, and
                 # the dispatcher runs each batch on its own snapshot.
-                return self._ppr.submit(
+                return self._coalescers["ppr"].submit(
                     (graph, entry.epoch, k, alpha, eps), int(target)
                 )
-            return self._serial_ppr(graph, int(target), k, alpha, eps)
+            adjacency = artifacts_for(entry.kg).csr("both")
+            return self._serial(ppr_top_k, adjacency, int(target), k, alpha, eps)
 
         return await self._serve("ppr", start)
 
@@ -507,10 +488,10 @@ class ExtractionService:
 
         def start():
             if self.coalesce:
-                return self._ego.submit(
+                return self._coalescers["ego"].submit(
                     (graph, entry.epoch, depth, fanout, salt), int(root)
                 )
-            return self._serial_ego(graph, int(root), depth, fanout, salt)
+            return self._serial(extract_ego, entry.kg, int(root), depth, fanout, salt)
 
         return await self._serve("ego", start)
 
@@ -541,11 +522,13 @@ class ExtractionService:
 
         def start():
             if self.coalesce:
-                return self._paths.submit(
+                return self._coalescers["paths"].submit(
                     (graph, entry.epoch, int(max_hops), int(max_paths)),
                     (int(src), int(dst)),
                 )
-            return self._serial_paths(graph, int(src), int(dst), max_hops, max_paths)
+            return self._serial(
+                enumerate_paths_scalar, entry.kg, int(src), int(dst), max_hops, max_paths
+            )
 
         return await self._serve("paths", start)
 
@@ -608,11 +591,14 @@ class ExtractionService:
 
         def start():
             if self.coalesce:
-                return self._predict.submit(
+                return self._coalescers["predict"].submit(
                     (graph, entry.epoch, task, architecture, int(k), int(candidates)),
                     item,
                 )
-            return self._serial_predict(graph, task, architecture, item, k, candidates)
+            return self._serial(
+                run_predict_oracle, entry.kg, self.registry, graph, task,
+                architecture, item, k, candidates, entry.epoch,
+            )
 
         result = await self._serve(f"predict:{architecture}", start)
         if "error" in result:
@@ -713,86 +699,49 @@ class ExtractionService:
         )
 
     # -- batched dispatchers (worker-thread side) --
+    #
+    # Each builds the payload the pool ships for its window; the window
+    # itself runs in exactly one place, ``kernels.run_window`` — here or
+    # in the worker owning the graph's shard.
+
+    def _run_window(self, op: str, payload: dict) -> list:
+        if self.pool is not None:
+            return self.pool.call(op, payload)
+        return run_window(
+            self._graphs[payload["graph"]].live, self.registry, op, payload
+        )
 
     def _dispatch_ppr(self, key: Hashable, targets: List[int]) -> List[list]:
         graph, epoch, k, alpha, eps = key
-        if self.pool is not None:
-            return self.pool.call(
-                "ppr",
-                {
-                    "graph": graph,
-                    "epoch": epoch,
-                    "targets": [int(target) for target in targets],
-                    "k": k,
-                    "alpha": alpha,
-                    "eps": eps,
-                },
-            )
-        table = self._graphs[graph].live.ppr_top_k(
-            targets, k, alpha=alpha, eps=eps, epoch=epoch
-        )
-        return [table[int(target)] for target in targets]
+        return self._run_window("ppr", {
+            "graph": graph, "epoch": epoch,
+            "targets": [int(target) for target in targets],
+            "k": k, "alpha": alpha, "eps": eps,
+        })
 
     def _dispatch_ego(self, key: Hashable, roots: List[int]) -> List[_EgoGraph]:
         graph, epoch, depth, fanout, salt = key
-        if self.pool is not None:
-            return self.pool.call(
-                "ego",
-                {
-                    "graph": graph,
-                    "epoch": epoch,
-                    "roots": [int(root) for root in roots],
-                    "depth": depth,
-                    "fanout": fanout,
-                    "salt": salt,
-                },
-            )
-        return self._graphs[graph].live.ego_batch(
-            roots, depth, fanout, salt, epoch=epoch
-        )
+        return self._run_window("ego", {
+            "graph": graph, "epoch": epoch,
+            "roots": [int(root) for root in roots],
+            "depth": depth, "fanout": fanout, "salt": salt,
+        })
 
-    def _dispatch_paths(
-        self, key: Hashable, pairs: List[Tuple[int, int]]
-    ) -> List[list]:
+    def _dispatch_paths(self, key: Hashable, pairs: List[Tuple[int, int]]) -> List[list]:
         graph, epoch, max_hops, max_paths = key
-        if self.pool is not None:
-            return self.pool.call(
-                "paths",
-                {
-                    "graph": graph,
-                    "epoch": epoch,
-                    "pairs": [[int(src), int(dst)] for src, dst in pairs],
-                    "max_hops": max_hops,
-                    "max_paths": max_paths,
-                },
-            )
-        return self._graphs[graph].live.paths_batch(
-            pairs, max_hops=max_hops, max_paths=max_paths, epoch=epoch
-        )
+        return self._run_window("paths", {
+            "graph": graph, "epoch": epoch,
+            "pairs": [[int(src), int(dst)] for src, dst in pairs],
+            "max_hops": max_hops, "max_paths": max_paths,
+        })
 
     def _dispatch_predict(self, key: Hashable, items: List[int]) -> List[dict]:
         graph, epoch, task, architecture, k, candidates = key
-        if self.pool is not None:
-            return self.pool.call(
-                "predict",
-                {
-                    "graph": graph,
-                    "epoch": epoch,
-                    "task": task,
-                    "model": architecture,
-                    "items": [int(item) for item in items],
-                    "k": k,
-                    "candidates": candidates,
-                },
-            )
-        # Resolve the snapshot the window was admitted under; the registry
-        # keys its built state with the same epoch, so the window can never
-        # answer from another epoch's forward pass.
-        snapshot = self._graphs[graph].live.resolve(epoch)
-        return run_predict_batch(
-            snapshot.kg, self.registry, graph, task, architecture,
-            items, k, candidates, epoch=snapshot.number,
-        )
+        return self._run_window("predict", {
+            "graph": graph, "epoch": epoch, "task": task, "model": architecture,
+            "items": [int(item) for item in items],
+            "k": k, "candidates": candidates,
+        })
 
     # -- pool-mode SPARQL plumbing (runs on asyncio.to_thread) --
 
@@ -828,54 +777,17 @@ class ExtractionService:
 
     # -- serial baseline (scalar oracle, one request at a time) --
 
-    async def _serial_ppr(
-        self, graph: str, target: int, k: int, alpha: float, eps: float
-    ) -> List[Tuple[int, float]]:
-        kg = self._graphs[graph].kg
+    async def _serial(self, oracle, *args):
+        """``oracle(*args)`` off the event loop, one request at a time."""
         async with self._serial_lock:
-            adjacency = artifacts_for(kg).csr("both")
-            return await asyncio.to_thread(
-                ppr_top_k, adjacency, target, k, alpha, eps
-            )
-
-    async def _serial_ego(
-        self, graph: str, root: int, depth: int, fanout: int, salt: int
-    ) -> _EgoGraph:
-        kg = self._graphs[graph].kg
-        async with self._serial_lock:
-            return await asyncio.to_thread(
-                extract_ego, kg, root, depth, fanout, salt
-            )
-
-    async def _serial_paths(
-        self, graph: str, src: int, dst: int, max_hops: int, max_paths: int
-    ) -> List[list]:
-        kg = self._graphs[graph].kg
-        async with self._serial_lock:
-            return await asyncio.to_thread(
-                enumerate_paths_scalar, kg, src, dst, max_hops, max_paths
-            )
-
-    async def _serial_predict(
-        self, graph: str, task: str, architecture: str,
-        item: int, k: int, candidates: int,
-    ) -> dict:
-        entry = self._graphs[graph]
-        kg, epoch = entry.kg, entry.epoch
-        async with self._serial_lock:
-            return await asyncio.to_thread(
-                run_predict_oracle, kg, self.registry, graph, task,
-                architecture, item, k, candidates, epoch,
-            )
+            return await asyncio.to_thread(oracle, *args)
 
     # -- lifecycle / observability --
 
     async def drain(self) -> None:
         """Flush open coalescing windows and wait for their batches."""
-        await self._ppr.flush()
-        await self._ego.flush()
-        await self._predict.flush()
-        await self._paths.flush()
+        for coalescer in self._coalescers.values():
+            await coalescer.flush()
 
     def metrics_snapshot(self) -> dict:
         """Service + per-graph metrics as one JSON-serializable dict.
@@ -910,8 +822,8 @@ class ExtractionService:
         }
         snapshot["config"] = {
             "max_pending": self.max_pending,
-            "max_batch": self._ppr.max_batch,
-            "max_delay_ms": self._ppr.max_delay * 1e3,
+            "max_batch": self.max_batch,
+            "max_delay_ms": self.max_delay * 1e3,
             "coalesce": self.coalesce,
             "compact_every": self.compact_every,
         }
@@ -920,49 +832,31 @@ class ExtractionService:
         return snapshot
 
     def _graph_cache_stats(self, name: str, entry: _RegisteredGraph) -> dict:
-        if self.pool is not None:
+        if self.pool is None:
+            stats = graph_cache_stats(entry.kg, entry.endpoint.stats)
+        else:
             stats = self.pool.graph_stats(name)
             if stats is None:
                 # No graph-touching response yet: report empty worker-side
                 # counters rather than the parent's (unused) caches.
                 stats = {
-                    "artifact_cache": {
-                        "hits": 0, "builds": 0, "nbytes": 0, "mapped_nbytes": 0,
-                    },
-                    "endpoint": {
-                        "requests": 0,
-                        "rows_returned": 0,
-                        "bytes_raw": 0,
-                        "bytes_shipped": 0,
-                    },
+                    "artifact_cache": dict.fromkeys(
+                        ("hits", "builds", "nbytes", "mapped_nbytes"), 0
+                    ),
+                    "endpoint": dict.fromkeys(
+                        ("requests", "rows_returned", "bytes_raw", "bytes_shipped"), 0
+                    ),
                 }
             # Fold in the pages this parent cut from worker-evaluated
-            # streamed results (invisible to worker-side EndpointStats),
-            # then recompute the ratio over the merged byte counters —
+            # streamed results (invisible to worker-side EndpointStats) —
             # pooled and in-process /metrics agree page for page.
             endpoint = stats["endpoint"]
             with entry.page_lock:
                 endpoint["rows_returned"] += entry.page_stats.rows_returned
-                raw = endpoint.pop("bytes_raw", 0) + entry.page_stats.bytes_raw
+                endpoint["bytes_raw"] += entry.page_stats.bytes_raw
                 endpoint["bytes_shipped"] += entry.page_stats.bytes_shipped
-            shipped = endpoint["bytes_shipped"]
-            endpoint["compression_ratio"] = (raw / shipped) if shipped else 1.0
-            return stats
-        artifacts = artifacts_for(entry.kg)
-        stats = entry.endpoint.stats
-        # nbytes is per-process resident memory; mapped_nbytes is the shared
-        # file-backed footprint (counted once, never multiplied per worker).
-        return {
-            "artifact_cache": {
-                "hits": artifacts.hits,
-                "builds": artifacts.builds,
-                "nbytes": artifacts.nbytes(),
-                "mapped_nbytes": artifacts.mapped_nbytes(),
-            },
-            "endpoint": {
-                "requests": stats.requests,
-                "rows_returned": stats.rows_returned,
-                "bytes_shipped": stats.bytes_shipped,
-                "compression_ratio": stats.compression_ratio(),
-            },
-        }
+        # The ratio is computed over the (merged) byte counters.
+        endpoint = stats["endpoint"]
+        raw, shipped = endpoint.pop("bytes_raw"), endpoint["bytes_shipped"]
+        endpoint["compression_ratio"] = (raw / shipped) if shipped else 1.0
+        return stats

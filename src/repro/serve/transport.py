@@ -112,12 +112,17 @@ def _reraise(type_name: str, message: str) -> Exception:
 # -- worker-side op execution (shared by every transport) ----------------------
 
 
-def _worker_graph_stats(entry: dict) -> dict:
-    """The piggybacked per-graph stats: artifact cache + endpoint counters."""
+def graph_cache_stats(kg, stats) -> dict:
+    """One graph's artifact-cache and endpoint (``stats``) counters.
+
+    Workers piggyback this on every response; the in-process service
+    reports the same dict, so both modes' ``/metrics`` share one shape.
+    ``nbytes`` is per-process resident memory; ``mapped_nbytes`` the shared
+    file-backed footprint (counted once, never multiplied per worker).
+    """
     from repro.kg.cache import artifacts_for
 
-    artifacts = artifacts_for(entry["kg"])
-    stats = entry["endpoint"].stats
+    artifacts = artifacts_for(kg)
     return {
         "artifact_cache": {
             "hits": artifacts.hits,
@@ -134,9 +139,23 @@ def _worker_graph_stats(entry: dict) -> dict:
     }
 
 
+def _piggyback_stats(graphs: Dict[str, dict], payload: dict) -> Optional[dict]:
+    """The stats a response carries for the graph its request named."""
+    name = payload.get("graph") or payload.get("name")
+    entry = graphs.get(name)
+    if entry is None:
+        return None
+    return {"graph": name, **graph_cache_stats(entry["kg"], entry["endpoint"].stats)}
+
+
 def _execute_op(graphs: Dict[str, dict], op: str, payload: dict) -> Any:
-    """Run one op against this worker's shard of graphs."""
+    """Run one op against this worker's shard of graphs.
+
+    Coalesced windows go through :func:`repro.serve.kernels.run_window`,
+    the same call the in-process service makes, so the modes cannot drift.
+    """
     from repro.kg.cache import artifacts_for
+    from repro.serve.kernels import WINDOW_OPS, run_window
 
     if op == "ping":
         return "pong"
@@ -200,50 +219,15 @@ def _execute_op(graphs: Dict[str, dict], op: str, payload: dict) -> Any:
                 payload["graph"], keep_epoch=int(result["epoch"])
             )
         return result
-    if op == "ppr":
-        # The live graph's retained cache wraps the same batch kernel the
-        # in-process dispatch path uses, so the two modes cannot drift.
-        table = entry["live"].ppr_top_k(
-            payload["targets"], payload["k"],
-            alpha=payload["alpha"], eps=payload["eps"],
-            epoch=payload.get("epoch"),
-        )
-        return [table[int(target)] for target in payload["targets"]]
-    if op == "ego":
-        return entry["live"].ego_batch(
-            payload["roots"], payload["depth"], payload["fanout"],
-            payload["salt"], epoch=payload.get("epoch"),
-        )
-    if op == "paths":
-        # Path lists are interleaved plain-int rows, so they cross every
-        # wire (pickle pipe, JSON frames) without a codec branch.
-        return entry["live"].paths_batch(
-            payload["pairs"],
-            max_hops=payload["max_hops"], max_paths=payload["max_paths"],
-            epoch=payload.get("epoch"),
-        )
-    if op == "predict":
-        # Same shared kernel as the in-process dispatch path; parameters
-        # in (a few ints + the window's item ids), score payloads back.
-        from repro.serve.kernels import run_predict_batch
-
-        snapshot = entry["live"].resolve(payload.get("epoch"))
-        return run_predict_batch(
-            snapshot.kg, entry["registry"], payload["graph"], payload["task"],
-            payload["model"], payload["items"], payload["k"],
-            payload["candidates"], epoch=snapshot.number,
-        )
-    if op == "sparql":
-        result = entry["endpoint"].query(payload["query"])
-        return {
-            "variables": list(result.variables),
-            "columns": {v: result.columns[v] for v in result.variables},
-        }
-    if op == "sparql_stream":
-        # Streamed /sparql in pool mode: evaluate here (one request in this
-        # endpoint's stats), ship the columns whole; the parent cuts pages
-        # and accounts them with endpoint.account_page.
-        result = entry["endpoint"].evaluate_stream(payload["query"])
+    if op in WINDOW_OPS:
+        return run_window(entry["live"], entry["registry"], op, payload)
+    if op in ("sparql", "sparql_stream"):
+        # Streamed /sparql in pool mode evaluates here too (one request in
+        # this endpoint's stats) and ships the columns whole; the parent
+        # cuts pages and accounts them with endpoint.account_page.
+        endpoint = entry["endpoint"]
+        evaluate = endpoint.query if op == "sparql" else endpoint.evaluate_stream
+        result = evaluate(payload["query"])
         return {
             "variables": list(result.variables),
             "columns": {v: result.columns[v] for v in result.variables},
@@ -275,11 +259,7 @@ def _worker_main(conn, worker_index: int) -> None:
             break
         try:
             result = _execute_op(graphs, op, payload)
-            graph_name = payload.get("graph") or payload.get("name")
-            stats = None
-            if graph_name in graphs:
-                stats = {"graph": graph_name, **_worker_graph_stats(graphs[graph_name])}
-            response = (request_id, "ok", result, stats)
+            response = (request_id, "ok", result, _piggyback_stats(graphs, payload))
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
             response = (request_id, "error", (type(exc).__name__, str(exc)), None)
         try:
@@ -813,14 +793,7 @@ class WorkerServer:
         """One op → (result, piggybacked stats); serial, like a pool child."""
         with self._execute_lock:
             result = _execute_op(self._graphs, op, payload)
-            graph_name = payload.get("graph") or payload.get("name")
-            stats = None
-            if graph_name in self._graphs:
-                stats = {
-                    "graph": graph_name,
-                    **_worker_graph_stats(self._graphs[graph_name]),
-                }
-            return result, stats
+            return result, _piggyback_stats(self._graphs, payload)
 
 
 async def serve_worker(

@@ -206,17 +206,17 @@ def result_payload(result: Any) -> Any:
         return {
             "variables": list(result.variables),
             "columns": {
-                variable: [int(v) for v in result.columns[variable]]
+                variable: result.columns[variable].tolist()
                 for variable in result.variables
             },
             "num_rows": int(result.num_rows),
         }
     if hasattr(result, "nodes") and hasattr(result, "rel"):  # _EgoGraph
         return {
-            "nodes": [int(v) for v in result.nodes],
-            "src": [int(v) for v in result.src],
-            "dst": [int(v) for v in result.dst],
-            "rel": [int(v) for v in result.rel],
+            "nodes": result.nodes.tolist(),
+            "src": result.src.tolist(),
+            "dst": result.dst.tolist(),
+            "rel": result.rel.tolist(),
         }
     if isinstance(result, list) and result and isinstance(result[0], tuple):
         # ppr top-k [(node, score), ...]

@@ -54,16 +54,6 @@ def test_ibs_includes_targets_and_influencers(toy_kg, toy_task):
     assert "Movie" not in set(sampled.subgraph.class_vocab)
 
 
-def test_ibs_workers_is_a_deprecated_noop(toy_kg, toy_task):
-    default = InfluenceBasedSampler(toy_kg, top_k=3)
-    with pytest.warns(DeprecationWarning, match="workers") as record:
-        legacy = InfluenceBasedSampler(toy_kg, top_k=3, workers=4)
-    # Exactly one warning per construction, not one per target/chunk.
-    assert len(record) == 1
-    targets = toy_task.target_nodes
-    assert default.influence_pairs(targets) == legacy.influence_pairs(targets)
-
-
 def test_ibs_without_workers_warns_nothing(toy_kg):
     import warnings
 

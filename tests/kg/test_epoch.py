@@ -9,6 +9,8 @@ schedules drive the merges through many shapes; the delta-aware kernel
 caches must invalidate exactly by dirty-node support intersection.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.kg.cache import artifacts_for
 from repro.kg.epoch import GraphEpoch, LiveGraph
 from repro.kg.triples import TripleStore
 from repro.models.shadowsaint import extract_ego_batch
+from repro.sampling.paths import enumerate_paths_scalar
 from repro.sampling.ppr import batch_ppr_top_k
 from repro.sparql.endpoint import SparqlEndpoint
 
@@ -175,20 +178,84 @@ def test_epoch_ring_pins_old_epochs_until_history_runs_out(toy_kg):
     assert live.resolve(None) is epochs[6]
 
 
-def test_old_epoch_requests_bypass_the_cache_and_stay_exact(toy_kg):
+def _in_order(table, keys):
+    return [table[key] for key in keys]
+
+
+def _ego_arrays(egos):
+    return [(e.nodes.tolist(), e.src.tolist(), e.dst.tolist(), e.rel.tolist()) for e in egos]
+
+
+# kind -> (window keys, LiveGraph call, oracle on a graph, kernel module and
+# name); the call and the oracle return one answer per key, in key order.
+WINDOWS = {
+    "ppr": (
+        [0, 1, 2],
+        lambda live, keys, epoch=None: _in_order(live.ppr_top_k(keys, 4, epoch=epoch), keys),
+        lambda kg, keys: _in_order(
+            batch_ppr_top_k(artifacts_for(kg).csr("both"), keys, 4), keys
+        ),
+        ("repro.sampling.ppr", "batch_ppr_top_k_with_support"),
+    ),
+    "ego": (
+        [0, 1, 2],
+        lambda live, keys, epoch=None: _ego_arrays(
+            live.ego_batch(keys, 2, 3, salt=5, epoch=epoch)
+        ),
+        lambda kg, keys: _ego_arrays(extract_ego_batch(kg, keys, 2, 3, 5)),
+        ("repro.models.shadowsaint", "extract_ego_batch"),
+    ),
+    "paths": (
+        [(0, 7), (3, 6), (0, 9)],
+        lambda live, keys, epoch=None: live.paths_batch(
+            keys, max_hops=3, max_paths=8, epoch=epoch
+        ),
+        lambda kg, keys: [
+            enumerate_paths_scalar(kg, src, dst, max_hops=3, max_paths=8)
+            for src, dst in keys
+        ],
+        ("repro.sampling.paths", "enumerate_paths_batch_with_support"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOWS))
+def test_old_epoch_requests_bypass_the_cache_and_stay_exact(toy_kg, kind):
+    keys, serve, oracle, _ = WINDOWS[kind]
     live = LiveGraph(toy_kg)
     rng = np.random.default_rng(31)
-    targets = [0, 1, 2]
     live.ingest(random_delta(toy_kg, 3, rng))
     pinned = live.epoch.number
     live.ingest(random_delta(toy_kg, 3, rng))
-    old = live.ppr_top_k(targets, 4, epoch=pinned)
-    oracle = batch_ppr_top_k(
-        artifacts_for(live.resolve(pinned).kg).csr("both"), targets, 4
-    )
-    assert old == oracle
-    current = live.ppr_top_k(targets, 4)
-    assert current == batch_ppr_top_k(artifacts_for(live.kg).csr("both"), targets, 4)
+    assert serve(live, keys, epoch=pinned) == oracle(live.resolve(pinned).kg, keys)
+    # The pinned window neither read nor filled the current epoch's store.
+    assert live.stats()[f"{kind}_cache"] == {
+        "entries": 0, "hits": 0, "misses": 0, "invalidated": 0,
+    }
+    assert serve(live, keys) == oracle(live.kg, keys)
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOWS))
+def test_repeated_keys_run_the_kernel_once_per_distinct_key(toy_kg, kind, monkeypatch):
+    keys, serve, oracle, (module_name, kernel_name) = WINDOWS[kind]
+    module = importlib.import_module(module_name)
+    kernel = getattr(module, kernel_name)
+    batches = []
+
+    def counting(kg, batch, *args, **kwargs):
+        batches.append(len(batch))
+        return kernel(kg, batch, *args, **kwargs)
+
+    monkeypatch.setattr(module, kernel_name, counting)
+    window = keys + keys[::-1] + keys[:1]
+    live = LiveGraph(toy_kg)
+    assert serve(live, window) == oracle(toy_kg, window)
+    assert batches == [len(keys)]
+    assert live.stats()[f"{kind}_cache"]["misses"] == len(keys)
+    # Served again, every position answers from the store.
+    assert serve(live, window) == oracle(toy_kg, window)
+    assert batches == [len(keys)]
+    assert live.stats()[f"{kind}_cache"]["hits"] == len(keys)
 
 
 # -- delta-aware kernels ------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.kg.cache import artifacts_for
 from repro.models.shadowsaint import extract_ego
 from repro.sampling.ppr import ppr_top_k
 from repro.serve import ExtractionService, WorkerCrashed, WorkerPool
-from repro.serve.pool import replica_shards, shard_for
+from repro.serve.placement import replica_shards, shard_for
 from repro.sparql.parser import SparqlSyntaxError
 
 
@@ -67,7 +67,7 @@ def test_shard_map_is_stable_across_processes():
     """Placement must not depend on per-process hash seeds."""
     names = ["mag", "dblp", "yago4", "wikikg2", "load", "graph-17"]
     script = (
-        "from repro.serve.pool import shard_for\n"
+        "from repro.serve.placement import shard_for\n"
         "print([shard_for(n, 5) for n in %r])" % (names,)
     )
     env = dict(os.environ)
