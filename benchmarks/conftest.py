@@ -1,8 +1,10 @@
 """Benchmark-suite plumbing.
 
 Every benchmark regenerates one of the paper's tables/figures, prints it,
-and persists it under ``benchmarks/reports/`` so the regenerated artifacts
-survive pytest's output capture.  ``benchmark.pedantic(..., rounds=1)`` is
+and persists it under ``benchmarks/out/`` (git-ignored) so the regenerated
+artifacts survive pytest's output capture without touching the tree.  The
+committed ledger ``benchmarks/reports/BENCH_*.json`` changes only by an
+explicit copy out of that directory (see ``docs/ci.md``).  ``benchmark.pedantic(..., rounds=1)`` is
 used throughout: experiments train models, so one measured round is the
 meaningful unit.
 """
@@ -13,7 +15,7 @@ import os
 
 import pytest
 
-REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
+REPORT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Two guarantees of the zero-copy serving path (``repro/kg/store.py``) are
 measured on the ``mag`` *large* catalog graph and recorded — with their
-regression floors/ceilings — in ``reports/BENCH_artifacts.json``, which
+regression floors/ceilings — in ``out/BENCH_artifacts.json``, which
 ``check_perf_floors.py`` re-checks in the CI ``perf-guard`` and ``serve``
 jobs:
 

@@ -2,17 +2,18 @@
 
 Two guarantees of the epochal-snapshot path (``repro/kg/epoch.py``) are
 measured on the ``mag`` *large* catalog graph and recorded — with their
-regression floors — in ``reports/BENCH_live.json``, which
+regression floors — in ``out/BENCH_live.json``, which
 ``check_perf_floors.py`` re-checks in the CI ``perf-guard`` job:
 
-* **live_epoch_extend** — what one ``POST /triples`` ingest costs.  The
-  baseline is what serving the new epoch would cost without the delta
-  log: rebuild the merged graph's CSR projection and hexastore orderings
-  from scratch.  The incremental path merges the parent epoch's
-  already-built artifacts with the (small) delta — ``base + delta`` CSR
-  addition, sorted-merge hexastore permutations — and must stay above
-  ``EXTEND_FLOOR`` while producing **bit-identical** artifacts (asserted
-  here before timing is trusted).
+* **live_epoch_extend** — what one ``POST /triples`` ingest costs once
+  the new epoch's artifacts are in use.  The baseline is what serving the
+  new epoch would cost without the delta log: rebuild the merged graph's
+  CSR projection and hexastore orderings from scratch.  The incremental
+  path extends the epoch (which builds nothing) and then touches every
+  artifact the baseline builds, each merged on first use from the parent
+  epoch's — ``base + delta`` CSR addition, sorted-merge hexastore
+  permutations.  It must stay above ``EXTEND_FLOOR`` while producing
+  **bit-identical** artifacts (asserted here before timing is trusted).
 
 * **live_ppr_refresh** — what re-answering a warm ``/ppr`` working set
   costs after an ingest.  The baseline recomputes every target on the
@@ -104,12 +105,13 @@ def _delta(kg, rows, seed):
 
 
 def _warm(kg):
-    """Build the serving artifacts an epoch carries forward incrementally."""
+    """Build (or, on an extended epoch, merge) the serving artifacts."""
     artifacts_for(kg).csr("both")
     kg.hexastore.materialize()
 
 
 def _assert_bit_exact(merged_kg, cold_kg):
+    _warm(merged_kg)  # orderings build on first use: never compare none
     left = artifacts_for(merged_kg).csr("both")
     right = artifacts_for(cold_kg).csr("both")
     assert np.array_equal(left.indptr, right.indptr)
@@ -136,7 +138,7 @@ def test_perf_live_epoch_extend(benchmark, report, report_dir):
     _assert_bit_exact(merged.kg, cold)
 
     def incremental_extend():
-        epoch.extend(delta)
+        _warm(epoch.extend(delta).kg)
 
     def cold_rebuild():
         rebuilt = merged.cold_rebuild()
@@ -155,7 +157,7 @@ def test_perf_live_epoch_extend(benchmark, report, report_dir):
             f"epoch extend on {base.name} ({base.num_nodes} nodes, "
             f"{base.num_edges} edges, {DELTA_ROWS}-row delta):\n"
             f"  cold artifact rebuild  {baseline * 1e3:8.2f} ms\n"
-            f"  incremental merge      {extend * 1e3:8.2f} ms\n"
+            f"  extend + first use     {extend * 1e3:8.2f} ms\n"
             f"  -> {speedup:.1f}x (floor {EXTEND_FLOOR}x)"
         ),
     )

@@ -20,7 +20,7 @@ the vectorized batch kernel that replaced it:
 
 Every benchmark asserts the batch result is *identical* to the scalar
 reference before timing is trusted, and appends its measurement to
-``reports/BENCH_sampling.json`` together with its regression floor.  The
+``out/BENCH_sampling.json`` together with its regression floor.  The
 floors are deliberately far below the observed speedups so machine noise
 cannot flake tier-1; ``benchmarks/check_perf_floors.py`` re-checks them as
 the CI perf-guard step.

@@ -26,10 +26,10 @@ on a width-2 worker pool vs a width-1 pool (bit-identical answers
 enforced; skipped on single-core hosts, where a second worker has no
 core to run on; the ratio itself is recorded unguarded).  The measured
 throughput ratios and their regression floors are recorded in
-``reports/BENCH_serving.json`` and re-checked by ``check_perf_floors.py``
+``out/BENCH_serving.json`` and re-checked by ``check_perf_floors.py``
 in the CI ``serve`` job; the full metrics
 snapshot (queue depth, batch occupancy, tail latency, cache hits) is
-dumped to ``reports/serving_metrics.json`` as a CI artifact.
+dumped to ``out/serving_metrics.json`` as a CI artifact.
 """
 
 import json

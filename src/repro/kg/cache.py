@@ -23,9 +23,10 @@ full contract.
 
 Live ingest (``repro/kg/epoch.py``) honours the same rule rather than
 bending it: appending triples produces a **new** merged graph — and with
-it a fresh identity-keyed cache entry — whose artifacts are *seeded*
-incrementally from the parent epoch's (merged CSR, sorted-merge
-hexastore) instead of rebuilt, bit-identical to a cold build.  The old
+it a fresh identity-keyed cache entry (:meth:`GraphArtifacts.extended_from`)
+— that builds nothing at ingest.  Each CSR projection (and each hexastore
+ordering) is merged on first use from the nearest ancestor that built it,
+bit-identical to a cold build; one nobody reads is never built.  The old
 epoch's graph and cache stay valid for requests still pinned to it.
 
 Process locality (sharded serving)
@@ -56,6 +57,36 @@ from repro.kg.hexastore import Hexastore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sampling.walks import RandomWalkEngine
     from repro.transform.adjacency import Direction, HeteroAdjacency
+
+
+def _merged_csr(
+    base: sp.csr_matrix, start: int, kg: KnowledgeGraph, direction: "Direction"
+) -> sp.csr_matrix:
+    """``build_csr(kg, direction)``, merged from ``base``.
+
+    ``base`` is the projection of ``kg``'s first ``start`` triples.
+    ``base + delta`` unions the sparsity structures (scipy's CSR addition
+    emits canonical, column-sorted output); resetting ``data`` to 1.0
+    restores the 0/1 convention, after which the matrix is value-identical
+    to ``build_csr`` on the whole graph.
+    """
+    s, o = kg.triples.s[start:], kg.triples.o[start:]
+    if direction == "out":
+        rows, cols = s, o
+    elif direction == "in":
+        rows, cols = o, s
+    else:  # "both" symmetrises, exactly like build_csr
+        rows, cols = np.concatenate([s, o]), np.concatenate([o, s])
+    extra = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.float64), (rows, cols)),
+        shape=(kg.num_nodes, kg.num_nodes),
+    )
+    extra.sum_duplicates()
+    combined = base + extra
+    combined.sum_duplicates()
+    combined.sort_indices()
+    combined.data[:] = 1.0
+    return combined
 
 
 def _is_mapped(array: np.ndarray) -> bool:
@@ -90,6 +121,9 @@ class GraphArtifacts:
         self.kg = kg
         self._lock = threading.RLock()
         self._csr: Dict[str, sp.csr_matrix] = {}
+        # Direction -> (the nearest ancestor's built projection, how many of
+        # this graph's leading triples it covers); see extended_from.
+        self._origins: Dict[str, Tuple[sp.csr_matrix, int]] = {}
         self._engines: Dict[str, "RandomWalkEngine"] = {}
         self._hetero: Dict[Tuple[bool, bool], "HeteroAdjacency"] = {}
         # Observability counters (read by the serving metrics): how many
@@ -124,17 +158,49 @@ class GraphArtifacts:
             setattr(kg, _ATTRIBUTE, artifacts)
         return artifacts
 
+    @classmethod
+    def extended_from(cls, parent: "GraphArtifacts", kg: KnowledgeGraph) -> "GraphArtifacts":
+        """Attach to ``kg`` a cache that builds nothing now.
+
+        ``kg`` holds ``parent.kg``'s triples plus appended rows.  Each CSR
+        direction records its origin: ``parent``'s projection when built,
+        else ``parent``'s origin for it.  :meth:`csr` merges from that
+        origin on first use; a direction without one builds cold.  A link
+        is dropped once its projection is built, so links never chain.
+        """
+        artifacts = cls(kg)
+        # Lock-free so an ingest never waits on a build in the parent: csr()
+        # stores a projection before dropping its link, so copying the links
+        # first and the projections second cannot miss both.
+        artifacts._origins.update(parent._origins)
+        rows = len(parent.kg.triples)
+        artifacts._origins.update(
+            (direction, (matrix, rows)) for direction, matrix in list(parent._csr.items())
+        )
+        with _ATTACH_LOCK:
+            setattr(kg, _ATTRIBUTE, artifacts)
+        return artifacts
+
     # -- homogeneous projections --
 
     def csr(self, direction: "Direction" = "both") -> sp.csr_matrix:
-        """Homogeneous 0/1 CSR projection (memoized per direction)."""
+        """Homogeneous 0/1 CSR projection (memoized per direction).
+
+        Built on first use: merged from the direction's origin when
+        :meth:`extended_from` recorded one, else from scratch.
+        """
         with self._lock:
             matrix = self._csr.get(direction)
             if matrix is None:
-                from repro.transform.adjacency import build_csr
+                origin = self._origins.get(direction)
+                if origin is None:
+                    from repro.transform.adjacency import build_csr
 
-                matrix = build_csr(self.kg, direction=direction)
+                    matrix = build_csr(self.kg, direction=direction)
+                else:
+                    matrix = _merged_csr(*origin, self.kg, direction)
                 self._csr[direction] = matrix
+                self._origins.pop(direction, None)
                 self.builds += 1
             else:
                 self.hits += 1

@@ -10,22 +10,31 @@ giving up a single bit-exactness contract:
   plus an append-only columnar **delta log** of the triples ingested
   since.  ``epoch.kg`` is a *real* merged ``KnowledgeGraph`` — every
   existing consumer (``artifacts_for``, the SPARQL executor, the batch
-  kernels, the model registry) works on it unchanged — but its derived
-  artifacts are constructed **incrementally** from the parent epoch's
-  artifacts instead of from scratch:
+  kernels, the model registry) works on it unchanged — but ingest builds
+  **none** of its derived artifacts.  Each CSR projection and hexastore
+  ordering is instead merged on first use from the nearest ancestor that
+  built it (the delta is simply the rows appended since that ancestor);
+  one that nobody reads is never built:
 
   - **CSR projections** merge as ``base_csr + delta_csr`` (canonicalised
-    back to 0/1), identical to ``build_csr`` on the merged graph.
-  - **Hexastore orderings** merge each already-built base permutation
-    with a lexsort of the (small) delta via two ``searchsorted`` calls —
-    the classic sorted-merge — reproducing ``np.lexsort`` on the merged
+    back to 0/1), identical to ``build_csr`` on the merged graph
+    (:meth:`~repro.kg.cache.GraphArtifacts.csr`).
+  - **Hexastore orderings** merge the ancestor's sorted permutation with
+    a lexsort of the (small) delta via two ``searchsorted`` calls — the
+    classic sorted-merge — reproducing ``np.lexsort`` on the merged
     columns *exactly* (lexsort is stable and base positions precede
-    delta positions, so tie order is preserved).
+    delta positions, so tie order is preserved;
+    :meth:`~repro.kg.hexastore.Hexastore.extended_from`).
+
+  A link to the origin is dropped once its artifact is built, and an
+  epoch whose parent lacks an artifact inherits the parent's link, so
+  links never chain epochs: each points straight at an ancestor's built
+  artifact (in a pool parent, which reads none, the registered graph's).
 
 * :class:`LiveGraph` strings epochs together behind one lock: ingest
   appends a delta (bumping the epoch number), periodic **compaction**
-  folds the delta into a fresh base (reusing the already-merged graph,
-  so nothing is recomputed), and a bounded ring of recent epochs keeps
+  folds the delta into a fresh base (reusing the merged graph, so
+  nothing is recomputed), and a bounded ring of recent epochs keeps
   in-flight requests pinned to the epoch they were admitted under.
 
 * The hot kernels become **delta-aware with retained oracles**: one
@@ -46,11 +55,10 @@ import threading
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kg.cache import GraphArtifacts, artifacts_for
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.hexastore import Hexastore, _radix_product_fits_int64
+from repro.kg.hexastore import Hexastore
 from repro.kg.triples import TripleStore
 
 #: How many past epochs a LiveGraph keeps resolvable by number.  In-flight
@@ -61,113 +69,6 @@ EPOCH_HISTORY = 16
 
 #: Bound on each retained per-key kernel store (FIFO eviction).
 KERNEL_CACHE_CAPACITY = 4096
-
-
-def _merged_csr(
-    parent: GraphArtifacts, delta: TripleStore, num_nodes: int
-) -> Dict[str, sp.csr_matrix]:
-    """Merge every CSR direction the parent has built with the delta.
-
-    ``base + delta`` unions the sparsity structures (scipy's CSR addition
-    emits canonical, column-sorted output); resetting ``data`` to 1.0
-    restores the 0/1 convention, after which the matrix is value-identical
-    to ``build_csr`` on the merged graph.
-    """
-    merged: Dict[str, sp.csr_matrix] = {}
-    for direction, base in parent._csr.items():
-        if direction == "out":
-            rows, cols = delta.s, delta.o
-        elif direction == "in":
-            rows, cols = delta.o, delta.s
-        else:  # "both" symmetrises, exactly like build_csr
-            rows = np.concatenate([delta.s, delta.o])
-            cols = np.concatenate([delta.o, delta.s])
-        extra = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.float64), (rows, cols)),
-            shape=(num_nodes, num_nodes),
-        )
-        extra.sum_duplicates()
-        combined = base + extra
-        combined.sum_duplicates()
-        combined.sort_indices()
-        combined.data[:] = 1.0
-        merged[direction] = combined
-    return merged
-
-
-def _composite(keys: List[np.ndarray], radices: List[int]) -> np.ndarray:
-    """Mixed-radix int64 encoding of three sorted key columns.
-
-    With each radix above the level's maximum value the encoding is
-    injective and order-preserving, so composites compare exactly like
-    the lexicographic triple order.
-    """
-    out = keys[0].astype(np.int64, copy=True)
-    for key, radix in zip(keys[1:], radices[1:]):
-        out *= radix
-        out += key
-    return out
-
-
-def _merged_hexastore(
-    parent_kg: KnowledgeGraph, delta: TripleStore, merged_store: TripleStore
-) -> Optional[Hexastore]:
-    """Incrementally merge the parent's built hexastore orderings.
-
-    For each ordering the parent materialised, the merged permutation is
-    the stable sorted-merge of the base permutation and a lexsort of the
-    delta: composite keys for both runs, then two ``searchsorted`` calls
-    place every element.  Because ``np.lexsort`` is stable and base
-    triples precede delta triples in the merged store, the result is
-    **bit-identical** to lexsorting the merged columns from scratch.
-    Orderings the parent never built stay lazy on the merged store.
-    """
-    base_hexa = parent_kg._hexastore
-    if base_hexa is None or not base_hexa._indices:
-        return None
-    delta_columns = {"s": delta.s, "p": delta.p, "o": delta.o}
-    n_base = len(parent_kg.triples)
-    n_delta = len(delta)
-    prebuilt: Dict[str, Tuple[np.ndarray, List[Optional[np.ndarray]]]] = {}
-    for name, index in base_hexa._indices.items():
-        ordered = [delta_columns[component] for component in index.order]
-        delta_perm = np.lexsort((ordered[2], ordered[1], ordered[0]))
-        base_keys = [index.key(level) for level in range(3)]
-        delta_keys = [column[delta_perm] for column in ordered]
-        radices = [
-            int(
-                max(
-                    int(bk.max()) if bk.size else 0,
-                    int(dk.max()) if dk.size else 0,
-                )
-            )
-            + 1
-            for bk, dk in zip(base_keys, delta_keys)
-        ]
-        keys: List[Optional[np.ndarray]] = [None, None, None]
-        if _radix_product_fits_int64(radices):
-            base_composite = _composite(base_keys, radices)
-            delta_composite = _composite(delta_keys, radices)
-            pos_base = np.arange(n_base, dtype=np.int64) + np.searchsorted(
-                delta_composite, base_composite, side="left"
-            )
-            pos_delta = np.arange(n_delta, dtype=np.int64) + np.searchsorted(
-                base_composite, delta_composite, side="right"
-            )
-            perm = np.empty(n_base + n_delta, dtype=np.int64)
-            perm[pos_base] = index.perm
-            perm[pos_delta] = delta_perm + n_base
-            for level in range(3):
-                merged_key = np.empty(n_base + n_delta, dtype=np.int64)
-                merged_key[pos_base] = base_keys[level]
-                merged_key[pos_delta] = delta_keys[level]
-                keys[level] = merged_key
-        else:  # pragma: no cover - needs ids near 2^21 on all three levels
-            columns = {"s": merged_store.s, "p": merged_store.p, "o": merged_store.o}
-            full = [columns[component] for component in index.order]
-            perm = np.lexsort((full[2], full[1], full[0]))
-        prebuilt[name] = (perm, keys)
-    return Hexastore.from_prebuilt(merged_store, prebuilt)
 
 
 class GraphEpoch:
@@ -208,13 +109,12 @@ class GraphEpoch:
         """Next epoch with ``new_triples`` appended.
 
         The merged graph shares this epoch's vocabularies and node types
-        (ingest never grows the id spaces — see :meth:`LiveGraph.ingest`),
-        and its derived artifacts are built incrementally from this
-        epoch's: merged CSR projections for every direction already
-        cached, merged hexastore permutations for every ordering already
-        built.  ``compact=True`` additionally folds the whole delta into
-        the new epoch's base (same merged graph, empty delta) — used when
-        the compaction policy triggers on ingest.
+        (ingest never grows the id spaces — see :meth:`LiveGraph.ingest`)
+        and builds no CSR projection or hexastore ordering: each records
+        its origin and is merged from it on first use (see the module
+        docstring).  ``compact=True`` additionally folds the whole delta
+        into the new epoch's base (same merged graph, empty delta) — used
+        when the compaction policy triggers on ingest.
         """
         parent_kg = self.kg
         merged_store = parent_kg.triples.append(new_triples)
@@ -228,9 +128,11 @@ class GraphEpoch:
             literal_triples=parent_kg.literal_triples,
             name=parent_kg.name,
         )
-        hexa = _merged_hexastore(parent_kg, new_triples, merged_store)
-        if hexa is not None:
-            merged_kg._hexastore = hexa
+        if parent_kg._hexastore is not None:
+            merged_kg._hexastore = Hexastore.extended_from(parent_kg._hexastore, merged_store)
+        parent_artifacts = getattr(parent_kg, "_graph_artifacts", None)
+        if parent_artifacts is not None:
+            GraphArtifacts.extended_from(parent_artifacts, merged_kg)
         # Degree caches update by bincount of the delta endpoints; the
         # nodes_of_type buckets depend only on node_types, shared as-is.
         if parent_kg._out_degree is not None:
@@ -243,11 +145,6 @@ class GraphEpoch:
             )
         if parent_kg._nodes_by_type is not None:
             merged_kg._nodes_by_type = parent_kg._nodes_by_type
-        parent_artifacts = getattr(parent_kg, "_graph_artifacts", None)
-        if parent_artifacts is not None and parent_artifacts._csr:
-            GraphArtifacts.from_store(
-                merged_kg, _merged_csr(parent_artifacts, new_triples, merged_kg.num_nodes)
-            )
         if compact:
             return GraphEpoch(
                 number=self.number + 1,
@@ -265,10 +162,11 @@ class GraphEpoch:
     def compact(self, out_dir: Optional[str] = None) -> "GraphEpoch":
         """Fold the delta into a fresh base without recomputing anything.
 
-        The merged graph *is* the new base — its artifacts were already
-        built incrementally — so compaction is O(1) plus, optionally, one
-        ``save_artifacts`` write when ``out_dir`` is given (the same
-        on-disk store ``--mmap-dir`` serves from).
+        The merged graph *is* the new base — artifacts it has not built
+        yet keep their origins and merge on first use as before — so
+        compaction is O(1) plus, optionally, one ``save_artifacts`` write
+        when ``out_dir`` is given (the same on-disk store ``--mmap-dir``
+        serves from; writing it builds every artifact).
         """
         if out_dir is not None:
             from repro.kg.store import save_artifacts
@@ -281,7 +179,7 @@ class GraphEpoch:
     def cold_rebuild(self) -> KnowledgeGraph:
         """A fresh, cache-free graph with this epoch's exact content.
 
-        The oracle for every incremental-merge claim: rebuilding all
+        The oracle for every first-use-merge claim: rebuilding all
         artifacts from scratch on this graph must reproduce the merged
         artifacts bit for bit (asserted by ``tests/kg/test_epoch.py`` and
         ``benchmarks/test_perf_live.py``).

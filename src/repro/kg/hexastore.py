@@ -16,6 +16,12 @@ that only ever asks ``(s, ?, ?)`` patterns therefore pays for one
 nested ``numpy.searchsorted`` range narrowings, i.e. O(log n) per bound
 component; :meth:`Hexastore.batch_ranges` answers many sibling patterns with
 one batched ``searchsorted`` for the executor's vectorized joins.
+
+A live graph's next epoch appends rows to its parent's store
+(``repro/kg/epoch.py``).  :meth:`Hexastore.extended_from` gives it a
+hexastore that builds nothing up front: each ordering is merged on first
+use from the nearest ancestor that built it (:meth:`_SortedIndex.merged`),
+bit-identical to a cold ``lexsort`` of the whole store.
 """
 
 from __future__ import annotations
@@ -74,6 +80,49 @@ class _SortedIndex:
         index._keys = list(keys)
         index._lock = threading.Lock()
         return index
+
+    @classmethod
+    def merged(cls, origin: "_SortedIndex", store: TripleStore) -> "_SortedIndex":
+        """This ordering of ``store``, merged from ``origin``'s ordering of a prefix.
+
+        ``store`` holds ``origin``'s rows followed by appended ones.  The
+        appended rows are lexsorted alone; composite keys for both sorted
+        runs and two ``searchsorted`` calls then place every element (the
+        classic sorted-merge).  ``np.lexsort`` is stable and the prefix rows
+        precede the appended ones, so the result is **bit-identical** to
+        lexsorting ``store`` from scratch.
+        """
+        order = origin.order
+        n_base = len(origin.perm)
+        columns = {"s": store.s, "p": store.p, "o": store.o}
+        appended = [columns[component][n_base:] for component in order]
+        delta_perm = np.lexsort((appended[2], appended[1], appended[0]))
+        base_keys = [origin.key(level) for level in range(3)]
+        delta_keys = [column[delta_perm] for column in appended]
+        radices = [
+            max(int(bk.max()) if bk.size else 0, int(dk.max()) if dk.size else 0) + 1
+            for bk, dk in zip(base_keys, delta_keys)
+        ]
+        if not _radix_product_fits_int64(radices):  # pragma: no cover - ids near 2^21
+            return cls(store, order)
+        base_composite = _composite(base_keys, radices)
+        delta_composite = _composite(delta_keys, radices)
+        pos_base = np.arange(n_base, dtype=np.int64) + np.searchsorted(
+            delta_composite, base_composite, side="left"
+        )
+        pos_delta = np.arange(len(delta_perm), dtype=np.int64) + np.searchsorted(
+            base_composite, delta_composite, side="right"
+        )
+        perm = np.empty(len(store), dtype=np.int64)
+        perm[pos_base] = origin.perm
+        perm[pos_delta] = delta_perm + n_base
+        keys = []
+        for base_key, delta_key in zip(base_keys, delta_keys):
+            key = np.empty(len(store), dtype=np.int64)
+            key[pos_base] = base_key
+            key[pos_delta] = delta_key
+            keys.append(key)
+        return cls.from_arrays(store, order, perm, keys)
 
     def iter_arrays(self):
         """Yield the permutation plus every key column built so far."""
@@ -173,6 +222,20 @@ def _radix_product_fits_int64(radices: List[int]) -> bool:
     return product < 2**63
 
 
+def _composite(keys: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """Mixed-radix int64 encoding of sorted key columns.
+
+    With each radix above its level's maximum value the encoding is
+    injective and order-preserving, so composites compare exactly like the
+    lexicographic order of the key tuples.
+    """
+    out = keys[0].astype(np.int64, copy=True)
+    for key, radix in zip(keys[1:], radices[1:]):
+        out *= radix
+        out += key
+    return out
+
+
 class Hexastore:
     """Six-permutation sorted index over a :class:`TripleStore`.
 
@@ -193,7 +256,26 @@ class Hexastore:
     def __init__(self, store: TripleStore):
         self.store = store
         self._indices: Dict[str, _SortedIndex] = {}
+        # Ordering name -> the nearest ancestor's built ordering of a prefix
+        # of ``store`` (set by extended_from, dropped once the ordering builds).
+        self._origins: Dict[str, _SortedIndex] = {}
         self._build_lock = threading.Lock()
+
+    @classmethod
+    def extended_from(cls, parent: "Hexastore", store: TripleStore) -> "Hexastore":
+        """A hexastore over ``store`` — ``parent.store`` plus appended rows.
+
+        Nothing is built now.  Each ordering records its origin: ``parent``'s
+        own ordering when built, else ``parent``'s origin for it.  The
+        ordering is then merged on first use from that origin
+        (:meth:`_SortedIndex.merged`); without one it builds cold.
+        """
+        hexa = cls(store)
+        # Lock-free, like GraphArtifacts.extended_from: _index stores an
+        # ordering before dropping its link, so links are copied first.
+        hexa._origins.update(parent._origins)
+        hexa._origins.update(parent._indices)
+        return hexa
 
     @classmethod
     def from_prebuilt(
@@ -230,8 +312,13 @@ class Hexastore:
             with self._build_lock:
                 index = self._indices.get(name)
                 if index is None:
-                    index = _SortedIndex(self.store, _ORDERS[name])
+                    origin = self._origins.get(name)
+                    if origin is None:
+                        index = _SortedIndex(self.store, _ORDERS[name])
+                    else:
+                        index = _SortedIndex.merged(origin, self.store)
                     self._indices[name] = index
+                    self._origins.pop(name, None)
         return index
 
     def materialize(self) -> "Hexastore":
@@ -344,11 +431,8 @@ class Hexastore:
             for window, column in zip(windows, columns)
         ]
         if _radix_product_fits_int64(radices):
-            composite_window = windows[0].astype(np.int64)
-            composite_values = columns[0].astype(np.int64)
-            for window, column, radix in zip(windows[1:], columns[1:], radices[1:]):
-                composite_window = composite_window * radix + window
-                composite_values = composite_values * radix + column
+            composite_window = _composite(windows, radices)
+            composite_values = _composite(columns, radices)
             los = lo + np.searchsorted(composite_window, composite_values, side="left")
             his = lo + np.searchsorted(composite_window, composite_values, side="right")
             return los.astype(np.int64), his.astype(np.int64), index.perm

@@ -268,7 +268,9 @@ class ExtractionService:
         with steady state — artifact construction is the one cost that is
         *not* graph-size independent.  In pool mode the graph is also
         shipped (once per owning worker) to the pool, and warming happens
-        worker-side — the parent never builds kernel artifacts.
+        worker-side — the parent never builds kernel artifacts, not even
+        across ingests: a new epoch's artifacts are merged only on first
+        use (``repro/kg/epoch.py``), and the parent uses none.
 
         ``mmap_dir`` (pool mode) makes registration ship the saved
         artifact-store *path* instead of a pickled graph; owning workers

@@ -15,7 +15,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Iterator, List, Optional, Union as TypingUnion
+from typing import Deque, Iterator, List, Optional, Union as TypingUnion
 
 from repro.kg.graph import KnowledgeGraph
 from repro.sparql.ast import SelectQuery
@@ -270,9 +270,11 @@ def account_page(
 
 
 def _serialize(result: ResultSet) -> bytes:
-    """Model the wire representation of a result page (TSV of ids)."""
-    lines: Iterable[str] = (
-        "\t".join(str(int(result.columns[v][row])) for v in result.variables)
-        for row in range(result.num_rows)
-    )
-    return ("\n".join(lines)).encode("ascii")
+    """Model the wire representation of a result page (TSV of ids).
+
+    Columns convert to Python ints once (``tolist``) and rows are joined
+    from them — byte-identical to formatting each cell with
+    ``str(int(...))``, without a numpy scalar per cell.
+    """
+    columns = [map(str, result.columns[v].tolist()) for v in result.variables]
+    return "\n".join(map("\t".join, zip(*columns))).encode("ascii")

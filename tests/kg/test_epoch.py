@@ -1,21 +1,31 @@
-"""Epochal snapshots: every incremental merge bit-exact vs a cold rebuild.
+"""Epochal snapshots: every first-use merge bit-exact vs a cold rebuild.
 
 The contract under test (``repro/kg/epoch.py``): a :class:`GraphEpoch`
 built by *extending* the previous epoch with a delta must be
 indistinguishable — CSR projections, hexastore orderings, degrees,
 SPARQL results, kernel answers — from a graph rebuilt from scratch with
-the same content (``cold_rebuild()``, the oracle).  Randomized insert
-schedules drive the merges through many shapes; the delta-aware kernel
-caches must invalidate exactly by dirty-node support intersection.
+the same content (``cold_rebuild()``, the oracle).  Extending builds no
+artifact; each one merges on first use from the nearest ancestor that
+built it.  Randomized insert schedules drive the merges through many
+shapes; the delta-aware kernel caches must invalidate exactly by
+dirty-node support intersection.
 """
 
+import gc
 import importlib
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.kg import cache as cache_module
+from repro.kg import hexastore as hexastore_module
 from repro.kg.cache import artifacts_for
 from repro.kg.epoch import GraphEpoch, LiveGraph
+from repro.kg.hexastore import _ORDERS
 from repro.kg.triples import TripleStore
 from repro.models.shadowsaint import extract_ego_batch
 from repro.sampling.paths import enumerate_paths_scalar
@@ -38,12 +48,24 @@ def random_delta(kg, rows, rng):
 
 
 def warm(kg):
-    """Build the artifacts an epoch carries forward incrementally."""
+    """Build the artifacts later epochs merge from."""
     artifacts_for(kg).csr("both")
     artifacts_for(kg).csr("out")
     kg.hexastore.materialize()
     kg.out_degree()
     kg.in_degree()
+
+
+def extend(epoch, kg, rows, rng):
+    arr = random_delta(kg, rows, rng)
+    return epoch.extend(TripleStore(arr[:, 0], arr[:, 1], arr[:, 2]))
+
+
+def built_nothing(kg):
+    """True when no CSR projection or hexastore ordering of ``kg`` is built."""
+    artifacts = getattr(kg, "_graph_artifacts", None)
+    hexa = kg._hexastore
+    return (artifacts is None or not artifacts._csr) and (hexa is None or not hexa._indices)
 
 
 def assert_epoch_matches_cold_rebuild(epoch):
@@ -54,14 +76,20 @@ def assert_epoch_matches_cold_rebuild(epoch):
     for direction in ("both", "out", "in"):
         merged = artifacts_for(epoch.kg).csr(direction)
         rebuilt = artifacts_for(cold).csr(direction)
+        assert merged.indices.dtype == rebuilt.indices.dtype, direction
         assert np.array_equal(merged.indptr, rebuilt.indptr), direction
         assert np.array_equal(merged.indices, rebuilt.indices), direction
         assert np.array_equal(merged.data, rebuilt.data), direction
+    # Orderings build on first use: force all six on both sides so the
+    # comparison below can never be vacuous.
+    epoch.kg.hexastore.materialize()
     cold.hexastore.materialize()
+    assert sorted(epoch.kg.hexastore._indices) == sorted(_ORDERS)
     for name, index in epoch.kg.hexastore._indices.items():
-        assert np.array_equal(
-            index.perm, cold.hexastore._indices[name].perm
-        ), name
+        reference = cold.hexastore._indices[name]
+        assert np.array_equal(index.perm, reference.perm), name
+        for level in range(3):
+            assert np.array_equal(index.key(level), reference.key(level)), name
     assert np.array_equal(epoch.kg.out_degree(), cold.out_degree())
     assert np.array_equal(epoch.kg.in_degree(), cold.in_degree())
 
@@ -85,6 +113,150 @@ def test_extend_off_a_lazy_base_builds_correctly(toy_kg):
     epoch = GraphEpoch.initial(toy_kg)
     arr = random_delta(toy_kg, 5, rng)
     epoch = epoch.extend(TripleStore(arr[:, 0], arr[:, 1], arr[:, 2]))
+    assert_epoch_matches_cold_rebuild(epoch)
+
+
+def test_extend_builds_nothing_and_records_origins(toy_kg):
+    warm(toy_kg)
+    epoch = extend(GraphEpoch.initial(toy_kg), toy_kg, 4, np.random.default_rng(41))
+    assert built_nothing(epoch.kg)
+    base_csr = artifacts_for(toy_kg)._csr
+    origins = artifacts_for(epoch.kg)._origins
+    assert {d: m for d, (m, _) in origins.items()} == base_csr
+    assert all(rows == len(toy_kg.triples) for _, rows in origins.values())
+    assert epoch.kg.hexastore._origins == toy_kg.hexastore._indices
+    # Building drops the link; the built artifact becomes the next origin.
+    artifacts_for(epoch.kg).csr("both")
+    epoch.kg.hexastore.count(subject=0)
+    assert "both" not in artifacts_for(epoch.kg)._origins
+    assert "spo" not in epoch.kg.hexastore._origins
+    child = extend(epoch, toy_kg, 2, np.random.default_rng(43))
+    assert child.kg._graph_artifacts._origins["both"][0] is artifacts_for(epoch.kg)._csr["both"]
+    assert child.kg._graph_artifacts._origins["out"][0] is base_csr["out"]
+    assert child.kg.hexastore._origins["spo"] is epoch.kg.hexastore._indices["spo"]
+    assert child.kg.hexastore._origins["ops"] is toy_kg.hexastore._indices["ops"]
+
+
+@pytest.mark.parametrize("touch", ["never", "midway"])
+def test_first_use_several_epochs_later_and_across_compaction(toy_kg, touch):
+    rng = np.random.default_rng(47)
+    warm(toy_kg)
+    epoch = GraphEpoch.initial(toy_kg)
+    for round_number in range(6):
+        epoch = extend(epoch, toy_kg, int(rng.integers(1, 6)), rng)
+        if touch == "midway" and round_number == 2:
+            # Some artifacts built mid-chain: later epochs merge those
+            # from here and the rest from the base.
+            artifacts_for(epoch.kg).csr("both")
+            epoch.kg.hexastore.count(predicate=0, obj=1)
+        if round_number == 3:
+            epoch = epoch.compact()
+    assert epoch.delta_rows > 0
+    assert built_nothing(epoch.kg)
+    assert_epoch_matches_cold_rebuild(epoch)
+
+
+def test_artifacts_with_a_built_ancestor_merge_instead_of_rebuilding(toy_kg, monkeypatch):
+    rng = np.random.default_rng(53)
+    warm(toy_kg)
+    artifacts_for(toy_kg).csr("in")
+    epoch = extend(GraphEpoch.initial(toy_kg), toy_kg, 3, rng)
+    epoch = extend(epoch, toy_kg, 5, rng)
+    cold = epoch.cold_rebuild()
+    warm(cold)
+    artifacts_for(cold).csr("in")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rebuilt from scratch instead of merged")
+
+    monkeypatch.setattr(hexastore_module._SortedIndex, "__init__", refuse)
+    monkeypatch.setattr("repro.transform.adjacency.build_csr", refuse)
+    merged = [artifacts_for(epoch.kg).csr(d) for d in ("both", "out", "in")]
+    epoch.kg.hexastore.materialize()
+    for matrix, direction in zip(merged, ("both", "out", "in")):
+        rebuilt = artifacts_for(cold).csr(direction)
+        assert np.array_equal(matrix.indptr, rebuilt.indptr), direction
+        assert np.array_equal(matrix.indices, rebuilt.indices), direction
+    for name, index in epoch.kg.hexastore._indices.items():
+        assert np.array_equal(index.perm, cold.hexastore._indices[name].perm), name
+
+
+def test_epochs_older_than_the_ring_are_collected(toy_kg):
+    warm(toy_kg)
+    live = LiveGraph(toy_kg, history=4)
+    rng = np.random.default_rng(59)
+    live.ingest(random_delta(toy_kg, 2, rng))
+    artifacts_for(live.kg).csr("both")
+    first = weakref.ref(live.kg)
+    for _ in range(8):
+        live.ingest(random_delta(toy_kg, 2, rng))
+        artifacts_for(live.kg).csr("both")
+    gc.collect()
+    assert first() is None
+    # Unread artifacts still link straight to the registered graph.
+    origins = artifacts_for(live.kg)._origins
+    assert origins["out"][0] is artifacts_for(toy_kg)._csr["out"]
+
+
+def test_concurrent_first_use_builds_each_artifact_once(toy_kg, monkeypatch):
+    warm(toy_kg)
+    calls = {"csr": 0, "ordering": 0}
+    merge_csr = cache_module._merged_csr
+    merge_ordering = hexastore_module._SortedIndex.merged.__func__
+
+    def counting_csr(*args):
+        calls["csr"] += 1
+        return merge_csr(*args)
+
+    def counting_ordering(cls, *args):
+        calls["ordering"] += 1
+        return merge_ordering(cls, *args)
+
+    monkeypatch.setattr(cache_module, "_merged_csr", counting_csr)
+    monkeypatch.setattr(
+        hexastore_module._SortedIndex, "merged", classmethod(counting_ordering)
+    )
+    rng = np.random.default_rng(61)
+    epoch = GraphEpoch.initial(toy_kg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds, deadline = 0, time.monotonic() + 1.0
+        while rounds < 20 or time.monotonic() < deadline:
+            epoch = extend(epoch, toy_kg, 2, rng)
+            kg = epoch.kg
+            arr = random_delta(toy_kg, 2, rng)
+            # Four readers race to first use while an ingest extends the
+            # same epoch: more threads than cores.
+            barrier = threading.Barrier(5)
+            seen, children = [], []
+
+            def first_use():
+                barrier.wait()
+                seen.append((artifacts_for(kg).csr("both"), kg.hexastore._index("pos")))
+
+            def ingest():
+                barrier.wait()
+                children.append(epoch.extend(TripleStore(arr[:, 0], arr[:, 1], arr[:, 2])))
+
+            threads = [threading.Thread(target=first_use) for _ in range(4)]
+            threads.append(threading.Thread(target=ingest))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            rounds += 1
+            assert all(pair[0] is seen[0][0] and pair[1] is seen[0][1] for pair in seen)
+            assert calls == {"csr": rounds, "ordering": rounds}
+            # The concurrent extend never loses a link: it points at this
+            # epoch's fresh artifact or at the origin that one merged from.
+            [child] = children
+            assert "both" in child.kg._graph_artifacts._origins
+            assert "pos" in child.kg.hexastore._origins
+            epoch = child
+    finally:
+        sys.setswitchinterval(interval)
     assert_epoch_matches_cold_rebuild(epoch)
 
 

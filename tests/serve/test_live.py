@@ -165,6 +165,39 @@ def test_pooled_ingest_is_lockstep_and_bit_identical(toy_kg):
         run(scenario(service))
 
 
+def test_pool_parent_builds_no_artifact_across_ingests(toy_kg, tmp_path):
+    from repro.kg.store import open_artifacts, save_artifacts
+
+    async def scenario(service):
+        for seed in range(5):
+            await service.ingest_triples("toy", delta_rows(toy_kg, 3, seed=seed))
+            await service.ppr_top_k("toy", 0, k=4)
+            await service.extract_ego("toy", 0, depth=2, fanout=3, salt=5)
+            await service.paths("toy", 0, 7, max_hops=3, max_paths=8)
+            await service.sparql("toy", ALL_TRIPLES)
+        await service.drain()
+
+    store = str(tmp_path / "store")
+    save_artifacts(toy_kg, store)
+    registered = open_artifacts(store).kg  # every artifact mapped, as in serving
+    with WorkerPool(workers=1) as pool:
+        service = ExtractionService(pool=pool)
+        service.register("toy", registered, mmap_dir=store)
+        run(scenario(service))
+        live = service._graphs["toy"].live
+        assert live.epoch.number == 5
+        # The workers merged what the reads needed; the parent reads none
+        # of its epochs' CSR projections or orderings, so it built none,
+        # and every link points at the registered graph's mapped artifacts.
+        mapped_csr = artifacts_for(registered)._csr
+        for number in range(1, 6):
+            kg = live.resolve(number).kg
+            assert not artifacts_for(kg)._csr and not kg.hexastore._indices, number
+            origins = artifacts_for(kg)._origins
+            assert {d: m for d, (m, _) in origins.items()} == mapped_csr, number
+            assert kg.hexastore._origins == registered.hexastore._indices, number
+
+
 def test_pooled_respawn_replays_the_delta_log(toy_kg):
     with WorkerPool(workers=1) as pool:
         service = ExtractionService(pool=pool)

@@ -1,11 +1,49 @@
 """Endpoint: pagination, workers, accounting."""
 
+import numpy as np
 import pytest
 
-from repro.sparql.endpoint import EndpointStats, SparqlEndpoint
+from repro.sparql.endpoint import EndpointStats, SparqlEndpoint, _serialize
+from repro.sparql.executor import ResultSet
 from repro.sparql.parser import parse_query
 
 ALL = "select ?s ?p ?o where { ?s ?p ?o }"
+
+
+def serialize_per_row(result):
+    """Reference wire model: one ``str(int(...))`` per cell, row by row."""
+    lines = (
+        "\t".join(str(int(result.columns[v][row])) for v in result.variables)
+        for row in range(result.num_rows)
+    )
+    return "\n".join(lines).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ALL,
+        "select ?s where { ?s ?p ?o }",
+        "select ?s ?o where { ?s ?p ?o } limit 0",
+    ],
+)
+def test_serialize_is_byte_identical_to_the_per_row_oracle(toy_kg, query):
+    result = SparqlEndpoint(toy_kg).query(query)
+    assert _serialize(result) == serialize_per_row(result)
+
+
+def test_serialize_edge_shapes_match_the_per_row_oracle():
+    rng = np.random.default_rng(3)
+    big = rng.integers(0, 2**62, size=(257, 2))
+    results = [
+        ResultSet([], {}),
+        ResultSet.empty(["a", "b"]),
+        ResultSet(["a"], {"a": np.array([0, 7, 123456789], dtype=np.int64)}),
+        ResultSet(["a", "b"], {"a": big[:, 0], "b": big[:, 1]}),
+        ResultSet(["b", "a"], {"a": big[:, 0], "b": big[:, 1]}),
+    ]
+    for result in results:
+        assert _serialize(result) == serialize_per_row(result)
 
 
 def test_query_accounts_stats(toy_kg):
