@@ -9,6 +9,9 @@ the vectorized batch kernel that replaced it:
 * *ppr_sparse_frontier* — the same workload forced through the
   sparse-frontier kernel (the regime past ``DENSE_NODE_LIMIT`` where dense
   state is unaffordable) vs the scalar push it replaced as fallback.
+* *ppr_serving_window* — the dense kernel at the batch sizes live
+  ``/ppr`` traffic coalesces into (8-target windows, plus single targets
+  recorded unguarded) on MAG-large vs the scalar push per target.
 * *shadow_ego_bfs* — ShaDowSAINT ego extraction for every target:
   per-root Python BFS vs the multi-root lock-step kernel.
 * *sparql_multi_bound_join* — a triangle BGP whose third pattern has two
@@ -52,10 +55,12 @@ EPS = 2e-4
 # Regression floors, recorded into BENCH_sampling.json next to the
 # measured speedups (observed: dense ~6-9x, ego ~6-8x, join ~2-6x, sparse
 # ~1.5-2.5x on its worst case — eps so loose every push touches most of
-# the graph).  Floors sit far below so single-round timings cannot flake.
+# the graph, serving windows ~2.3-2.9x).  Floors sit far below so single-round
+# timings cannot flake.
 FLOORS = {
     "ibs_influence_scoring": 2.0,
     "ppr_sparse_frontier": 1.1,
+    "ppr_serving_window": 1.5,
     "shadow_ego_bfs": 2.0,
     "sparql_multi_bound_join": 1.2,
     "path_enum_batch": 3.0,
@@ -229,6 +234,70 @@ def test_perf_sparse_frontier_kernel(benchmark, report, report_dir):
             "alpha": ALPHA,
             "eps": EPS,
             "speedup": largest["speedup"],
+            "measurements": measurements,
+        },
+    )
+
+
+# -- 2b. dense batch PPR at serving window sizes --
+
+SERVING_WINDOW = 8
+
+
+def _measure_serving_window(seed=7, num_targets=96):
+    bundle = catalog.mag("large", seed)
+    kg = bundle.kg
+    targets = np.asarray(bundle.task("PV").target_nodes[:num_targets], dtype=np.int64)
+    adjacency = artifacts_for(kg).csr("both")
+
+    start = time.perf_counter()
+    scalar = {
+        int(target): ppr_top_k(adjacency, int(target), TOP_K, alpha=ALPHA, eps=EPS)
+        for target in targets
+    }
+    scalar_seconds = time.perf_counter() - start
+
+    measurements = []
+    for window in (SERVING_WINDOW, 1):
+        batch = {}
+        start = time.perf_counter()
+        for offset in range(0, len(targets), window):
+            chunk = targets[offset : offset + window]
+            batch.update(batch_ppr_top_k(adjacency, chunk, TOP_K, alpha=ALPHA, eps=EPS))
+        batch_seconds = time.perf_counter() - start
+        assert batch == scalar, f"B={window} windows diverged from the scalar oracle"
+        measurements.append(
+            _measurement(f"MAG-large B={window}", kg, len(targets), scalar_seconds, batch_seconds)
+        )
+    return measurements
+
+
+def test_perf_serving_window(benchmark, report, report_dir):
+    measurements = benchmark.pedantic(_measure_serving_window, rounds=1, iterations=1)
+    report(
+        "perf_ppr_serving_window",
+        render_table(
+            ["windows", "|V|", "|T|", "targets", "scalar(s)", "batch(s)", "speedup"],
+            _speedup_rows(measurements),
+            title="/ppr-sized windows: scalar push per target vs dense batch kernel",
+        ),
+    )
+    # Only the 8-target windows are guarded; single targets are recorded.
+    guarded, single = measurements
+    assert guarded["speedup"] >= FLOORS["ppr_serving_window"], (
+        f"{SERVING_WINDOW}-target windows only {guarded['speedup']:.2f}x faster "
+        f"than the scalar push (floor {FLOORS['ppr_serving_window']}x)"
+    )
+    _record(
+        report_dir,
+        "ppr_serving_window",
+        {
+            "top_k": TOP_K,
+            "alpha": ALPHA,
+            "eps": EPS,
+            "window": SERVING_WINDOW,
+            "speedup": guarded["speedup"],
+            "single_target_speedup": single["speedup"],
             "measurements": measurements,
         },
     )

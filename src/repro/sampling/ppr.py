@@ -13,14 +13,19 @@ Three implementations coexist:
   Kept as the *reference oracle*: one target, pure-Python, easy to audit.
 * The **dense** batch kernel (:func:`_batch_push`) behind
   :func:`batch_ppr_top_k` / :func:`batch_approximate_ppr`.  All targets
-  advance in lock-step over flat numpy state (an ``(n_targets, n_nodes)``-
+  advance together over flat numpy state (an ``(n_targets, n_nodes)``-
   stride residual/score matrix plus a per-target FIFO ring buffer); each
-  super-step pops one queue head per live target and performs the neighbour
-  scatter for the whole batch with a handful of array operations.
+  super-step pops one *wave* per live target — the longest queue prefix
+  in which no node neighbours an earlier one, so no pop of the wave can
+  change what a later one reads — and performs the neighbour scatter for
+  the whole batch with a handful of array operations.  A lone target
+  therefore takes about ten super-steps at the paper's settings rather
+  than one per pop (~230 on a 21k-node graph).
 * The **sparse-frontier** batch kernel (:func:`_batch_push_sparse`) for
-  graphs past :data:`DENSE_NODE_LIMIT`.  Same lock-step super-steps, but
-  ``(target, node)`` state lives in dynamically allocated *slots* addressed
-  through a vectorized open-addressing hash map, so per-target cost stays
+  graphs past :data:`DENSE_NODE_LIMIT`.  Lock-step super-steps that pop
+  one queue head per live target, with ``(target, node)`` state in
+  dynamically allocated *slots* addressed through a vectorized
+  open-addressing hash map, so per-target cost stays
   ``O(1/(eps * alpha))`` — the push algorithm's graph-size independence —
   instead of paying ``O(n_nodes)`` zeroing/scanning per target.
 
@@ -139,6 +144,13 @@ def ppr_top_k(
 # ---------------------------------------------------------------------------
 
 
+# Queue entries one super-step may examine per live target: the chunk
+# shares a budget, so a lone serving target sees its whole queue while a
+# large IBS chunk gathers few neighbours for entries behind the wave's cut.
+_WAVE_BUDGET = 256
+_MIN_WAVE_WINDOW = 8
+
+
 def _batch_push(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -147,15 +159,29 @@ def _batch_push(
     targets: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    """Lock-step FIFO push for one chunk of targets.
+    """Wave-scheduled FIFO push for one chunk of targets.
 
     Returns the dense ``(len(targets), n_nodes)`` score matrix.  Each row
-    replays the scalar :func:`approximate_ppr` push schedule for its target:
-    a per-target FIFO ring buffer pops one node per super-step, and the
-    neighbour residual updates + enqueue checks for the whole batch are done
-    with flat gathers and scatters.  Within a push the ``(row, neighbour)``
-    pairs are unique (rows differ across targets; the CSR has no duplicate
-    columns), so plain fancy-indexed ``+=`` is exact.
+    replays the scalar :func:`approximate_ppr` push schedule for its
+    target.  A super-step pops one *wave* per live target: the longest
+    prefix of its FIFO queue in which no node is an out-neighbour of an
+    earlier node of the prefix.  A pop changes only the residuals of the
+    popped node and its out-neighbours, so no pop of a wave changes the
+    residual a later pop of the wave reads: every pop reads exactly the
+    mass the scalar schedule reads.
+
+    The wave's pushes are then applied in scalar order, ``(pop, CSR
+    position)``.  ``np.add.at`` adds the pushes several pops make into one
+    node one by one in that order, so every residual sees the float
+    additions of the scalar loop in the same order.  A node joins the
+    queue at the first push whose running sum reaches ``eps * deg`` —
+    where the scalar loop enqueues it; for a node pushed into more than
+    once, an ``np.cumsum`` along the node's own lane finds that push — and
+    new entries are appended in push order, so each ring holds the scalar
+    queue.  A wave is found by gathering the neighbours of up to
+    ``window`` queue entries per live target, a budget shared across the
+    chunk: a lone target sees its whole queue, and a large chunk gathers
+    little for entries behind a cut.
     """
     chunk = len(targets)
     n = len(degrees)
@@ -168,15 +194,19 @@ def _batch_push(
     scores_flat = scores.reshape(-1)
     residual_flat = np.zeros(chunk * n, dtype=np.float64)
     queued_flat = np.zeros(chunk * n, dtype=bool)
-    # Ring buffer: the `queued` mask caps each queue at n entries.
-    ring = np.zeros((chunk, n), dtype=np.int64)
+    # Ring buffers, position-major (ring position * chunk + row), so the
+    # few positions a queue ever uses stay in a few pages; the `queued`
+    # mask caps each queue at n entries.
+    ring = np.zeros(chunk * n, dtype=np.int64)
     head = np.zeros(chunk, dtype=np.int64)
     tail = np.zeros(chunk, dtype=np.int64)
+    stop = np.zeros(chunk, dtype=np.int64)
+    window = max(_WAVE_BUDGET // chunk, _MIN_WAVE_WINDOW)
 
     row_base = np.arange(chunk, dtype=np.int64) * n
     residual_flat[row_base + targets] = 1.0
     seeded = np.flatnonzero(1.0 >= thresholds[targets])
-    ring[seeded, 0] = targets[seeded]
+    ring[seeded] = targets[seeded]
     tail[seeded] = 1
     queued_flat[row_base[seeded] + targets[seeded]] = True
     one_minus_alpha = 1.0 - alpha
@@ -185,40 +215,98 @@ def _batch_push(
         active = np.flatnonzero(tail > head)
         if active.size == 0:
             break
-        nodes = ring[active, head[active] % n]
-        head[active] += 1
-        popped = row_base[active] + nodes
-        queued_flat[popped] = False
+        # Examine up to `window` queue entries per live row; `stop` is the
+        # ring position that ends the row's wave (exclusive).
+        start = head[active]
+        span = np.minimum(tail[active] - start, window)
+        stop[active] = start + span
+        rows = np.repeat(active, span)
+        positions = expand_ranges(start, span)
+        bases = rows * n
+        nodes = ring[positions % n * chunk + rows]
+        entries = bases + nodes
+        counts = degrees[nodes]
+        owner = np.repeat(np.arange(len(entries), dtype=np.int64), counts)
+        neighbor = indices[expand_ranges(indptr[nodes], counts)]
+        flat = bases[owner] + neighbor
+
+        # Cut each wave at its first entry that an earlier entry pushes to.
+        into_queue = np.flatnonzero(queued_flat[flat])
+        stays_queued = np.zeros(len(flat), dtype=bool)
+        if into_queue.size:
+            # A row's entries are distinct nodes: a push into a queued node
+            # matches at most one examined entry.
+            order = np.argsort(entries)
+            probe = flat[into_queue]
+            hit = order[np.minimum(np.searchsorted(entries, probe, sorter=order), len(order) - 1)]
+            examined = entries[hit] == probe
+            later = examined & (hit > owner[into_queue])
+            if later.any():
+                np.minimum.at(stop, rows[hit[later]], positions[hit[later]])
+            # A push into an entry at or before its pusher finds it popped.
+            stays_queued[into_queue] = later | ~examined
+        popped = positions < stop[rows]
+        head[active] = stop[active]
+
+        mass = residual_flat[entries]
+        push = one_minus_alpha * mass / np.maximum(counts, 1)
+        if not popped.all():
+            keep = popped[owner]
+            owner, neighbor, flat = owner[keep], neighbor[keep], flat[keep]
+            stays_queued = stays_queued[keep]
+            entries, mass, counts = entries[popped], mass[popped], counts[popped]
+        queued_flat[entries] = False
         # Residuals only grow while enqueued, so mass >= threshold here —
         # the scalar oracle's stale-entry guard can never fire either.
-        mass = residual_flat[popped]
-        scores_flat[popped] += alpha * mass
-        residual_flat[popped] = 0.0
-
-        node_degrees = degrees[nodes]
-        dangling = node_degrees == 0
+        scores_flat[entries] += alpha * mass
+        residual_flat[entries] = 0.0
+        dangling = counts == 0
         if dangling.any():
             # Dangling node: teleport the rest of the mass back to itself.
-            scores_flat[popped[dangling]] += one_minus_alpha * mass[dangling]
-        pushing = np.flatnonzero(~dangling)
-        if pushing.size == 0:
-            continue
-        sources = nodes[pushing]
-        push = one_minus_alpha * mass[pushing] / node_degrees[pushing]
-        counts = node_degrees[pushing]
-        neighbor = indices[expand_ranges(indptr[sources], counts)]
-        flat = np.repeat(row_base[active[pushing]], counts) + neighbor
-        residual_flat[flat] += np.repeat(push, counts)
+            scores_flat[entries[dangling]] += one_minus_alpha * mass[dangling]
 
-        crossed = (residual_flat[flat] >= thresholds[neighbor]) & ~queued_flat[flat]
-        if not crossed.any():
+        values = push[owner]
+        before = residual_flat[flat]
+        # Sequential, in push order, for nodes pushed into more than once.
+        np.add.at(residual_flat, flat, values)
+        crossed = residual_flat[flat] >= thresholds[neighbor]
+        fresh = np.flatnonzero(crossed & ~stays_queued)
+        if fresh.size == 0:
             continue
-        enqueue_flat = flat[crossed]
-        queued_flat[enqueue_flat] = True
-        enqueue_rows = enqueue_flat // n
-        slots = tail[enqueue_rows] + rank_within_sorted_groups(enqueue_rows)
-        ring[enqueue_rows, slots % n] = enqueue_flat - enqueue_rows * n
-        np.add.at(tail, enqueue_rows, 1)
+        keys = flat[fresh]
+        # Sort the fresh pushes by node, push order kept within a node (one
+        # sort of a composite key; cheaper than a stable argsort).
+        width = len(keys)
+        composite = np.sort(keys * width + np.arange(width, dtype=np.int64))
+        sorted_keys, order = np.divmod(composite, width)
+        repeated = sorted_keys[1:] == sorted_keys[:-1]
+        if repeated.any():
+            # A node several pops push into joins the queue at the first
+            # push whose running sum crosses its threshold: replay each such
+            # node's pushes along its own lane of a cumsum, seeded with its
+            # residual before the wave.
+            multi = np.zeros(width, dtype=bool)
+            multi[1:] = repeated
+            multi[:-1] |= repeated
+            member = order[multi]
+            pushes = fresh[member]
+            depth = rank_within_sorted_groups(sorted_keys[multi]) + 1
+            first = depth == 1
+            lane = np.cumsum(first) - 1
+            lanes = np.zeros((int(lane[-1]) + 1, int(depth.max()) + 1))
+            lanes[:, 0] = before[pushes[first]]
+            lanes[lane, depth] = values[pushes]
+            reached = np.cumsum(lanes, axis=1)[lane, depth] >= thresholds[neighbor[pushes]]
+            # Keep the crossing push only: reached, its lane predecessor not.
+            reached[1:] &= first[1:] | ~reached[:-1]
+            keys = np.delete(keys, member[~reached])
+        queued_flat[keys] = True
+        enqueue_rows = keys // n
+        added = np.bincount(enqueue_rows, minlength=chunk)
+        first_slot = tail - np.cumsum(added) + added
+        slots = first_slot[enqueue_rows] + np.arange(len(keys), dtype=np.int64)
+        ring[slots % n * chunk + enqueue_rows] = keys - enqueue_rows * n
+        tail += added
     return scores
 
 
@@ -230,8 +318,8 @@ def _default_chunk_size(num_nodes: int) -> int:
 # Above this node count the dense (chunk, n) state loses the push
 # algorithm's graph-size-independent locality (O(n) zeroing + scanning per
 # target dwarfs the O(1/(eps*alpha)) pushes), so the batch entry points
-# switch to the sparse-frontier kernel: same lock-step schedule, but state
-# lives in hash-addressed slots whose count tracks *touched* nodes only.
+# switch to the sparse-frontier kernel: the same per-target push schedule,
+# with state in hash-addressed slots whose count tracks *touched* nodes only.
 DENSE_NODE_LIMIT = 2_000_000
 
 # Sparse-kernel chunking bounds slot state by touched nodes, not n, so the
@@ -344,10 +432,11 @@ def _batch_push_sparse(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse-frontier lock-step FIFO push for one chunk of targets.
 
-    Replays the same super-step schedule as :func:`_batch_push` — one queue
-    pop per live target per step, whole-batch neighbour scatter — but all
-    ``(row, node)`` state lives in hash-allocated slots, so cost and memory
-    track the number of *touched* pairs instead of ``chunk * n_nodes``.
+    Replays each target's scalar FIFO push schedule like
+    :func:`_batch_push`, but one queue pop per live target per super-step
+    (whole-batch neighbour scatter), with all ``(row, node)`` state in
+    hash-allocated slots, so cost and memory track the number of *touched*
+    pairs instead of ``chunk * n_nodes``.
     Returns ``(rows, nodes, scores)`` of every touched pair with a positive
     score, grouped by row (slot-allocation order within a row).
     """

@@ -1,10 +1,13 @@
-"""Batch PPR kernel: exact equivalence with the scalar push oracle.
+"""Batch PPR kernels: exact equivalence with the scalar push oracle.
 
-The batch kernel replays the scalar FIFO push schedule per target, so the
-equivalence here is *exact* (we still assert with a 1e-9 band to stay
-robust to harmless float churn): same touched sets, same top-k selections,
-same scores — across random graphs, dangling nodes, isolated targets and
-arbitrary chunk splits.
+The batch kernels replay the scalar FIFO push schedule per target, so the
+equivalence here is *exact* — same touched sets, same top-k selections,
+bit-identical scores — across random graphs, dangling nodes, isolated
+targets and arbitrary chunk splits.  The wave-stress cases drive the dense
+kernel's wave rule through every way a wave can end or interact: conflict
+cuts (triangles), self-loops, several pops of one wave pushing into one
+node, window truncation, unseeded hub targets and duplicate targets; they
+run through the sparse-frontier kernel too.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from repro.sampling.ppr import (
     approximate_ppr,
     batch_approximate_ppr,
     batch_ppr_top_k,
+    batch_ppr_top_k_with_support,
     ppr_top_k,
 )
 
@@ -35,25 +39,18 @@ def _random_graph(n, density, seed, with_dangling=False):
     return adjacency
 
 
-def _assert_matches_oracle(adjacency, targets, k, alpha, eps, chunk_size=None):
-    batch = batch_ppr_top_k(
-        adjacency, targets, k, alpha=alpha, eps=eps, chunk_size=chunk_size
-    )
-    maps = batch_approximate_ppr(
-        adjacency, targets, alpha=alpha, eps=eps, chunk_size=chunk_size
-    )
+def _assert_matches_oracle(adjacency, targets, k, alpha, eps, chunk_size=None, kernel=None):
+    options = dict(alpha=alpha, eps=eps, chunk_size=chunk_size, kernel=kernel)
+    batch = batch_ppr_top_k(adjacency, targets, k, **options)
+    maps = batch_approximate_ppr(adjacency, targets, **options)
     assert set(batch) == {int(t) for t in targets}
-    for target in targets:
-        target = int(target)
+    for target in {int(t) for t in targets}:
         oracle_ranked = ppr_top_k(adjacency, target, k, alpha=alpha, eps=eps)
         got = batch[target]
         assert [node for node, _ in got] == [node for node, _ in oracle_ranked]
-        for (_, got_score), (_, oracle_score) in zip(got, oracle_ranked):
-            assert got_score == pytest.approx(oracle_score, abs=1e-9)
+        assert got == oracle_ranked
         oracle_map = approximate_ppr(adjacency, [target], alpha=alpha, eps=eps)
-        assert set(maps[target]) == set(oracle_map)
-        for node, score in oracle_map.items():
-            assert maps[target][node] == pytest.approx(score, abs=1e-9)
+        assert maps[target] == oracle_map  # bit-exact, not approx
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,7 +81,7 @@ def test_isolated_targets_have_empty_top_k_and_unit_self_mass():
     result = batch_ppr_top_k(adjacency, [0, 4], 3)
     assert result == {0: [], 4: []}
     maps = batch_approximate_ppr(adjacency, [2], alpha=0.3)
-    assert maps[2] == pytest.approx({2: 1.0})
+    assert maps[2] == {2: 1.0}
 
 
 def test_dangling_nodes_inside_connected_graph():
@@ -143,3 +140,146 @@ def test_scores_sorted_descending_with_id_tiebreak():
         for (node_a, score_a), (node_b, score_b) in zip(ranked, ranked[1:]):
             if score_a == score_b:
                 assert node_a < node_b
+
+
+# -- wave-stress cases: every way a wave can end or interact ---------------
+
+KERNELS = ["dense", "sparse"]
+
+
+def _graph(n, edges):
+    """Undirected 0/1 CSR over ``n`` nodes (self-loops allowed)."""
+    rows = [u for u, _ in edges] + [v for _, v in edges]
+    cols = [v for _, v in edges] + [u for u, _ in edges]
+    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    adjacency.sum_duplicates()
+    adjacency.data[:] = 1.0
+    return adjacency
+
+
+def _fan_into_one_node(k):
+    """Target 0 -> k spokes; every spoke -> hub 1 and one to three leaves.
+
+    Popping 0 queues the spokes; no spoke neighbours another, so they pop
+    in one wave, each pushing into 0 and the hub (multiplicity k) before
+    its own leaves.  Unequal leaf counts make the pushes unequal, so where
+    the hub's running sum crosses its threshold — first, middle or last
+    push of the wave — decides its place among the leaves in the ring,
+    and that order shows in the scores.
+    """
+    spokes = range(2, 2 + k)
+    edges = [(0, s) for s in spokes] + [(s, 1) for s in spokes]
+    leaf = 2 + k
+    for i, spoke in enumerate(spokes):
+        for _ in range(1 + i % 3):
+            edges.append((spoke, leaf))
+            leaf += 1
+    return _graph(leaf, edges)
+
+
+SELF_LOOPS = [(0, 0), (0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_one_and_two_target_windows(kernel):
+    adjacency = _random_graph(30, 0.15, seed=21)
+    for targets in ([0], [7], [3, 11], [11, 3]):
+        _assert_matches_oracle(adjacency, targets, 5, 0.25, 1e-4, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_triangles_cut_waves(kernel):
+    # Every queued pair of a triangle is adjacent: waves are cut at the
+    # second entry of each triangle.
+    triangles = []
+    for t in range(0, 18, 3):
+        triangles += [(t, t + 1), (t + 1, t + 2), (t, t + 2)]
+    chain = [(t + 2, t + 3) for t in range(0, 15, 3)]
+    complete = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    for graph in (_graph(18, triangles + chain), _graph(6, complete)):
+        n = graph.shape[0]
+        for eps in (1e-2, 1e-4, 1e-6):
+            _assert_matches_oracle(graph, range(n), 4, 0.2, eps, kernel=kernel)
+            _assert_matches_oracle(graph, [n - 1], 4, 0.2, eps, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_self_loops(kernel):
+    # A self-loop pushes a popped node's mass back into itself; the node
+    # must be re-enqueued behind everything already queued.
+    more = [(4, 4), (5, 6), (6, 6), (6, 7)]
+    adjacency = _graph(8, SELF_LOOPS + more)
+    for eps in (1e-2, 1e-4, 1e-6):
+        _assert_matches_oracle(adjacency, range(8), 3, 0.25, eps, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_many_pops_of_one_wave_push_into_one_node(kernel):
+    adjacency = _fan_into_one_node(9)
+    # Sweeping eps moves the crossing push of the hub (and of the target,
+    # which the spokes push into too) through every position of the wave.
+    for eps in np.geomspace(1e-2, 1e-5, 40):
+        _assert_matches_oracle(adjacency, [0], 4, 0.25, eps, kernel=kernel)
+        _assert_matches_oracle(adjacency, [0, 1, 2], 4, 0.25, eps, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_unseeded_hub_target(kernel):
+    # 1.0 < eps * deg: the target is never queued, so it keeps no score.
+    hub = _graph(40, [(0, v) for v in range(1, 40)])
+    eps = 1.0 / 30
+    maps = batch_approximate_ppr(hub, [0, 5], eps=eps, kernel=kernel)
+    assert maps[0] == approximate_ppr(hub, [0], eps=eps) == {}
+    assert maps[5] == approximate_ppr(hub, [5], eps=eps)
+    assert batch_ppr_top_k(hub, [0], 3, eps=eps, kernel=kernel) == {0: []}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_duplicate_targets_in_one_chunk(kernel):
+    adjacency = _random_graph(16, 0.3, seed=4)
+    for chunk_size in (None, 1, 2):
+        _assert_matches_oracle(
+            adjacency, [5, 5, 9, 5], 4, 0.25, 1e-4, chunk_size=chunk_size, kernel=kernel
+        )
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_chunk_size_one(kernel):
+    adjacency = _random_graph(24, 0.2, seed=8)
+    _assert_matches_oracle(adjacency, range(24), 5, 0.3, 1e-4, chunk_size=1, kernel=kernel)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_queues_longer_than_the_wave_window(kernel):
+    # A 600-leaf star queues every leaf at once: a lone target's wave is
+    # truncated by the window, and a 36-row chunk shrinks the window to its
+    # minimum, so waves end on the window and on conflicts alike.
+    spokes = [(0, v) for v in range(1, 601)]
+    rim = [(v, v + 1) for v in range(1, 600, 7)]
+    star = _graph(601, spokes + rim)
+    _assert_matches_oracle(star, [0], 5, 0.25, 1e-4, kernel=kernel)
+    _assert_matches_oracle(star, [0, 1, 8, 600] * 9, 5, 0.25, 1e-4, kernel=kernel)
+
+
+def test_support_matches_the_scalar_schedule():
+    # LiveGraph invalidation relies on the support set: the nodes the
+    # scalar schedule pushed (its touched set), their out-neighbours and
+    # the target itself.
+    graphs = [
+        _random_graph(30, 0.15, seed=2, with_dangling=True),
+        _fan_into_one_node(6),
+        _graph(8, SELF_LOOPS),
+        _graph(40, [(0, v) for v in range(1, 40)]),
+    ]
+    for adjacency in graphs:
+        indptr, indices = adjacency.indptr, adjacency.indices
+        for eps in (1.0 / 30, 1e-3, 1e-5):
+            for target in range(adjacency.shape[0]):
+                touched = approximate_ppr(adjacency, [target], eps=eps)
+                expected = {target} | set(touched)
+                for node in touched:
+                    expected.update(indices[indptr[node] : indptr[node + 1]].tolist())
+                result = batch_ppr_top_k_with_support(adjacency, [target], 4, eps=eps)
+                pairs, support = result[target]
+                assert support.tolist() == sorted(expected)
+                assert pairs == ppr_top_k(adjacency, target, 4, eps=eps)
