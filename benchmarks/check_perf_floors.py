@@ -9,9 +9,9 @@ high) or a ``value``/``ceiling`` pair (gauges that must stay low, e.g.
 resident bytes).  Guarded reports:
 
 * ``BENCH_sampling.json`` (``test_perf_sampling.py``): the batch kernels
-  vs their scalar reference loops (PPR dense + sparse, dense PPR at
-  ``/ppr``-sized 8-target windows, ego BFS, the multi-bound SPARQL join,
-  and k-hop path enumeration vs its DFS oracle).
+  vs their scalar reference loops (whole-task IBS PPR, PPR at
+  ``/ppr``-sized 8-target and one-target windows, ego BFS, the
+  multi-bound SPARQL join, and k-hop path enumeration vs its DFS oracle).
 * ``BENCH_serving.json`` (``test_perf_serving.py``): the coalescing
   scheduler vs the serial one-request-at-a-time serving baseline, the
   HTTP/SPARQL front end vs the same serial baseline (the coalescing win
@@ -51,8 +51,8 @@ import sys
 REPORTS = {
     "BENCH_sampling.json": (
         "ibs_influence_scoring",
-        "ppr_sparse_frontier",
         "ppr_serving_window",
+        "ppr_single_target",
         "shadow_ego_bfs",
         "sparql_multi_bound_join",
         "path_enum_batch",

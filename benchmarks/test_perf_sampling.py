@@ -6,12 +6,13 @@ the vectorized batch kernel that replaced it:
 * *ibs_influence_scoring* — ``getInfluenceScore`` + ``SelectTopK-Nodes``
   over every target of the NC catalog graphs: per-target scalar push vs
   :func:`repro.sampling.ppr.batch_ppr_top_k` (dense lock-step kernel).
-* *ppr_sparse_frontier* — the same workload forced through the
-  sparse-frontier kernel (the regime past ``DENSE_NODE_LIMIT`` where dense
-  state is unaffordable) vs the scalar push it replaced as fallback.
-* *ppr_serving_window* — the dense kernel at the batch sizes live
-  ``/ppr`` traffic coalesces into (8-target windows, plus single targets
-  recorded unguarded) on MAG-large vs the scalar push per target.
+* *ppr_serving_window* — the dense wave kernel at the batch size live
+  ``/ppr`` traffic coalesces into under load (8-target windows) on
+  MAG-large vs the scalar push per target.
+* *ppr_single_target* — one-target windows, the size ``/ppr`` traffic
+  coalesces into at serving rates, on MAG small, DBLP small and
+  MAG-large: they run the sparse one-target push, the path every target
+  takes on a graph too large for a dense chunk, vs the scalar push.
 * *shadow_ego_bfs* — ShaDowSAINT ego extraction for every target:
   per-root Python BFS vs the multi-root lock-step kernel.
 * *sparql_multi_bound_join* — a triangle BGP whose third pattern has two
@@ -53,14 +54,13 @@ ALPHA = 0.25
 EPS = 2e-4
 
 # Regression floors, recorded into BENCH_sampling.json next to the
-# measured speedups (observed: dense ~6-9x, ego ~6-8x, join ~2-6x, sparse
-# ~1.5-2.5x on its worst case — eps so loose every push touches most of
-# the graph, serving windows ~2.3-2.9x).  Floors sit far below so single-round
-# timings cannot flake.
+# measured speedups (observed: dense ~6-9x, ego ~6-8x, join ~2-6x, serving
+# windows ~2.3-2.9x, single targets ~1.8-3.1x).  Floors sit far below so
+# single-round timings cannot flake.
 FLOORS = {
     "ibs_influence_scoring": 2.0,
-    "ppr_sparse_frontier": 1.1,
     "ppr_serving_window": 1.5,
+    "ppr_single_target": 1.2,
     "shadow_ego_bfs": 2.0,
     "sparql_multi_bound_join": 1.2,
     "path_enum_batch": 3.0,
@@ -191,74 +191,28 @@ def test_perf_ibs_batch_kernel(benchmark, report, report_dir):
     )
 
 
-# -- 2. sparse-frontier batch-PPR kernel (the past-DENSE_NODE_LIMIT regime) --
-
-
-def _measure_sparse(scale="small", seed=7):
-    bundle = catalog.mag(scale, seed)
-    kg = bundle.kg
-    targets = np.asarray(bundle.task("PV").target_nodes, dtype=np.int64)
-    adjacency = artifacts_for(kg).csr("both")
-
-    start = time.perf_counter()
-    scalar = {
-        int(target): ppr_top_k(adjacency, int(target), TOP_K, alpha=ALPHA, eps=EPS)
-        for target in targets
-    }
-    scalar_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batch = batch_ppr_top_k(adjacency, targets, TOP_K, alpha=ALPHA, eps=EPS, kernel="sparse")
-    batch_seconds = time.perf_counter() - start
-
-    assert batch == scalar, "sparse-frontier kernel diverged from the scalar oracle"
-    return [_measurement("MAG", kg, len(targets), scalar_seconds, batch_seconds)]
-
-
-def test_perf_sparse_frontier_kernel(benchmark, report, report_dir):
-    measurements = benchmark.pedantic(_measure_sparse, rounds=1, iterations=1)
-    report(
-        "perf_ppr_sparse",
-        render_table(
-            ["graph", "|V|", "|T|", "targets", "scalar(s)", "batch(s)", "speedup"],
-            _speedup_rows(measurements),
-            title="PPR past DENSE_NODE_LIMIT: scalar fallback vs sparse-frontier kernel",
-        ),
-    )
-    largest = _assert_floors(measurements, FLOORS["ppr_sparse_frontier"])
-    _record(
-        report_dir,
-        "ppr_sparse_frontier",
-        {
-            "top_k": TOP_K,
-            "alpha": ALPHA,
-            "eps": EPS,
-            "speedup": largest["speedup"],
-            "measurements": measurements,
-        },
-    )
-
-
-# -- 2b. dense batch PPR at serving window sizes --
+# -- 2. batch PPR at serving window sizes --
 
 SERVING_WINDOW = 8
 
 
-def _measure_serving_window(seed=7, num_targets=96):
-    bundle = catalog.mag("large", seed)
-    kg = bundle.kg
-    targets = np.asarray(bundle.task("PV").target_nodes[:num_targets], dtype=np.int64)
-    adjacency = artifacts_for(kg).csr("both")
-
-    start = time.perf_counter()
-    scalar = {
-        int(target): ppr_top_k(adjacency, int(target), TOP_K, alpha=ALPHA, eps=EPS)
-        for target in targets
-    }
-    scalar_seconds = time.perf_counter() - start
-
+def _measure_windows(datasets, window, seed=7, num_targets=96):
+    """Scalar push vs ``batch_ppr_top_k`` over ``window``-target windows."""
     measurements = []
-    for window in (SERVING_WINDOW, 1):
+    for label, dataset, scale in datasets:
+        bundle = getattr(catalog, dataset)(scale, seed)
+        kg = bundle.kg
+        targets = np.asarray(bundle.task("PV").target_nodes[:num_targets], dtype=np.int64)
+        adjacency = artifacts_for(kg).csr("both")
+        batch_ppr_top_k(adjacency, targets[:1], TOP_K, alpha=ALPHA, eps=EPS)  # warm
+
+        start = time.perf_counter()
+        scalar = {
+            int(target): ppr_top_k(adjacency, int(target), TOP_K, alpha=ALPHA, eps=EPS)
+            for target in targets
+        }
+        scalar_seconds = time.perf_counter() - start
+
         batch = {}
         start = time.perf_counter()
         for offset in range(0, len(targets), window):
@@ -267,39 +221,56 @@ def _measure_serving_window(seed=7, num_targets=96):
         batch_seconds = time.perf_counter() - start
         assert batch == scalar, f"B={window} windows diverged from the scalar oracle"
         measurements.append(
-            _measurement(f"MAG-large B={window}", kg, len(targets), scalar_seconds, batch_seconds)
+            _measurement(f"{label} B={window}", kg, len(targets), scalar_seconds, batch_seconds)
         )
     return measurements
 
 
-def test_perf_serving_window(benchmark, report, report_dir):
-    measurements = benchmark.pedantic(_measure_serving_window, rounds=1, iterations=1)
+def _record_windows(report, report_dir, name, title, measurements, window):
     report(
-        "perf_ppr_serving_window",
+        f"perf_{name}",
         render_table(
             ["windows", "|V|", "|T|", "targets", "scalar(s)", "batch(s)", "speedup"],
             _speedup_rows(measurements),
-            title="/ppr-sized windows: scalar push per target vs dense batch kernel",
+            title=title,
         ),
     )
-    # Only the 8-target windows are guarded; single targets are recorded.
-    guarded, single = measurements
-    assert guarded["speedup"] >= FLOORS["ppr_serving_window"], (
-        f"{SERVING_WINDOW}-target windows only {guarded['speedup']:.2f}x faster "
-        f"than the scalar push (floor {FLOORS['ppr_serving_window']}x)"
-    )
+    largest = _assert_floors(measurements, FLOORS[name])
     _record(
         report_dir,
-        "ppr_serving_window",
+        name,
         {
             "top_k": TOP_K,
             "alpha": ALPHA,
             "eps": EPS,
-            "window": SERVING_WINDOW,
-            "speedup": guarded["speedup"],
-            "single_target_speedup": single["speedup"],
+            "window": window,
+            "speedup": largest["speedup"],
             "measurements": measurements,
         },
+    )
+
+
+def test_perf_serving_window(benchmark, report, report_dir):
+    measurements = benchmark.pedantic(
+        _measure_windows, args=([("MAG-large", "mag", "large")], SERVING_WINDOW),
+        rounds=1, iterations=1,
+    )
+    _record_windows(
+        report, report_dir, "ppr_serving_window",
+        "/ppr-sized windows: scalar push per target vs dense wave kernel",
+        measurements, SERVING_WINDOW,
+    )
+
+
+def test_perf_single_target_windows(benchmark, report, report_dir):
+    datasets = [("MAG", "mag", "small"), ("DBLP", "dblp", "small"), ("MAG-large", "mag", "large")]
+    measurements = benchmark.pedantic(
+        _measure_windows, args=(datasets, 1), rounds=1, iterations=1
+    )
+    _record_windows(
+        report, report_dir, "ppr_single_target",
+        "one-target windows: scalar push vs the sparse one-target push",
+        measurements, 1,
     )
 
 

@@ -199,6 +199,40 @@ def _cmd_build_artifacts(args: argparse.Namespace) -> int:
     return 0
 
 
+async def _serve_until_stopped(server, duration: Optional[float], banner: str) -> None:
+    """Print ``banner``, serve until ``duration`` passes or SIGTERM/SIGINT arrives.
+
+    A stop signal sets an event instead of killing the process, so the
+    caller's cleanup (draining coalescing windows, closing the worker
+    pool) runs and the process exits 0.  The handlers are installed before
+    the banner is printed, so a client that signals on seeing the banner
+    always gets the graceful stop.  On return the listener is closed; open
+    connections are left to ``asyncio.run``'s shutdown, which cancels them.
+    """
+    import asyncio
+    import contextlib
+    import signal
+    import threading
+
+    loop = asyncio.get_running_loop()
+    stop = asyncio.Event()
+    signals = ()
+    if threading.current_thread() is threading.main_thread():  # signals reach it only
+        signals = (signal.SIGTERM, signal.SIGINT)
+    previous = {sig: signal.getsignal(sig) for sig in signals}
+    for sig in signals:
+        loop.add_signal_handler(sig, stop.set)
+    print(banner, flush=True)
+    try:
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(stop.wait(), duration)
+    finally:
+        server.close()
+        for sig in signals:
+            loop.remove_signal_handler(sig)
+            signal.signal(sig, previous[sig])
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -284,25 +318,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             mode += ", mmap artifacts"
         if args.checkpoint:
             mode += f", {len(args.checkpoint)} checkpoint(s)"
-        print(
+        banner = (
             f"serving {kg.name} as graph {args.dataset!r} on "
             f"{args.host}:{bound_port(server)} via {args.protocol} ({mode}, "
             f"window {args.max_batch}x{args.max_delay_ms}ms, "
-            f"max {args.max_pending} in flight)",
-            flush=True,
+            f"max {args.max_pending} in flight)"
         )
-        async with server:
-            if args.duration is not None:
-                try:
-                    await asyncio.wait_for(server.serve_forever(), args.duration)
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await server.serve_forever()
+        await _serve_until_stopped(server, args.duration, banner)
+        await service.drain()
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+    except KeyboardInterrupt:  # pragma: no cover - interrupted before serving
         pass
     finally:
         if pool is not None:
@@ -348,23 +375,15 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
     async def run() -> None:
         server = await serve_worker(state, host, port)
         graphs = state.graphs()
-        print(
+        banner = (
             f"serve-worker listening on {host}:{bound_port(server)} "
-            f"(graphs: {', '.join(graphs) if graphs else 'none, awaiting registration'})",
-            flush=True,
+            f"(graphs: {', '.join(graphs) if graphs else 'none, awaiting registration'})"
         )
-        async with server:
-            if args.duration is not None:
-                try:
-                    await asyncio.wait_for(server.serve_forever(), args.duration)
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                await server.serve_forever()
+        await _serve_until_stopped(server, args.duration, banner)
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+    except KeyboardInterrupt:  # pragma: no cover - interrupted before serving
         pass
     return 0
 

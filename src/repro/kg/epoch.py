@@ -515,8 +515,13 @@ class LiveGraph:
                 "ingested_triples": self.ingested_triples,
                 "compactions": self.compactions,
                 "compact_every": self.compact_every,
-                **{
-                    f"{kind}_cache": {"entries": len(store), **self._counts[kind]}
-                    for kind, store in self._stores.items()
-                },
+                **self.cache_stats(),
+            }
+
+    def cache_stats(self) -> Dict[str, Dict[str, int]]:
+        """``{kind}_cache`` -> entries (a gauge) and hit/miss/invalidated counters."""
+        with self._lock:
+            return {
+                f"{kind}_cache": {"entries": len(store), **self._counts[kind]}
+                for kind, store in self._stores.items()
             }

@@ -7,32 +7,34 @@ pushed from a queue of high-residual nodes until every residual drops below
 independent of graph size — which is exactly the "local scope" property the
 paper's influence score relies on.
 
-Three implementations coexist:
-
 * :func:`approximate_ppr` / :func:`ppr_top_k` — the scalar dict/deque push.
   Kept as the *reference oracle*: one target, pure-Python, easy to audit.
-* The **dense** batch kernel (:func:`_batch_push`) behind
-  :func:`batch_ppr_top_k` / :func:`batch_approximate_ppr`.  All targets
+
+The batch entry points (:func:`batch_ppr_top_k`,
+:func:`batch_ppr_top_k_with_support`, :func:`batch_approximate_ppr`) split
+their targets into chunks and run each chunk on one of two paths:
+
+* The dense **wave kernel** (:func:`_batch_push`).  All targets of a chunk
   advance together over flat numpy state (an ``(n_targets, n_nodes)``-
   stride residual/score matrix plus a per-target FIFO ring buffer); each
   super-step pops one *wave* per live target — the longest queue prefix
   in which no node neighbours an earlier one, so no pop of the wave can
   change what a later one reads — and performs the neighbour scatter for
-  the whole batch with a handful of array operations.  A lone target
-  therefore takes about ten super-steps at the paper's settings rather
-  than one per pop (~230 on a 21k-node graph).
-* The **sparse-frontier** batch kernel (:func:`_batch_push_sparse`) for
-  graphs past :data:`DENSE_NODE_LIMIT`.  Lock-step super-steps that pop
-  one queue head per live target, with ``(target, node)`` state in
-  dynamically allocated *slots* addressed through a vectorized
-  open-addressing hash map, so per-target cost stays
-  ``O(1/(eps * alpha))`` — the push algorithm's graph-size independence —
-  instead of paying ``O(n_nodes)`` zeroing/scanning per target.
+  the whole chunk with a handful of array operations.
+* The sparse **one-target push** (:func:`_push_one`).  One target at a
+  time, the oracle's loop over Python dicts, reading each popped row once
+  as lists; its state covers only the nodes the schedule reaches, so its
+  cost follows the ``O(1 / (eps * alpha))`` pushes, not the graph size.
 
-Because every target replays *exactly* the scalar algorithm's FIFO push
-schedule (same floating-point operations in the same order), both batch
-kernels are bit-for-bit equivalent to the oracle while being an order of
-magnitude faster on realistic batches.
+The rule: a chunk of fewer than :data:`_WAVE_MIN_TARGETS` targets runs the
+one-target push per target, any larger chunk the wave kernel.  Chunks hold
+``8e6 // n_nodes`` targets unless the caller sets ``chunk_size``, so a
+graph too large for a dense chunk to pay for its ``O(chunk * n_nodes)``
+state runs one-target chunks throughout.
+
+Because both paths replay *exactly* the scalar algorithm's FIFO push
+schedule per target (same floating-point operations in the same order),
+they are bit-for-bit equivalent to the oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.nputil import expand_ranges, rank_within_sorted_groups, splitmix64
+from repro.nputil import expand_ranges, rank_within_sorted_groups
 
 
 def approximate_ppr(
@@ -309,262 +311,86 @@ def _batch_push(
         tail += added
     return scores
 
+def _push_one(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    thresholds: np.ndarray,
+    target: int,
+    alpha: float,
+) -> Tuple[Dict[int, float], Dict[int, float]]:
+    """The scalar push schedule for one target, reading rows as lists.
+
+    Replays :func:`approximate_ppr` seeded at ``target`` — the same FIFO
+    schedule, the same float operations in the same order — but reads each
+    popped row once, as Python lists of its neighbours and of their
+    thresholds, and keeps state only for the nodes the schedule reaches.
+    Returns ``(scores, residual)``.  ``residual``'s keys are the target and
+    every node pushed into: the pushed nodes, their out-neighbours and the
+    target, which is the support :func:`batch_ppr_top_k_with_support`
+    documents.
+    """
+    residual = {target: 1.0}
+    scores: Dict[int, float] = {}
+    if 1.0 < thresholds[target]:
+        return scores, residual
+    one_minus_alpha = 1.0 - alpha
+    queue = deque([target])
+    queued = {target}
+    residual_of = residual.get
+    while queue:
+        node = queue.popleft()
+        queued.discard(node)
+        # Residuals only grow while enqueued, so mass >= threshold here —
+        # the oracle's stale-entry guard can never fire.
+        mass = residual[node]
+        scores[node] = scores.get(node, 0.0) + alpha * mass
+        residual[node] = 0.0
+        lo, hi = indptr[node : node + 2].tolist()
+        if lo == hi:
+            # Dangling node: teleport the rest of the mass back to itself.
+            scores[node] += one_minus_alpha * mass
+            continue
+        push = one_minus_alpha * mass / (hi - lo)
+        neighbours = indices[lo:hi]
+        for neighbour, threshold in zip(
+            neighbours.tolist(), thresholds[neighbours].tolist()
+        ):
+            value = residual_of(neighbour, 0.0) + push
+            residual[neighbour] = value
+            if value >= threshold and neighbour not in queued:
+                queued.add(neighbour)
+                queue.append(neighbour)
+    return scores, residual
+
+
+# Chunks of fewer targets run the one-target push: its break-even with the
+# wave kernel.  Measured on MAG-large (21k nodes, 2 vCPUs), wave / one-target
+# CPU per target through batch_ppr_top_k_with_support and batch_ppr_top_k:
+# 1.5 and 1.3 at 2 targets, 1.25 and 0.95 at 3, 1.04 and 0.89 at 4, 0.92
+# and 0.71 at 6 (one-target push ~1.0 ms per target; the wave kernel alone
+# ~1.4 ms at 1 target).
+_WAVE_MIN_TARGETS = 4
+
+
+def _degrees_and_thresholds(
+    adjacency: sp.csr_matrix, eps: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(degrees, eps * max(degrees, 1))`` of ``adjacency``, built once per CSR.
+
+    Kept on the matrix object, so a window does no ``O(n_nodes)`` pass;
+    rebuilt when the matrix's ``indptr`` or ``eps`` changes.
+    """
+    cached = getattr(adjacency, "_ppr_thresholds", None)
+    if cached is None or cached[0] is not adjacency.indptr or cached[1] != eps:
+        degrees = np.diff(adjacency.indptr).astype(np.int64)
+        cached = (adjacency.indptr, eps, degrees, eps * np.maximum(degrees, 1))
+        adjacency._ppr_thresholds = cached
+    return cached[2], cached[3]
+
 
 def _default_chunk_size(num_nodes: int) -> int:
     # Bound the dense (chunk, n) float64 state to ~64 MB per matrix.
     return max(int(8e6 // max(num_nodes, 1)), 1)
-
-
-# Above this node count the dense (chunk, n) state loses the push
-# algorithm's graph-size-independent locality (O(n) zeroing + scanning per
-# target dwarfs the O(1/(eps*alpha)) pushes), so the batch entry points
-# switch to the sparse-frontier kernel: the same per-target push schedule,
-# with state in hash-addressed slots whose count tracks *touched* nodes only.
-DENSE_NODE_LIMIT = 2_000_000
-
-# Sparse-kernel chunking bounds slot state by touched nodes, not n, so the
-# chunk can be much larger than the dense default; worst-case touched count
-# is O(1/(eps*alpha)) per target (~20k at the paper's 0.25/2e-4 settings).
-SPARSE_CHUNK_SIZE = 512
-
-
-class _SlotMap:
-    """Vectorized open-addressing map from int64 keys to dense slot ids.
-
-    Keys are ``row * n_nodes + node`` composites; slots are handed out
-    densely in first-insertion order, which lets the sparse kernel keep all
-    per-(target, node) state (residual, score, queue membership) in flat
-    slot-indexed arrays.  ``get_or_insert`` resolves a whole batch of keys
-    (unique within the batch) with a handful of gathers per probe round;
-    linear probing plus a power-of-two table keeps rounds short.
-    """
-
-    __slots__ = ("_table", "_mask", "keys", "size")
-
-    def __init__(self, capacity: int = 1 << 14):
-        self._table = np.full(capacity, -1, dtype=np.int64)
-        self._mask = np.uint64(capacity - 1)
-        self.keys = np.empty(capacity, dtype=np.int64)  # key of each slot
-        self.size = 0
-
-    def get_or_insert(self, batch: np.ndarray) -> np.ndarray:
-        """Slot ids for ``batch`` (unique int64 keys), inserting new ones.
-
-        New keys get slots ``size..size+n_new-1`` in first-probe-resolution
-        order; callers detect them as ``slots >= previous_size``.
-        """
-        # Load factor <= 1/4: linear probing clusters quickly above that,
-        # and probe rounds — not table memory — dominate the kernel cost.
-        if (self.size + len(batch)) * 4 > len(self._table):
-            capacity = len(self._table)
-            while (self.size + len(batch)) * 4 > capacity:
-                capacity *= 2
-            self._rehash(capacity)
-        if self.size + len(batch) > len(self.keys):
-            grown = np.empty(max(len(self.keys) * 2, self.size + len(batch)), np.int64)
-            grown[: self.size] = self.keys[: self.size]
-            self.keys = grown
-        out = np.empty(len(batch), dtype=np.int64)
-        pending = np.arange(len(batch), dtype=np.int64)
-        h = splitmix64(batch.astype(np.uint64))
-        while pending.size:
-            pos = (h & self._mask).astype(np.int64)
-            slot = self._table[pos]
-            occupied = slot >= 0
-            match = np.zeros(pending.size, dtype=bool)
-            match[occupied] = self.keys[slot[occupied]] == batch[pending[occupied]]
-            out[pending[match]] = slot[match]
-            resolved = match
-            if not occupied.all():
-                # Claim empty cells; several batch keys may probe the same
-                # cell this round.  The reversed fancy write leaves the
-                # *first* candidate in each cell (later writes land first),
-                # so first occurrence wins without a sort; losers re-probe.
-                cand = np.flatnonzero(~occupied)
-                cells = pos[cand]
-                self._table[cells[::-1]] = cand[::-1]
-                winners = cand[self._table[cells] == cand]
-                new_slots = self.size + np.arange(len(winners), dtype=np.int64)
-                self._table[pos[winners]] = new_slots
-                self.keys[new_slots] = batch[pending[winners]]
-                out[pending[winners]] = new_slots
-                self.size += len(winners)
-                resolved = match.copy()
-                resolved[winners] = True
-            pending = pending[~resolved]
-            h = h[~resolved] + np.uint64(1)
-        return out
-
-    def _rehash(self, capacity: int) -> None:
-        self._table = np.full(capacity, -1, dtype=np.int64)
-        self._mask = np.uint64(capacity - 1)
-        slots = np.arange(self.size, dtype=np.int64)
-        h = splitmix64(self.keys[: self.size].astype(np.uint64))
-        while slots.size:
-            pos = (h & self._mask).astype(np.int64)
-            empty = self._table[pos] == -1
-            placed = np.zeros(slots.size, dtype=bool)
-            if empty.any():
-                cand = np.flatnonzero(empty)
-                cells = pos[cand]
-                # Reversed write: the first candidate's slot id survives in
-                # each contested cell and is already the final value.
-                self._table[cells[::-1]] = slots[cand[::-1]]
-                placed[cand[self._table[cells] == slots[cand]]] = True
-            slots = slots[~placed]
-            h = h[~placed] + np.uint64(1)
-
-
-def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
-    """Zero-extended copy of ``array`` at ``capacity`` (slot-array growth)."""
-    out = np.zeros(capacity, dtype=array.dtype)
-    out[: len(array)] = array
-    return out
-
-
-def _batch_push_sparse(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    degrees: np.ndarray,
-    targets: np.ndarray,
-    alpha: float,
-    eps: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse-frontier lock-step FIFO push for one chunk of targets.
-
-    Replays each target's scalar FIFO push schedule like
-    :func:`_batch_push`, but one queue pop per live target per super-step
-    (whole-batch neighbour scatter), with all ``(row, node)`` state in
-    hash-allocated slots, so cost and memory track the number of *touched*
-    pairs instead of ``chunk * n_nodes``.
-    Returns ``(rows, nodes, scores)`` of every touched pair with a positive
-    score, grouped by row (slot-allocation order within a row).
-    """
-    chunk = len(targets)
-    n = np.int64(len(degrees))
-    one_minus_alpha = 1.0 - alpha
-
-    slot_map = _SlotMap()
-    cap = len(slot_map.keys)
-    residual = np.zeros(cap, dtype=np.float64)
-    scores = np.zeros(cap, dtype=np.float64)
-    queued = np.zeros(cap, dtype=bool)
-    slot_row = np.zeros(cap, dtype=np.int64)
-    slot_node = np.zeros(cap, dtype=np.int64)
-
-    rows0 = np.arange(chunk, dtype=np.int64)
-    if chunk == 0:
-        return rows0, rows0.copy(), np.zeros(0, dtype=np.float64)
-    seed_slots = slot_map.get_or_insert(rows0 * n + targets)
-    if len(slot_map.keys) > cap:
-        cap = len(slot_map.keys)
-        residual, scores, queued, slot_row, slot_node = (
-            _grown(residual, cap),
-            _grown(scores, cap),
-            _grown(queued, cap),
-            _grown(slot_row, cap),
-            _grown(slot_node, cap),
-        )
-    residual[seed_slots] = 1.0
-    slot_row[seed_slots] = rows0
-    slot_node[seed_slots] = targets
-
-    # Per-row FIFO ring buffers over slot ids; capacity doubles on demand
-    # (unwrapping live entries), so queue state also tracks touched counts.
-    ring_cap = 64
-    ring = np.zeros((chunk, ring_cap), dtype=np.int64)
-    head = np.zeros(chunk, dtype=np.int64)
-    tail = np.zeros(chunk, dtype=np.int64)
-    seeded = np.flatnonzero(1.0 >= eps * np.maximum(degrees[targets], 1))
-    ring[seeded, 0] = seed_slots[seeded]
-    tail[seeded] = 1
-    queued[seed_slots[seeded]] = True
-
-    while True:
-        active = np.flatnonzero(tail > head)
-        if active.size == 0:
-            break
-        popped = ring[active, head[active] % ring_cap]
-        head[active] += 1
-        queued[popped] = False
-        # Residuals only grow while enqueued, so mass >= threshold here —
-        # the scalar oracle's stale-entry guard can never fire either.
-        mass = residual[popped]
-        scores[popped] += alpha * mass
-        residual[popped] = 0.0
-
-        nodes = slot_node[popped]
-        node_degrees = degrees[nodes]
-        dangling = node_degrees == 0
-        if dangling.any():
-            # Dangling node: teleport the rest of the mass back to itself.
-            scores[popped[dangling]] += one_minus_alpha * mass[dangling]
-        pushing = np.flatnonzero(~dangling)
-        if pushing.size == 0:
-            continue
-        sources = nodes[pushing]
-        push = one_minus_alpha * mass[pushing] / node_degrees[pushing]
-        counts = node_degrees[pushing]
-        neighbor = indices[expand_ranges(indptr[sources], counts)]
-        # active is sorted and each active row pops exactly one slot, so the
-        # repeated rows — and every per-row grouping below — stay sorted.
-        rows_rep = np.repeat(active[pushing], counts)
-        previous_size = slot_map.size
-        slots = slot_map.get_or_insert(rows_rep * n + neighbor)
-        if len(slot_map.keys) > cap:
-            cap = len(slot_map.keys)
-            residual, scores, queued, slot_row, slot_node = (
-                _grown(residual, cap),
-                _grown(scores, cap),
-                _grown(queued, cap),
-                _grown(slot_row, cap),
-                _grown(slot_node, cap),
-            )
-        fresh = slots >= previous_size
-        if fresh.any():
-            slot_row[slots[fresh]] = rows_rep[fresh]
-            slot_node[slots[fresh]] = neighbor[fresh]
-        residual[slots] += np.repeat(push, counts)
-
-        thresholds = eps * np.maximum(degrees[neighbor], 1)
-        crossed = (residual[slots] >= thresholds) & ~queued[slots]
-        if not crossed.any():
-            continue
-        enqueue_slots = slots[crossed]
-        enqueue_rows = rows_rep[crossed]
-        queued[enqueue_slots] = True
-        new_counts = np.bincount(enqueue_rows, minlength=chunk)
-        live = tail - head
-        needed = int((live + new_counts).max())
-        if needed > ring_cap:
-            new_cap = ring_cap
-            while new_cap < needed:
-                new_cap *= 2
-            new_ring = np.zeros((chunk, new_cap), dtype=np.int64)
-            live_rows = np.repeat(rows0, live)
-            live_pos = expand_ranges(head, live)
-            new_ring[live_rows, live_pos - np.repeat(head, live)] = ring[
-                live_rows, live_pos % ring_cap
-            ]
-            ring, ring_cap = new_ring, new_cap
-            tail = live.copy()
-            head[:] = 0
-        slot_positions = tail[enqueue_rows] + rank_within_sorted_groups(enqueue_rows)
-        ring[enqueue_rows, slot_positions % ring_cap] = enqueue_slots
-        tail += new_counts
-
-    touched = np.flatnonzero(scores[: slot_map.size] > 0.0)
-    order = np.argsort(slot_row[touched], kind="stable")
-    touched = touched[order]
-    return slot_row[touched], slot_node[touched], scores[touched]
-
-
-def _resolve_kernel(kernel: Optional[str], num_nodes: int) -> str:
-    if kernel is None:
-        return "dense" if num_nodes <= DENSE_NODE_LIMIT else "sparse"
-    if kernel not in ("dense", "sparse"):
-        raise ValueError(f"kernel must be 'dense', 'sparse' or None, got {kernel!r}")
-    return kernel
 
 
 def _batch_results(
@@ -573,39 +399,60 @@ def _batch_results(
     alpha: float,
     eps: float,
     chunk_size: Optional[int],
-    kernel: Optional[str],
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Run the selected kernel chunk-wise, yielding ``(target, nodes, scores)``.
+    support: bool = False,
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """Run each chunk on its path, yielding ``(target, nodes, scores, support)``.
 
-    ``nodes``/``scores`` cover every touched node with a positive score;
-    both kernels produce identical values, so consumers are agnostic.
+    ``nodes``/``scores`` cover every node with a positive score; both paths
+    produce identical values, so consumers are agnostic.  ``support`` is
+    the sorted support set when asked for, else ``None``.
     """
     indptr, indices = adjacency.indptr, adjacency.indices
-    degrees = np.diff(indptr).astype(np.int64)
-    mode = _resolve_kernel(kernel, len(degrees))
+    degrees, thresholds = _degrees_and_thresholds(adjacency, eps)
     if chunk_size is None:
-        chunk_size = (
-            _default_chunk_size(len(degrees)) if mode == "dense" else SPARSE_CHUNK_SIZE
-        )
-    thresholds = eps * np.maximum(degrees, 1) if mode == "dense" else None
+        chunk_size = _default_chunk_size(len(degrees))
     for start in range(0, len(targets), chunk_size):
         chunk_targets = targets[start : start + chunk_size]
-        if mode == "dense":
-            scores = _batch_push(
-                indptr, indices, degrees, thresholds, chunk_targets, alpha
-            )
-            for row, target in enumerate(chunk_targets):
-                touched = np.flatnonzero(scores[row])
-                yield int(target), touched, scores[row, touched]
-        else:
-            rows, nodes, values = _batch_push_sparse(
-                indptr, indices, degrees, chunk_targets, alpha, eps
-            )
-            counts = np.bincount(rows, minlength=len(chunk_targets))
-            starts = np.concatenate([[0], np.cumsum(counts)])
-            for row, target in enumerate(chunk_targets):
-                lo, hi = starts[row], starts[row + 1]
-                yield int(target), nodes[lo:hi], values[lo:hi]
+        if len(chunk_targets) < _WAVE_MIN_TARGETS:
+            for target in chunk_targets.tolist():
+                scores, residual = _push_one(indptr, indices, thresholds, target, alpha)
+                size = len(scores)
+                yield (
+                    target,
+                    np.fromiter(scores, np.int64, size),
+                    np.fromiter(scores.values(), np.float64, size),
+                    np.sort(np.fromiter(residual, np.int64, len(residual)))
+                    if support
+                    else None,
+                )
+            continue
+        matrix = _batch_push(indptr, indices, degrees, thresholds, chunk_targets, alpha)
+        for row, target in enumerate(chunk_targets.tolist()):
+            nodes = np.flatnonzero(matrix[row])
+            touched = None
+            if support:
+                # The pushed nodes' out-neighbours, gathered from the CSR.
+                counts = degrees[nodes]
+                neighbours = indices[expand_ranges(indptr[nodes].astype(np.int64), counts)]
+                touched = np.unique(np.concatenate([nodes, neighbours, [target]]))
+            yield target, nodes, matrix[row, nodes], touched
+
+
+def _check(alpha: float, eps: float, k: Optional[int] = None) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _top_k(target: int, nodes: np.ndarray, values: np.ndarray, k: int) -> List[Tuple[int, float]]:
+    """The ``k`` best non-target nodes, by descending score then node id."""
+    keep = nodes != target
+    nodes, values = nodes[keep], values[keep]
+    order = np.lexsort((nodes, -values))[:k]
+    return list(zip(nodes[order].tolist(), values[order].tolist()))
 
 
 def batch_approximate_ppr(
@@ -614,38 +461,29 @@ def batch_approximate_ppr(
     alpha: float = 0.25,
     eps: float = 2e-4,
     chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Dict[int, Dict[int, float]]:
     """Single-seed :func:`approximate_ppr` for many targets at once.
 
     Returns ``target -> {node: ppr}`` sparse score maps, bit-identical to
     running the scalar oracle per target.  ``chunk_size`` bounds the
-    per-chunk working set (dense kernel: ~64 MB per dense matrix, a few of
-    which — scores, residuals, queue state — live at once; sparse kernel:
-    slot state proportional to touched nodes).
+    targets per chunk (by default ``8e6 // n_nodes``, ~64 MB per dense
+    matrix of the wave kernel, a few of which — scores, residuals, queue
+    state — live at once); chunks smaller than the wave kernel's
+    break-even run the one-target push (see the module docstring).
 
     ``adjacency`` must be a canonical CSR without duplicate column entries
     per row (what :func:`repro.transform.adjacency.build_csr` produces);
-    with duplicates the kernels' fancy-indexed scatter collapses them while
-    the scalar oracle pushes per occurrence, and the results diverge.
-
-    ``kernel`` selects ``'dense'`` or ``'sparse'`` explicitly; ``None``
-    (default) picks dense up to :data:`DENSE_NODE_LIMIT` nodes and the
-    sparse-frontier kernel beyond it.  Both are exact.
+    with duplicates the wave kernel's fancy-indexed scatter collapses them
+    while the scalar oracle pushes per occurrence, and the results diverge.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check(alpha, eps)
     targets = np.asarray(list(targets), dtype=np.int64)
-    results: Dict[int, Dict[int, float]] = {}
-    for target, nodes, values in _batch_results(
-        adjacency, targets, alpha, eps, chunk_size, kernel
-    ):
-        results[target] = {
-            int(node): float(score) for node, score in zip(nodes, values)
-        }
-    return results
+    return {
+        target: dict(zip(nodes.tolist(), values.tolist()))
+        for target, nodes, values, _ in _batch_results(
+            adjacency, targets, alpha, eps, chunk_size
+        )
+    }
 
 
 def batch_ppr_top_k(
@@ -655,38 +493,24 @@ def batch_ppr_top_k(
     alpha: float = 0.25,
     eps: float = 2e-4,
     chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Dict[int, List[Tuple[int, float]]]:
     """Top-``k`` influence lists for *all* targets in one batched run.
 
     The vectorized equivalent of calling :func:`ppr_top_k` per target:
     returns ``target -> [(node, score), ...]`` with the target itself
     excluded, sorted by descending score with ties broken by node id.
-    Selections and scores match the scalar oracle exactly (both kernels
-    replay the same push schedule per target).  ``adjacency`` must be a
-    canonical CSR without duplicate column entries per row; ``kernel``
-    picks the dense or sparse-frontier kernel as in
-    :func:`batch_approximate_ppr`.
+    Selections and scores match the scalar oracle exactly (both paths
+    replay the same push schedule per target).  ``adjacency`` and
+    ``chunk_size`` are as in :func:`batch_approximate_ppr`.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check(alpha, eps, k)
     targets = np.asarray(list(targets), dtype=np.int64)
-    results: Dict[int, List[Tuple[int, float]]] = {}
-    for target, nodes, values in _batch_results(
-        adjacency, targets, alpha, eps, chunk_size, kernel
-    ):
-        keep = nodes != target
-        nodes, values = nodes[keep], values[keep]
-        order = np.lexsort((nodes, -values))[:k]
-        results[target] = [
-            (int(node), float(score))
-            for node, score in zip(nodes[order], values[order])
-        ]
-    return results
+    return {
+        target: _top_k(target, nodes, values, k)
+        for target, nodes, values, _ in _batch_results(
+            adjacency, targets, alpha, eps, chunk_size
+        )
+    }
 
 
 def batch_ppr_top_k_with_support(
@@ -696,7 +520,6 @@ def batch_ppr_top_k_with_support(
     alpha: float = 0.25,
     eps: float = 2e-4,
     chunk_size: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Dict[int, Tuple[List[Tuple[int, float]], np.ndarray]]:
     """:func:`batch_ppr_top_k` plus, per target, the push schedule's *support*.
 
@@ -710,37 +533,14 @@ def batch_ppr_top_k_with_support(
     observed, and the retained result replays bit-identically on the new
     graph — the invalidation rule :class:`repro.kg.epoch.LiveGraph`
     applies.  Top-k pairs are byte-identical to :func:`batch_ppr_top_k`
-    (the kernels and the post-processing are shared).
+    (the paths and the post-processing are shared).  The support comes
+    back sorted, as ``int64``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    indptr, indices = adjacency.indptr, adjacency.indices
+    _check(alpha, eps, k)
     targets = np.asarray(list(targets), dtype=np.int64)
-    results: Dict[int, Tuple[List[Tuple[int, float]], np.ndarray]] = {}
-    for target, nodes, values in _batch_results(
-        adjacency, targets, alpha, eps, chunk_size, kernel
-    ):
-        if len(nodes):
-            starts = indptr[nodes].astype(np.int64)
-            counts = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
-            neighbours = indices[expand_ranges(starts, counts)]
-            support = np.unique(
-                np.concatenate(
-                    [nodes, neighbours, np.asarray([target], dtype=np.int64)]
-                )
-            )
-        else:
-            support = np.asarray([target], dtype=np.int64)
-        keep = nodes != target
-        nodes, values = nodes[keep], values[keep]
-        order = np.lexsort((nodes, -values))[:k]
-        pairs = [
-            (int(node), float(score))
-            for node, score in zip(nodes[order], values[order])
-        ]
-        results[target] = (pairs, support.astype(np.int64))
-    return results
+    return {
+        target: (_top_k(target, nodes, values, k), support)
+        for target, nodes, values, support in _batch_results(
+            adjacency, targets, alpha, eps, chunk_size, support=True
+        )
+    }

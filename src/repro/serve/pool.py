@@ -936,6 +936,8 @@ class WorkerPool:
     #: and a dead process's memory is gone.
     _ARTIFACT_COUNTERS = ("hits", "builds")
     _ENDPOINT_COUNTERS = ("requests", "rows_returned", "bytes_raw", "bytes_shipped")
+    #: Counters of each retained-kernel cache; its ``entries`` is a gauge.
+    _LIVE_CACHE_COUNTERS = ("hits", "misses", "invalidated")
 
     def _record_graph_stats(self, worker_index: int, stats: dict) -> None:
         # Piggybacked on every graph-touching response; eventually
@@ -964,6 +966,12 @@ class WorkerPool:
                     base["artifact_cache"][counter] += snapshot["artifact_cache"][counter]
                 for counter in self._ENDPOINT_COUNTERS:
                     base["endpoint"][counter] += snapshot["endpoint"][counter]
+                for cache, counters in snapshot.get("live", {}).items():
+                    folded = base.setdefault("live", {}).setdefault(
+                        cache, dict.fromkeys(self._LIVE_CACHE_COUNTERS, 0)
+                    )
+                    for counter in self._LIVE_CACHE_COUNTERS:
+                        folded[counter] += counters[counter]
 
     def graph_stats(self, name: str) -> Optional[dict]:
         """Worker-side artifact/endpoint stats of ``name``, summed over owners.
@@ -977,7 +985,9 @@ class WorkerPool:
         shared by every worker mapping the same file, so summing would
         count the same pages once per worker.  With replication every
         worker builds its own artifacts, so ``builds`` counts per-worker
-        construction, as documented in ``docs/serving.md``.
+        construction, as documented in ``docs/serving.md``.  ``live`` holds
+        the owners' retained-kernel cache counters (``ppr_cache``,
+        ``ego_cache``, ``paths_cache``), merged the same way.
         """
         with self._stats_lock:
             live = [
@@ -1008,6 +1018,17 @@ class WorkerPool:
         merged["artifact_cache"]["mapped_nbytes"] = max(
             (s["artifact_cache"].get("mapped_nbytes", 0) for s in live), default=0
         )
+        # The workers' retained-kernel caches, summed like the counters
+        # above; retired bases carry no ``entries``, so that gauge sums the
+        # live snapshots only.
+        caches = merged["live"] = {}
+        for snapshot in live + retired:
+            for cache, counters in snapshot.get("live", {}).items():
+                total = caches.setdefault(
+                    cache, dict.fromkeys(("entries", *self._LIVE_CACHE_COUNTERS), 0)
+                )
+                for counter in total:
+                    total[counter] += counters.get(counter, 0)
         # bytes_raw stays in the dict: the service folds parent-side page
         # accounting (streamed /sparql pages are cut parent-side) into these
         # counters before recomputing the ratio over the merged totals.

@@ -802,13 +802,17 @@ class ExtractionService:
         snapshot = self.metrics.snapshot()
         graphs = {}
         for name, entry in self._graphs.items():
+            stats = self._graph_cache_stats(name, entry)
+            # Epoch/delta gauges + retained-kernel cache counters of the
+            # live epoch chain (docs/live-graphs.md walks these); in pool
+            # mode the caches that answer are the owning workers'.
+            live = entry.live.stats()
+            live.update(stats.pop("live", {}))
             graphs[name] = {
                 "num_nodes": entry.kg.num_nodes,
                 "num_edges": entry.kg.num_edges,
-                # Epoch/delta gauges + retained-kernel cache counters of
-                # the live epoch chain (docs/live-graphs.md walks these).
-                "live": entry.live.stats(),
-                **self._graph_cache_stats(name, entry),
+                "live": live,
+                **stats,
             }
             if self.pool is not None:
                 graphs[name]["shards"] = self.pool.shards_of(name)

@@ -140,12 +140,20 @@ def graph_cache_stats(kg, stats) -> dict:
 
 
 def _piggyback_stats(graphs: Dict[str, dict], payload: dict) -> Optional[dict]:
-    """The stats a response carries for the graph its request named."""
+    """The stats a response carries for the graph its request named.
+
+    Besides :func:`graph_cache_stats`, the worker's retained-kernel cache
+    counters (``live``): in pool mode those caches answer, not the parent's.
+    """
     name = payload.get("graph") or payload.get("name")
     entry = graphs.get(name)
     if entry is None:
         return None
-    return {"graph": name, **graph_cache_stats(entry["kg"], entry["endpoint"].stats)}
+    return {
+        "graph": name,
+        **graph_cache_stats(entry["kg"], entry["endpoint"].stats),
+        "live": entry["live"].cache_stats(),
+    }
 
 
 def _execute_op(graphs: Dict[str, dict], op: str, payload: dict) -> Any:

@@ -1,13 +1,15 @@
-"""Batch PPR kernels: exact equivalence with the scalar push oracle.
+"""Batch PPR paths: exact equivalence with the scalar push oracle.
 
-The batch kernels replay the scalar FIFO push schedule per target, so the
-equivalence here is *exact* — same touched sets, same top-k selections,
-bit-identical scores — across random graphs, dangling nodes, isolated
-targets and arbitrary chunk splits.  The wave-stress cases drive the dense
-kernel's wave rule through every way a wave can end or interact: conflict
-cuts (triangles), self-loops, several pops of one wave pushing into one
-node, window truncation, unseeded hub targets and duplicate targets; they
-run through the sparse-frontier kernel too.
+Both batch paths — the dense wave kernel and the sparse one-target push —
+replay the scalar FIFO push schedule per target, so the equivalence here is
+*exact*: same touched sets, same top-k selections, bit-identical scores,
+across random graphs, dangling nodes, isolated targets and arbitrary chunk
+splits.  The wave-stress cases drive the wave rule through every way a
+wave can end or interact: conflict cuts (triangles), self-loops, several
+pops of one wave pushing into one node, window truncation, unseeded hub
+targets and duplicate targets.  Each runs on both paths: ``dense`` calls
+the wave kernel directly, whatever the chunk size, and ``sparse`` routes
+every target through the one-target push (``chunk_size=1``).
 """
 
 import numpy as np
@@ -15,7 +17,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import catalog
+from repro.kg.cache import artifacts_for
 from repro.sampling.ppr import (
+    _batch_push,
+    _degrees_and_thresholds,
+    _top_k,
     approximate_ppr,
     batch_approximate_ppr,
     batch_ppr_top_k,
@@ -39,10 +46,40 @@ def _random_graph(n, density, seed, with_dangling=False):
     return adjacency
 
 
-def _assert_matches_oracle(adjacency, targets, k, alpha, eps, chunk_size=None, kernel=None):
-    options = dict(alpha=alpha, eps=eps, chunk_size=chunk_size, kernel=kernel)
-    batch = batch_ppr_top_k(adjacency, targets, k, **options)
-    maps = batch_approximate_ppr(adjacency, targets, **options)
+def _wave_rows(adjacency, targets, alpha, eps, chunk_size=None):
+    """``(target, nodes, scores)`` of the wave kernel run directly, any chunk size."""
+    degrees, thresholds = _degrees_and_thresholds(adjacency, eps)
+    targets = np.asarray(list(targets), dtype=np.int64)
+    step = chunk_size or max(len(targets), 1)
+    for start in range(0, len(targets), step):
+        chunk = targets[start : start + step]
+        matrix = _batch_push(
+            adjacency.indptr, adjacency.indices, degrees, thresholds, chunk, alpha
+        )
+        for row, target in enumerate(chunk.tolist()):
+            nodes = np.flatnonzero(matrix[row])
+            yield target, nodes, matrix[row, nodes]
+
+
+def _assert_matches_oracle(adjacency, targets, k, alpha, eps, chunk_size=None, path=None):
+    """Top-k lists and score maps ``==`` the oracle's.
+
+    ``path=None`` runs the entry points as callers do; ``"dense"`` runs the
+    wave kernel directly and ``"sparse"`` the one-target push.
+    """
+    if path == "dense":
+        rows = list(_wave_rows(adjacency, targets, alpha, eps, chunk_size))
+        batch = {target: _top_k(target, nodes, values, k) for target, nodes, values in rows}
+        maps = {
+            target: dict(zip(nodes.tolist(), values.tolist()))
+            for target, nodes, values in rows
+        }
+    else:
+        if path == "sparse":
+            chunk_size = 1  # every chunk is below the wave kernel's cut
+        options = dict(alpha=alpha, eps=eps, chunk_size=chunk_size)
+        batch = batch_ppr_top_k(adjacency, targets, k, **options)
+        maps = batch_approximate_ppr(adjacency, targets, **options)
     assert set(batch) == {int(t) for t in targets}
     for target in {int(t) for t in targets}:
         oracle_ranked = ppr_top_k(adjacency, target, k, alpha=alpha, eps=eps)
@@ -119,15 +156,19 @@ def test_parameter_validation():
 
 
 def test_sparse_fallback_beyond_dense_node_limit(monkeypatch):
-    # Past DENSE_NODE_LIMIT the entry points switch to the sparse-frontier
-    # kernel (see test_ppr_sparse.py); results must be identical.
+    # On a graph too large for a dense chunk the default chunk falls below
+    # the wave kernel's cut, so every target runs the one-target push (see
+    # test_ppr_sparse.py); results must be identical.
     import repro.sampling.ppr as ppr_module
 
     adjacency = _random_graph(25, 0.2, seed=11)
     targets = np.arange(0, 25, 3)
     dense = batch_ppr_top_k(adjacency, targets, 4, eps=1e-3)
     dense_maps = batch_approximate_ppr(adjacency, targets, eps=1e-3)
-    monkeypatch.setattr(ppr_module, "DENSE_NODE_LIMIT", 10)
+    chunk_size = ppr_module._default_chunk_size
+    monkeypatch.setattr(
+        ppr_module, "_default_chunk_size", lambda num_nodes: chunk_size(num_nodes * 10**6)
+    )
     assert batch_ppr_top_k(adjacency, targets, 4, eps=1e-3) == dense
     assert batch_approximate_ppr(adjacency, targets, eps=1e-3) == dense_maps
 
@@ -144,7 +185,8 @@ def test_scores_sorted_descending_with_id_tiebreak():
 
 # -- wave-stress cases: every way a wave can end or interact ---------------
 
-KERNELS = ["dense", "sparse"]
+# The wave kernel's dense (chunk, n) state; the one-target push's sparse one.
+PATHS = ["dense", "sparse"]
 
 
 def _graph(n, edges):
@@ -180,15 +222,15 @@ def _fan_into_one_node(k):
 SELF_LOOPS = [(0, 0), (0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_one_and_two_target_windows(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_one_and_two_target_windows(path):
     adjacency = _random_graph(30, 0.15, seed=21)
     for targets in ([0], [7], [3, 11], [11, 3]):
-        _assert_matches_oracle(adjacency, targets, 5, 0.25, 1e-4, kernel=kernel)
+        _assert_matches_oracle(adjacency, targets, 5, 0.25, 1e-4, path=path)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_triangles_cut_waves(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_triangles_cut_waves(path):
     # Every queued pair of a triangle is adjacent: waves are cut at the
     # second entry of each triangle.
     triangles = []
@@ -199,87 +241,98 @@ def test_triangles_cut_waves(kernel):
     for graph in (_graph(18, triangles + chain), _graph(6, complete)):
         n = graph.shape[0]
         for eps in (1e-2, 1e-4, 1e-6):
-            _assert_matches_oracle(graph, range(n), 4, 0.2, eps, kernel=kernel)
-            _assert_matches_oracle(graph, [n - 1], 4, 0.2, eps, kernel=kernel)
+            _assert_matches_oracle(graph, range(n), 4, 0.2, eps, path=path)
+            _assert_matches_oracle(graph, [n - 1], 4, 0.2, eps, path=path)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_self_loops(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_self_loops(path):
     # A self-loop pushes a popped node's mass back into itself; the node
     # must be re-enqueued behind everything already queued.
     more = [(4, 4), (5, 6), (6, 6), (6, 7)]
     adjacency = _graph(8, SELF_LOOPS + more)
     for eps in (1e-2, 1e-4, 1e-6):
-        _assert_matches_oracle(adjacency, range(8), 3, 0.25, eps, kernel=kernel)
+        _assert_matches_oracle(adjacency, range(8), 3, 0.25, eps, path=path)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_many_pops_of_one_wave_push_into_one_node(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_many_pops_of_one_wave_push_into_one_node(path):
     adjacency = _fan_into_one_node(9)
     # Sweeping eps moves the crossing push of the hub (and of the target,
     # which the spokes push into too) through every position of the wave.
     for eps in np.geomspace(1e-2, 1e-5, 40):
-        _assert_matches_oracle(adjacency, [0], 4, 0.25, eps, kernel=kernel)
-        _assert_matches_oracle(adjacency, [0, 1, 2], 4, 0.25, eps, kernel=kernel)
+        _assert_matches_oracle(adjacency, [0], 4, 0.25, eps, path=path)
+        _assert_matches_oracle(adjacency, [0, 1, 2], 4, 0.25, eps, path=path)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_unseeded_hub_target(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_unseeded_hub_target(path):
     # 1.0 < eps * deg: the target is never queued, so it keeps no score.
     hub = _graph(40, [(0, v) for v in range(1, 40)])
     eps = 1.0 / 30
-    maps = batch_approximate_ppr(hub, [0, 5], eps=eps, kernel=kernel)
-    assert maps[0] == approximate_ppr(hub, [0], eps=eps) == {}
-    assert maps[5] == approximate_ppr(hub, [5], eps=eps)
-    assert batch_ppr_top_k(hub, [0], 3, eps=eps, kernel=kernel) == {0: []}
+    assert approximate_ppr(hub, [0], eps=eps) == {}
+    _assert_matches_oracle(hub, [0, 5], 3, 0.25, eps, path=path)
+    _assert_matches_oracle(hub, [0], 3, 0.25, eps, path=path)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_duplicate_targets_in_one_chunk(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_duplicate_targets_in_one_chunk(path):
     adjacency = _random_graph(16, 0.3, seed=4)
     for chunk_size in (None, 1, 2):
         _assert_matches_oracle(
-            adjacency, [5, 5, 9, 5], 4, 0.25, 1e-4, chunk_size=chunk_size, kernel=kernel
+            adjacency, [5, 5, 9, 5], 4, 0.25, 1e-4, chunk_size=chunk_size, path=path
         )
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_chunk_size_one(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_chunk_size_one(path):
     adjacency = _random_graph(24, 0.2, seed=8)
-    _assert_matches_oracle(adjacency, range(24), 5, 0.3, 1e-4, chunk_size=1, kernel=kernel)
+    _assert_matches_oracle(adjacency, range(24), 5, 0.3, 1e-4, chunk_size=1, path=path)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_queues_longer_than_the_wave_window(kernel):
+@pytest.mark.parametrize("path", PATHS)
+def test_queues_longer_than_the_wave_window(path):
     # A 600-leaf star queues every leaf at once: a lone target's wave is
     # truncated by the window, and a 36-row chunk shrinks the window to its
     # minimum, so waves end on the window and on conflicts alike.
     spokes = [(0, v) for v in range(1, 601)]
     rim = [(v, v + 1) for v in range(1, 600, 7)]
     star = _graph(601, spokes + rim)
-    _assert_matches_oracle(star, [0], 5, 0.25, 1e-4, kernel=kernel)
-    _assert_matches_oracle(star, [0, 1, 8, 600] * 9, 5, 0.25, 1e-4, kernel=kernel)
+    _assert_matches_oracle(star, [0], 5, 0.25, 1e-4, path=path)
+    _assert_matches_oracle(star, [0, 1, 8, 600] * 9, 5, 0.25, 1e-4, path=path)
 
 
 def test_support_matches_the_scalar_schedule():
     # LiveGraph invalidation relies on the support set: the nodes the
     # scalar schedule pushed (its touched set), their out-neighbours and
-    # the target itself.
-    graphs = [
-        _random_graph(30, 0.15, seed=2, with_dangling=True),
-        _fan_into_one_node(6),
-        _graph(8, SELF_LOOPS),
-        _graph(40, [(0, v) for v in range(1, 40)]),
+    # the target itself.  The one-target push returns its residual keys,
+    # the wave path gathers the pushed rows; both must equal it.
+    bundle = catalog.mag("large", 7)
+    mag = artifacts_for(bundle.kg).csr("both")
+    cases = [
+        (_random_graph(30, 0.15, seed=2, with_dangling=True), None),  # dangling targets
+        (_fan_into_one_node(6), None),
+        (_graph(8, SELF_LOOPS), None),
+        (_graph(40, [(0, v) for v in range(1, 40)]), None),  # unseeded hub at eps 1/30
+        (mag, [int(t) for t in bundle.task("PV").target_nodes[:12]]),
     ]
-    for adjacency in graphs:
+    for adjacency, targets in cases:
         indptr, indices = adjacency.indptr, adjacency.indices
+        targets = list(range(adjacency.shape[0])) if targets is None else targets
         for eps in (1.0 / 30, 1e-3, 1e-5):
-            for target in range(adjacency.shape[0]):
+            if adjacency is mag and eps == 1e-5:
+                continue  # pushes reach most of MAG-large; 1e-3 and 1/30 suffice
+            expected = {}
+            for target in targets:
                 touched = approximate_ppr(adjacency, [target], eps=eps)
-                expected = {target} | set(touched)
+                expected[target] = {target} | set(touched)
                 for node in touched:
-                    expected.update(indices[indptr[node] : indptr[node + 1]].tolist())
-                result = batch_ppr_top_k_with_support(adjacency, [target], 4, eps=eps)
-                pairs, support = result[target]
-                assert support.tolist() == sorted(expected)
-                assert pairs == ppr_top_k(adjacency, target, 4, eps=eps)
+                    expected[target].update(indices[indptr[node] : indptr[node + 1]].tolist())
+            wave = batch_ppr_top_k_with_support(adjacency, targets, 4, eps=eps)
+            for target in targets:
+                one = batch_ppr_top_k_with_support(adjacency, [target], 4, eps=eps)
+                oracle = ppr_top_k(adjacency, target, 4, eps=eps)
+                for pairs, support in (one[target], wave[target]):
+                    assert support.dtype == np.int64
+                    assert support.tolist() == sorted(expected[target])
+                    assert pairs == oracle

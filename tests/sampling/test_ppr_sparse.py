@@ -1,20 +1,19 @@
-"""Sparse-frontier batch PPR kernel: exact equivalence with the oracles.
+"""The sparse one-target push path: exact equivalence with the oracles.
 
-The sparse kernel replays the same lock-step FIFO push schedule as the
-dense kernel — which itself replays the scalar oracle per target — with all
-``(target, node)`` state in hash-allocated slots.  Equivalence is therefore
-*exact*: same touched sets, same top-k selections, same scores, across
-random graphs, dangling nodes, isolated targets, chunk splits and the slot
-map's growth/rehash paths.
+A chunk below the wave kernel's cut runs the one-target push per target —
+the scalar oracle's loop over dicts, reading rows as lists — so its state
+covers only the nodes the schedule reaches.  ``chunk_size=1`` routes every
+target through it, as a graph too large for a dense chunk does.
+Equivalence is *exact*: same touched sets, same top-k selections, same
+scores, across random graphs, dangling nodes, isolated targets, chunk
+splits and duplicate targets.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.sampling.ppr import (
-    _SlotMap,
     approximate_ppr,
     batch_approximate_ppr,
     batch_ppr_top_k,
@@ -47,12 +46,10 @@ def test_sparse_matches_scalar_oracle_property(n, seed, eps, alpha, with_danglin
     adjacency = _random_graph(n, 0.2, seed, with_dangling=with_dangling)
     rng = np.random.default_rng(seed + 1)
     targets = rng.choice(n, size=min(n, 8), replace=False)
-    got = batch_approximate_ppr(adjacency, targets, alpha=alpha, eps=eps, kernel="sparse")
+    got = batch_approximate_ppr(adjacency, targets, alpha=alpha, eps=eps, chunk_size=1)
     for target in targets:
         oracle = approximate_ppr(adjacency, [int(target)], alpha=alpha, eps=eps)
-        assert set(got[int(target)]) == set(oracle)
-        for node, score in oracle.items():
-            assert got[int(target)][node] == score  # bit-exact, not approx
+        assert got[int(target)] == oracle  # bit-exact, not approx
 
 
 @settings(max_examples=15, deadline=None)
@@ -60,79 +57,76 @@ def test_sparse_matches_scalar_oracle_property(n, seed, eps, alpha, with_danglin
 def test_sparse_matches_dense_kernel_property(seed):
     adjacency = _random_graph(35, 0.2, seed)
     targets = np.random.default_rng(seed).choice(35, size=10, replace=False)
-    dense = batch_ppr_top_k(adjacency, targets, 6, eps=1e-3, kernel="dense")
-    sparse = batch_ppr_top_k(adjacency, targets, 6, eps=1e-3, kernel="sparse")
+    dense = batch_ppr_top_k(adjacency, targets, 6, eps=1e-3)
+    sparse = batch_ppr_top_k(adjacency, targets, 6, eps=1e-3, chunk_size=1)
     assert dense == sparse
 
 
 def test_sparse_chunking_does_not_change_results():
+    # Chunks of 1-3 targets run the one-target push, larger ones the wave
+    # kernel; a split's short tail chunk mixes the two paths in one call.
     adjacency = _random_graph(30, 0.2, seed=3)
     targets = np.arange(30)
-    whole = batch_ppr_top_k(adjacency, targets, 6, eps=1e-3, kernel="sparse")
-    for chunk_size in (1, 3, 7, 30, 100):
-        chunked = batch_ppr_top_k(
-            adjacency, targets, 6, eps=1e-3, kernel="sparse", chunk_size=chunk_size
-        )
+    whole = batch_ppr_top_k(adjacency, targets, 6, eps=1e-3, chunk_size=1)
+    for chunk_size in (2, 3, 4, 7, 13, 30, 100):
+        chunked = batch_ppr_top_k(adjacency, targets, 6, eps=1e-3, chunk_size=chunk_size)
         assert chunked == whole
 
 
 def test_sparse_isolated_and_dangling_nodes():
     adjacency = sp.csr_matrix((6, 6))
-    assert batch_ppr_top_k(adjacency, [0, 4], 3, kernel="sparse") == {0: [], 4: []}
-    maps = batch_approximate_ppr(adjacency, [2], alpha=0.3, kernel="sparse")
+    assert batch_ppr_top_k(adjacency, [0, 4], 3, chunk_size=1) == {0: [], 4: []}
+    maps = batch_approximate_ppr(adjacency, [2], alpha=0.3)
     assert maps[2] == {2: 1.0}
     # 0-1-2 chain plus isolated 3.
     rows, cols = [0, 1, 1, 2], [1, 0, 2, 1]
     chain = sp.csr_matrix((np.ones(4), (rows, cols)), shape=(4, 4))
     for target in range(4):
         oracle = approximate_ppr(chain, [target], eps=1e-4)
-        got = batch_approximate_ppr(chain, [target], eps=1e-4, kernel="sparse")[target]
+        got = batch_approximate_ppr(chain, [target], eps=1e-4)[target]
         assert got == oracle
 
 
 def test_sparse_duplicate_and_empty_targets():
     adjacency = _random_graph(12, 0.3, seed=9)
-    result = batch_ppr_top_k(adjacency, [4, 4, 7], 3, eps=1e-3, kernel="sparse")
+    result = batch_ppr_top_k(adjacency, [4, 4, 7], 3, eps=1e-3)
     assert set(result) == {4, 7}
-    assert result[4] == batch_ppr_top_k(adjacency, [4], 3, eps=1e-3, kernel="sparse")[4]
-    assert batch_ppr_top_k(adjacency, [], 3, kernel="sparse") == {}
-    assert batch_approximate_ppr(adjacency, [], kernel="sparse") == {}
+    assert result[4] == batch_ppr_top_k(adjacency, [4], 3, eps=1e-3)[4]
+    assert result[4] == batch_ppr_top_k(adjacency, [4, 4, 7, 1, 2], 3, eps=1e-3)[4]
+    assert batch_ppr_top_k(adjacency, [], 3, chunk_size=1) == {}
+    assert batch_approximate_ppr(adjacency, [], chunk_size=1) == {}
 
 
 def test_auto_kernel_selection_past_dense_node_limit(monkeypatch):
+    # Chunks below the wave kernel's cut run the one-target push; a graph
+    # whose default chunk (8e6 // n_nodes targets) falls below the cut never
+    # allocates dense (chunk, n_nodes) state at all.
     import repro.sampling.ppr as ppr_module
 
-    adjacency = _random_graph(25, 0.2, seed=11)
-    targets = np.arange(0, 25, 3)
-    dense = batch_ppr_top_k(adjacency, targets, 4, eps=1e-3)
     calls = []
-    original = ppr_module._batch_push_sparse
+    for name in ("_batch_push", "_push_one"):
+        original = getattr(ppr_module, name)
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(ppr_module, "_batch_push_sparse", spy)
-    monkeypatch.setattr(ppr_module, "DENSE_NODE_LIMIT", 10)
-    assert batch_ppr_top_k(adjacency, targets, 4, eps=1e-3) == dense
-    assert calls, "auto selection must route to the sparse kernel past the limit"
+        monkeypatch.setattr(ppr_module, name, spy)
 
+    small = _random_graph(25, 0.2, seed=11)
+    batch_ppr_top_k(small, [1, 2, 3], 4, eps=1e-3)
+    assert calls == ["_push_one"] * 3
+    calls.clear()
+    batch_ppr_top_k(small, [1, 2, 3, 4], 4, eps=1e-3)
+    assert calls == ["_batch_push"]
 
-def test_invalid_kernel_name_rejected():
-    adjacency = _random_graph(5, 0.4, seed=2)
-    with pytest.raises(ValueError):
-        batch_ppr_top_k(adjacency, [0], 3, kernel="scalar")
-
-
-def test_slot_map_growth_and_rehash():
-    slot_map = _SlotMap(capacity=1 << 4)
-    rng = np.random.default_rng(5)
-    keys = rng.choice(10_000_000, size=5000, replace=False).astype(np.int64)
-    first = slot_map.get_or_insert(keys[:2000])
-    assert np.array_equal(np.sort(first), np.arange(2000))  # dense slot ids
-    second = slot_map.get_or_insert(keys[2000:])
-    # Lookups after multiple rehashes still resolve to the original slots.
-    again = slot_map.get_or_insert(keys[:2000])
-    assert np.array_equal(again, first)
-    assert np.array_equal(slot_map.get_or_insert(keys[2000:]), second)
-    assert slot_map.size == 5000
+    # 4M nodes: the default chunk holds 2 targets.  A path 0-1-2-3 carries
+    # the pushes; every other node is isolated.
+    n = 4_000_000
+    rows, cols = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
+    huge = sp.csr_matrix((np.ones(6), (rows, cols)), shape=(n, n))
+    calls.clear()
+    got = batch_approximate_ppr(huge, [0, 1, 2, 3, n - 1], eps=1e-4)
+    assert calls == ["_push_one"] * 5
+    for target, scores in got.items():
+        assert scores == approximate_ppr(huge, [target], eps=1e-4)

@@ -210,6 +210,19 @@ def test_parent_process_builds_no_kernel_artifacts(toy_kg):
         assert snapshot["config"]["pool"]["workers"] == 1
 
 
+def test_pooled_metrics_report_the_workers_retained_caches(toy_kg):
+    """Repeated reads hit the owning worker's retained cache; /metrics shows it."""
+    with WorkerPool(workers=1) as pool:
+        service = ExtractionService(pool=pool)
+        service.register("toy", toy_kg)
+        first = run(service.ppr_top_k("toy", 0, k=4))
+        for _ in range(3):
+            assert run(service.ppr_top_k("toy", 0, k=4)) == first
+        live = service.metrics_snapshot()["graphs"]["toy"]["live"]
+        assert live["ppr_cache"] == {"entries": 1, "hits": 3, "misses": 1, "invalidated": 0}
+        assert live["ego_cache"]["misses"] == 0 and live["epoch"] == 0
+
+
 # -- crash containment and respawn --------------------------------------------
 
 
@@ -218,7 +231,10 @@ def test_worker_crash_is_a_structured_error_and_the_slot_respawns(toy_kg):
         service = ExtractionService(pool=pool)
         service.register("toy", toy_kg)
         before = run(service.ppr_top_k("toy", 0, k=4))
+        run(service.ppr_top_k("toy", 0, k=4))
         builds_before = pool.graph_stats("toy")["artifact_cache"]["builds"]
+        ppr_cache = pool.graph_stats("toy")["live"]["ppr_cache"]
+        assert ppr_cache["hits"] + ppr_cache["misses"] == 2
 
         victim = pool.shards_of("toy")[0]
         handle = pool._workers[victim]
@@ -239,6 +255,9 @@ def test_worker_crash_is_a_structured_error_and_the_slot_respawns(toy_kg):
         # Cumulative counters survive the respawn: the dead incarnation's
         # builds are retired, not dropped, so /metrics never steps back.
         assert pool.graph_stats("toy")["artifact_cache"]["builds"] >= builds_before
+        # So are the retained-cache lookups: two before the crash, one after.
+        ppr_cache = pool.graph_stats("toy")["live"]["ppr_cache"]
+        assert ppr_cache["hits"] + ppr_cache["misses"] == 3
 
 
 def test_requests_to_unregistered_pool_graphs_fail_fast(toy_kg):

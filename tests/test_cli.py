@@ -525,3 +525,78 @@ def test_serve_predict_end_to_end_over_a_real_socket(tmp_path):
     finally:
         process.terminate()
         process.wait(timeout=10)
+
+
+
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _live_descendants(pid):
+    """Running processes below ``pid`` in the process tree."""
+    children = {}
+    for name in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                parent = int(handle.read().rpartition(")")[2].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        children.setdefault(parent, []).append(int(name))
+    found, frontier = [], [pid]
+    while frontier:
+        frontier = [child for parent in frontier for child in children.get(parent, [])]
+        found += frontier
+    return [child for child in found if _running(child)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the process tree from /proc")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--dataset", "mag", "--scale", "tiny", "--port", "0"],
+        ["serve", "--dataset", "mag", "--scale", "tiny", "--port", "0", "--workers", "1"],
+        ["serve-worker", "--listen", "127.0.0.1:0"],
+    ],
+    ids=["in-process", "workers-1", "serve-worker"],
+)
+def test_sigterm_stops_a_server_gracefully(argv):
+    """SIGTERM: stop accepting, drain, close the pool, exit 0, leave no child."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "serving MAG-tiny" in banner or "serve-worker listening" in banner, banner
+        children = _live_descendants(process.pid)
+        if "--workers" in argv:
+            assert children, "a pool server runs its worker in a child process"
+        stopped = time.monotonic()
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=5) == 0
+        # The pool's fork server and resource tracker leave on the closed
+        # pipe once the server has exited.
+        alive = children
+        while alive and time.monotonic() - stopped < 5:
+            time.sleep(0.05)
+            alive = [pid for pid in alive if _running(pid)]
+        assert not alive, f"children still running 5 s after SIGTERM: {alive}"
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
