@@ -29,18 +29,23 @@ resident bytes).  Guarded reports:
   extension (incremental CSR/hexastore merges) vs a cold artifact
   rebuild at the same epoch, and the delta-aware warm-``/ppr`` refresh
   after a localized ingest vs recomputing every retained target.
+* ``BENCH_training.json`` (``test_perf_training.py``): the backward pass
+  and Adam step of GraphSAINT on MAG-large KG′ with row-sparse embedding
+  gradients and in-place Adam vs the dense oracle they replaced.
 
 Run after the perf benchmarks::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_perf_sampling.py \
-        benchmarks/test_perf_serving.py benchmarks/test_perf_artifacts.py
+        benchmarks/test_perf_serving.py benchmarks/test_perf_artifacts.py \
+        benchmarks/test_perf_live.py benchmarks/test_perf_training.py
     python benchmarks/check_perf_floors.py            # all reports
     python benchmarks/check_perf_floors.py BENCH_serving.json   # one report
 
 Bounds are maintained next to each benchmark (``FLOORS`` in
 ``test_perf_sampling.py``, ``FLOOR`` in ``test_perf_serving.py``,
 ``WARM_FLOOR``/``RESIDENT_CEILING`` in ``test_perf_artifacts.py``,
-``EXTEND_FLOOR``/``REFRESH_FLOOR`` in ``test_perf_live.py``) — see
+``EXTEND_FLOOR``/``REFRESH_FLOOR`` in ``test_perf_live.py``,
+``ROW_SPARSE_FLOOR`` in ``test_perf_training.py``) — see
 ``docs/ci.md`` for the update policy.
 """
 
@@ -72,6 +77,7 @@ REPORTS = {
         "live_epoch_extend",
         "live_ppr_refresh",
     ),
+    "BENCH_training.json": ("train_step_row_sparse",),
 }
 
 # Where the perf benchmarks write (benchmarks/conftest.py::REPORT_DIR); the

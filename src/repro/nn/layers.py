@@ -17,10 +17,13 @@ from repro.nn.tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor (always requires grad)."""
+    """A trainable tensor (always requires grad).
+
+    It owns a copy of ``data``: optimizers update it in place.
+    """
 
     def __init__(self, data, name: Optional[str] = None):
-        super().__init__(data, requires_grad=True, name=name)
+        super().__init__(np.array(data, dtype=np.float64), requires_grad=True, name=name)
         # Parameters must stay trainable even when constructed inside a
         # no_grad() block (e.g. lazy layer building during evaluation).
         self.requires_grad = True

@@ -2,11 +2,17 @@
 
 Adam follows Kingma & Ba with bias correction — the default optimizer of
 every GNN method in the paper's evaluation.
+
+Both update ``parameter.data`` in place with persistent state and scratch
+buffers, and take a row-sparse gradient (:meth:`Tensor.row_grad`, an
+embedding table's gathered rows) without densifying it: the per-element
+IEEE operations are those of the textbook dense update, so the result is
+equal under ``==``; only the sign of a zero can differ.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +35,23 @@ class Optimizer:
         raise NotImplementedError
 
 
+def _gradient(
+    parameter: Parameter, weight_decay: float
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """``(rows, sums)`` for a row-sparse gradient, ``(None, dense)`` otherwise.
+
+    ``(None, None)`` when the parameter has no gradient.  L2 decay touches
+    every row, so ``weight_decay`` densifies.
+    """
+    sparse = None if weight_decay else parameter.row_grad()
+    if sparse is not None:
+        return sparse
+    grad = parameter.grad
+    if grad is not None and weight_decay:
+        grad = grad + weight_decay * parameter.data
+    return None, grad
+
+
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay."""
 
@@ -45,23 +68,33 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
+        # id(parameter) -> (velocity or None without momentum, scratch)
+        self._state: Dict[int, Tuple[Optional[np.ndarray], np.ndarray]] = {}
 
     def step(self) -> None:
+        """``v = momentum·v + g`` (with momentum), then ``p -= lr·v``."""
         for parameter in self.parameters:
-            if parameter.grad is None:
+            rows, grad = _gradient(parameter, self.weight_decay)
+            if grad is None:
                 continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
+            state = self._state.get(id(parameter))
+            if state is None:
+                state = self._state[id(parameter)] = (
+                    np.zeros_like(parameter.data) if self.momentum else None,
+                    np.empty_like(parameter.data),
+                )
+            velocity, update = state
             if self.momentum:
-                velocity = self._velocity.get(id(parameter))
-                if velocity is None:
-                    velocity = np.zeros_like(parameter.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(parameter)] = velocity
-                grad = velocity
-            parameter.data = parameter.data - self.lr * grad
+                velocity *= self.momentum
+                if rows is None:
+                    velocity += grad
+                else:
+                    velocity[rows] += grad
+                rows, grad = None, velocity
+            if rows is None:
+                parameter.data -= np.multiply(grad, self.lr, out=update)
+            else:
+                parameter.data[rows] -= self.lr * grad
 
 
 class Adam(Optimizer):
@@ -83,29 +116,46 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        # id(parameter) -> (m, v, scratch, scratch)
+        self._state: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     def step(self) -> None:
+        """``m = β1·m + (1-β1)·g``, ``v = β2·v + (1-β2)·g²``, then
+        ``p -= lr·m̂ / (√v̂ + eps)`` with bias-corrected ``m̂``, ``v̂``.
+
+        The moments decay densely; a row-sparse gradient adds only to the
+        rows it touched, since for the others ``β·m + 0.0 == β·m``.
+        """
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
         for parameter in self.parameters:
-            if parameter.grad is None:
+            rows, grad = _gradient(parameter, self.weight_decay)
+            if grad is None:
                 continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            key = id(parameter)
-            m = self._m.get(key)
-            v = self._v.get(key)
-            if m is None:
-                m = np.zeros_like(parameter.data)
-                v = np.zeros_like(parameter.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-            self._m[key] = m
-            self._v[key] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            state = self._state.get(id(parameter))
+            if state is None:
+                state = self._state[id(parameter)] = (
+                    np.zeros_like(parameter.data),
+                    np.zeros_like(parameter.data),
+                    np.empty_like(parameter.data),
+                    np.empty_like(parameter.data),
+                )
+            m, v, update, denom = state
+            m *= self.beta1
+            v *= self.beta2
+            if rows is None:
+                m += np.multiply(grad, 1.0 - self.beta1, out=update)
+                np.square(grad, out=update)
+                update *= 1.0 - self.beta2
+                v += update
+            else:
+                m[rows] += (1.0 - self.beta1) * grad
+                v[rows] += (1.0 - self.beta2) * np.square(grad)
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            parameter.data -= update

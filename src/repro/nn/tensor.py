@@ -63,7 +63,7 @@ ArrayLike = Union["Tensor", np.ndarray, float, int]
 class Tensor:
     """A numpy array with an optional gradient tape entry."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "_grad", "_grad_rows", "requires_grad", "_backward", "_parents", "name")
 
     def __init__(
         self,
@@ -74,7 +74,10 @@ class Tensor:
         name: Optional[str] = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
+        self._grad: Optional[np.ndarray] = None
+        # A row-sparse gradient from gathers of this leaf, not yet in
+        # ``_grad``: (unique rows, per-row sums); see ``row_grad``.
+        self._grad_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.requires_grad = requires_grad and is_grad_enabled()
         self._backward = _backward
         self._parents = _parents if self.requires_grad or _parents else ()
@@ -104,10 +107,61 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        """The accumulated gradient as a dense array (None before any)."""
+        if self._grad_rows is not None:
+            self._densify()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._grad = value
+        self._grad_rows = None
+
+    def row_grad(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(rows, sums)`` when only row gathers of this leaf made its gradient.
+
+        ``rows`` are the unique rows touched, ascending, and ``sums[i]`` is
+        row ``rows[i]`` of the dense gradient, bit for bit; every other row
+        of it is zero.  None when the gradient is dense or absent.
+        """
+        return self._grad_rows
+
+    def _densify(self) -> None:
+        (rows, sums), self._grad_rows = self._grad_rows, None
+        self._grad = np.zeros_like(self.data)
+        self._grad[rows] = sums
+
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient.
+
+        The first gradient is kept as is when ``fresh`` (the backward just
+        made it, so nothing else holds it) and copied otherwise (it may be
+        another tensor's gradient passed through); later ones add in place.
+        """
+        if self._grad_rows is not None:
+            self._densify()
+        if self._grad is None:
+            if grad.shape == self.data.shape and grad.dtype == self.data.dtype:
+                self._grad = grad if fresh else grad.copy()
+                return
+            self._grad = np.zeros_like(self.data)
+        self._grad += grad
+
+    def _accumulate_rows(self, rows: np.ndarray, sums: np.ndarray) -> None:
+        """Add a gradient that is ``sums`` on the unique ``rows`` and zero elsewhere."""
+        if self._grad is not None:
+            self._grad[rows] += sums
+        elif self._grad_rows is None:
+            self._grad_rows = (rows, sums)
+        else:
+            # Per row 0 + held + new: the order dense ``+=`` adds them in.
+            held_rows, held_sums = self._grad_rows
+            merged, inverse = np.unique(np.concatenate([held_rows, rows]), return_inverse=True)
+            total = np.zeros((len(merged),) + sums.shape[1:])
+            np.add.at(total, inverse, np.concatenate([held_sums, sums]))
+            self._grad_rows = (merged, total)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -141,6 +195,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
+        grad = np.asarray(grad)
         topo: List[Tensor] = []
         visited: set[int] = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -158,8 +213,8 @@ class Tensor:
                     stack.append((parent, False))
         self._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None and node._grad is not None:
+                node._backward(node._grad)
 
     # -- arithmetic --
 
@@ -180,7 +235,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, fresh=True)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -196,9 +251,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
+                self._accumulate(_unbroadcast(grad * other.data, self.data.shape), fresh=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+                other._accumulate(_unbroadcast(grad * self.data, other.data.shape), fresh=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -210,10 +265,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
+                self._accumulate(_unbroadcast(grad / other.data, self.data.shape), fresh=True)
             if other.requires_grad:
                 other._accumulate(
-                    _unbroadcast(-grad * self.data / (other.data**2), other.data.shape)
+                    _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
+                    fresh=True,
                 )
 
         return Tensor._make(out_data, (self, other), backward)
@@ -223,7 +279,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
+                self._accumulate(grad * exponent * self.data ** (exponent - 1), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -233,9 +289,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad @ other.data.T)
+                self._accumulate(grad @ other.data.T, fresh=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ grad)
+                other._accumulate(self.data.T @ grad, fresh=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -268,7 +324,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 np.add.at(full, key, grad)
-                self._accumulate(full)
+                self._accumulate(full, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -283,7 +339,7 @@ class Tensor:
             expanded = grad
             if axis is not None and not keepdims:
                 expanded = np.expand_dims(grad, axis)
-            self._accumulate(np.broadcast_to(expanded, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(expanded, self.data.shape).copy(), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -299,7 +355,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -308,7 +364,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+                self._accumulate(grad * out_data * (1.0 - out_data), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -317,7 +373,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
+                self._accumulate(grad * (1.0 - out_data**2), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -326,7 +382,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data)
+                self._accumulate(grad * out_data, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -335,7 +391,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate(grad / self.data, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -345,7 +401,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * sign)
+                self._accumulate(grad * sign, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -357,7 +413,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 softmax = np.exp(out_data)
-                self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
+                self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True), fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -367,15 +423,29 @@ class Tensor:
     # -- structured ops for GNNs --
 
     def gather_rows(self, index: np.ndarray) -> "Tensor":
-        """Select rows ``self[index]`` with scatter-add backward."""
+        """Select rows ``self[index]`` with scatter-add backward.
+
+        On a leaf (an embedding table) the gradient stays row-sparse: the
+        unique rows ``index`` touches and their sums, added in index order
+        as the full-table scatter would, so a step costs O(len(index)),
+        not O(len(self)).  See :meth:`row_grad`.
+        """
         index = np.asarray(index, dtype=np.int64)
         out_data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
+            if not self.requires_grad:
+                return
+            if self._backward is None:
+                rows, inverse = np.unique(index.reshape(-1), return_inverse=True)
+                if not len(rows) or rows[0] >= 0:  # negative ids would alias rows
+                    sums = np.zeros((len(rows),) + self.data.shape[1:])
+                    np.add.at(sums, inverse, grad.reshape((-1,) + self.data.shape[1:]))
+                    self._accumulate_rows(rows, sums)
+                    return
+            full = np.zeros_like(self.data)
+            np.add.at(full, index, grad)
+            self._accumulate(full, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -388,7 +458,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad[index])
+                self._accumulate(grad[index], fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -403,7 +473,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -418,7 +488,7 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if dense.requires_grad:
-            dense._accumulate(matrix.T @ grad)
+            dense._accumulate(matrix.T @ grad, fresh=True)
 
     return Tensor._make(np.asarray(out_data), (dense,), backward)
 
