@@ -11,7 +11,7 @@ configurations:
   into ``batch_ppr_top_k`` calls within a 64-request / 2 ms window.
 
 Results must be *bit-identical* between the two modes (enforced inside
-``compare_serving_modes``; the batch kernels are bit-exact against their
+``compare_serving``; the batch kernels are bit-exact against their
 scalar oracles, so coalescing is a pure throughput win).  A second
 benchmark drives the same request sequence through the **HTTP front end**
 (``serve/http.py``) over real sockets and checks the coalescing win
@@ -40,16 +40,7 @@ import pytest
 
 from repro.bench.harness import render_table
 from repro.datasets import catalog
-from repro.serve import (
-    compare_distributed_scaling,
-    compare_http_serving,
-    compare_paths_serving,
-    compare_pool_serving,
-    compare_predict_serving,
-    compare_serving_modes,
-    run_load,
-    run_paths_load,
-)
+from repro.serve import WorkerPool, compare_serving, run_load
 from repro.serve.loadgen import ROW_HEADERS
 
 # Acceptance regime: >= 64 requests in flight on a catalog graph.
@@ -131,16 +122,18 @@ def test_perf_serving_coalesced_vs_serial(benchmark, report, report_dir):
     task = bundle.task("PV")
     rng = np.random.default_rng(7)
     targets = rng.choice(task.target_nodes, size=REQUESTS, replace=True)
+    requests = [{"op": "ppr", "target": int(t), "k": TOP_K} for t in targets]
 
     # Warm the shared artifacts and code paths outside the measured runs
     # (the first service otherwise pays one-off numpy/import costs).
-    run_load(bundle.kg, targets[:CONCURRENCY], k=TOP_K, concurrency=CONCURRENCY)
+    run_load(bundle.kg, requests[:CONCURRENCY], concurrency=CONCURRENCY)
 
     def measure():
-        return compare_serving_modes(
+        return compare_serving(
             bundle.kg,
-            targets,
-            k=TOP_K,
+            requests,
+            {"coalesce": False},
+            {"coalesce": True},
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
             max_delay=MAX_DELAY,
@@ -197,15 +190,17 @@ def test_perf_serving_http_front_end(benchmark, report, report_dir):
     task = bundle.task("PV")
     rng = np.random.default_rng(7)
     targets = rng.choice(task.target_nodes, size=REQUESTS, replace=True)
+    requests = [{"op": "ppr", "target": int(t), "k": TOP_K} for t in targets]
 
     # Warm artifacts and code paths outside the measured runs.
-    run_load(bundle.kg, targets[:CONCURRENCY], k=TOP_K, concurrency=CONCURRENCY)
+    run_load(bundle.kg, requests[:CONCURRENCY], concurrency=CONCURRENCY)
 
     def measure():
-        return compare_http_serving(
+        return compare_serving(
             bundle.kg,
-            targets,
-            k=TOP_K,
+            requests,
+            {"coalesce": False},
+            {"http": True},
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
             max_delay=MAX_DELAY,
@@ -259,27 +254,29 @@ def test_perf_serving_worker_pool(benchmark, report, report_dir):
     the other two serving benchmarks use, so `serving_pool_throughput`
     is directly comparable with `serving_coalesced_throughput` and
     `serving_http_throughput`.  Pool startup and the one-time graph
-    shipment happen outside the timed windows (see compare_pool_serving).
+    shipment happen outside the timed windows (see compare_serving).
     """
     bundle = catalog.mag("small", 7)
     task = bundle.task("PV")
     rng = np.random.default_rng(7)
     targets = rng.choice(task.target_nodes, size=REQUESTS, replace=True)
+    requests = [{"op": "ppr", "target": int(t), "k": TOP_K} for t in targets]
 
     # Warm the in-process paths outside the measured runs (the pooled
-    # path warms inside compare_pool_serving, before its timed window).
-    run_load(bundle.kg, targets[:CONCURRENCY], k=TOP_K, concurrency=CONCURRENCY)
+    # path warms inside compare_serving, before its timed window).
+    run_load(bundle.kg, requests[:CONCURRENCY], concurrency=CONCURRENCY)
 
     def measure():
-        return compare_pool_serving(
-            bundle.kg,
-            targets,
-            k=TOP_K,
-            concurrency=CONCURRENCY,
-            workers=POOL_WORKERS,
-            max_batch=MAX_BATCH,
-            max_delay=MAX_DELAY,
-        )
+        with WorkerPool(workers=POOL_WORKERS) as pool:
+            return compare_serving(
+                bundle.kg,
+                requests,
+                {"coalesce": False},
+                {"pool": pool},
+                concurrency=CONCURRENCY,
+                max_batch=MAX_BATCH,
+                max_delay=MAX_DELAY,
+            )
 
     serial, pooled, speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
 
@@ -333,7 +330,7 @@ def test_perf_serving_paths_throughput(benchmark, report, report_dir):
     each with the retained per-request DFS oracle, the coalesced service
     micro-batches compatible requests into single
     ``LiveGraph.paths_batch`` calls.  Answers are bit-identical at every
-    request position (asserted inside ``compare_paths_serving``) — the
+    request position (asserted inside ``compare_serving``) — the
     recorded ratio is the pure scheduling + batch-kernel win the
     ``serving_paths_throughput`` floor guards.
     """
@@ -341,8 +338,9 @@ def test_perf_serving_paths_throughput(benchmark, report, report_dir):
     task = bundle.task("PV")
     rng = np.random.default_rng(7)
     targets = np.asarray(task.target_nodes, dtype=np.int64)
-    pairs = [
-        (int(src), int(dst))
+    requests = [
+        {"op": "paths", "src": int(src), "dst": int(dst),
+         "max_hops": PATHS_MAX_HOPS, "max_paths": PATHS_MAX_PATHS}
         for src, dst in zip(
             rng.choice(targets, size=PATHS_REQUESTS, replace=True),
             rng.choice(targets, size=PATHS_REQUESTS, replace=True),
@@ -351,17 +349,14 @@ def test_perf_serving_paths_throughput(benchmark, report, report_dir):
 
     # Warm the shared artifacts and both code paths outside the measured
     # runs (fresh services inside the comparison start with cold caches).
-    run_paths_load(
-        bundle.kg, pairs[:CONCURRENCY], max_hops=PATHS_MAX_HOPS,
-        max_paths=PATHS_MAX_PATHS, concurrency=CONCURRENCY,
-    )
+    run_load(bundle.kg, requests[:CONCURRENCY], concurrency=CONCURRENCY)
 
     def measure():
-        return compare_paths_serving(
+        return compare_serving(
             bundle.kg,
-            pairs,
-            max_hops=PATHS_MAX_HOPS,
-            max_paths=PATHS_MAX_PATHS,
+            requests,
+            {"coalesce": False},
+            {"coalesce": True},
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
             max_delay=MAX_DELAY,
@@ -416,7 +411,7 @@ def test_perf_serving_distributed_scaling(benchmark, report, report_dir, tmp_pat
     memory-mapped artifact store; with no replica cap every worker owns
     the graph, so routing fans the coalesced batches round-robin across
     the tier.  Answers are bit-identical by construction (asserted inside
-    ``compare_distributed_scaling``) and nothing may be rejected; the
+    ``compare_serving``) and nothing may be rejected; the
     throughput ratio is recorded without a floor (see
     ``SCALING_WORKERS``).
     """
@@ -432,24 +427,30 @@ def test_perf_serving_distributed_scaling(benchmark, report, report_dir, tmp_pat
     task = bundle.task("PV")
     rng = np.random.default_rng(7)
     targets = rng.choice(task.target_nodes, size=REQUESTS, replace=True)
+    requests = [{"op": "ppr", "target": int(t), "k": TOP_K} for t in targets]
     store = str(tmp_path / "store")
     save_artifacts(bundle.kg, store)
 
     # Warm the in-process paths (artifact build, kernels) outside the
     # timed windows; each pool additionally warms inside the comparison.
-    run_load(bundle.kg, targets[:CONCURRENCY], k=TOP_K, concurrency=CONCURRENCY)
+    run_load(bundle.kg, requests[:CONCURRENCY], concurrency=CONCURRENCY)
 
     def measure():
-        return compare_distributed_scaling(
-            bundle.kg,
-            targets,
-            k=TOP_K,
-            concurrency=CONCURRENCY,
-            workers=SCALING_WORKERS,
-            max_batch=MAX_BATCH,
-            max_delay=MAX_DELAY,
-            mmap_dir=store,
-        )
+        with WorkerPool(workers=1) as single_pool, WorkerPool(
+            workers=SCALING_WORKERS
+        ) as scaled_pool:
+            single, scaled, efficiency = compare_serving(
+                bundle.kg,
+                requests,
+                {"pool": single_pool},
+                {"pool": scaled_pool},
+                concurrency=CONCURRENCY,
+                max_batch=MAX_BATCH,
+                max_delay=MAX_DELAY,
+                mmap_dir=store,
+            )
+        single.mode, scaled.mode = "pooled-1w", f"pooled-{SCALING_WORKERS}w"
+        return single, scaled, efficiency
 
     single, scaled, efficiency = benchmark.pedantic(measure, rounds=1, iterations=1)
 
@@ -494,7 +495,7 @@ def test_perf_serving_predict_throughput(benchmark, report, report_dir, tmp_path
     queries through the coalescer's extraction→inference pipeline; the
     baseline runs the retained scalar oracle one request at a time.  Both
     modes must return bit-identical payloads at every request position
-    (asserted inside ``compare_predict_serving``) — the speedup comes
+    (asserted inside ``compare_serving``) — the speedup comes
     from micro-batching the model forward, the registry's logits cache
     and the bounded result cache, never from changing an answer.
     """
@@ -506,7 +507,7 @@ def test_perf_serving_predict_throughput(benchmark, report, report_dir, tmp_path
     task = bundle.task("PV")
     rng = np.random.default_rng(7)
     requests = [
-        ("PV", int(node))
+        {"op": "predict", "task": "PV", "node": int(node), "k": TOP_K}
         for node in rng.choice(task.target_nodes, size=REQUESTS, replace=True)
     ]
 
@@ -518,15 +519,19 @@ def test_perf_serving_predict_throughput(benchmark, report, report_dir, tmp_path
     save_checkpoint(model, ckpt, metrics={"test_metric": result.test_metric})
 
     # Warm the shared artifacts and code paths outside the measured runs.
-    run_load(bundle.kg, [item for _, item in requests[:CONCURRENCY]],
-             k=TOP_K, concurrency=CONCURRENCY)
+    run_load(
+        bundle.kg,
+        [{"op": "ppr", "target": r["node"], "k": TOP_K} for r in requests[:CONCURRENCY]],
+        concurrency=CONCURRENCY,
+    )
 
     def measure():
-        return compare_predict_serving(
+        return compare_serving(
             bundle.kg,
-            [ckpt],
             requests,
-            k=TOP_K,
+            {"coalesce": False},
+            {"coalesce": True},
+            checkpoints=[ckpt],
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
             max_delay=MAX_DELAY,

@@ -392,7 +392,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench.harness import render_table
-    from repro.serve import compare_pool_serving, compare_serving_modes
+    from repro.serve import WorkerPool, compare_serving
     from repro.serve.loadgen import ROW_HEADERS
 
     bundle = _load_bundle(args.dataset, args.scale, args.seed)
@@ -417,7 +417,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         # /predict load: the request mix interleaves every task that has a
         # checkpoint — target nodes for NC tasks, head nodes for LP tasks.
         from repro.nn.checkpoint import read_checkpoint_meta
-        from repro.serve import WorkerPool, compare_predict_serving
 
         task_types = {}
         for path in args.checkpoint:
@@ -430,76 +429,50 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             source = (load_task.target_nodes if task_types[name] == "NC"
                       else load_task.edges[:, 0])
             draws[name] = rng.choice(source, size=args.requests, replace=True)
-        requests = [
-            (task_names[i % len(task_names)],
-             int(draws[task_names[i % len(task_names)]][i]))
-            for i in range(args.requests)
-        ]
-        pool = WorkerPool(workers=args.workers) if args.workers else None
-        try:
-            serial, fast, speedup = compare_predict_serving(
-                kg, args.checkpoint, requests, k=args.top_k,
-                candidates=args.candidates, concurrency=args.concurrency,
-                max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
-                pool=pool,
-            )
-        finally:
-            if pool is not None:
-                pool.close()
-        if args.workers:
-            label = f"/predict pool ({args.workers} workers) speedup"
-        else:
-            label = "/predict coalescing speedup"
-        task_label = "+".join(task_names)
+        requests = []
+        for i in range(args.requests):
+            name = task_names[i % len(task_names)]
+            item = "node" if task_types[name] == "NC" else "head"
+            requests.append({
+                "op": "predict", "task": name, item: int(draws[name][i]),
+                "k": args.top_k, "candidates": args.candidates,
+            })
+        kind, task_label = "/predict ", "+".join(task_names)
     elif args.paths:
         # /paths load: random (src, dst) pairs drawn from the task's
         # targets — the serial baseline answers each with the scalar DFS
-        # oracle, the fast mode micro-batches path enumerations (on the
-        # worker pool when --workers is given).
-        from repro.serve import WorkerPool, compare_paths_serving
-
+        # oracle, the fast mode micro-batches path enumerations.
         targets = bundle.task(args.task).target_nodes
-        pairs = [
-            (int(src), int(dst))
+        requests = [
+            {"op": "paths", "src": int(src), "dst": int(dst),
+             "max_hops": args.max_hops, "max_paths": args.max_paths}
             for src, dst in zip(
                 rng.choice(targets, size=args.requests, replace=True),
                 rng.choice(targets, size=args.requests, replace=True),
             )
         ]
-        pool = WorkerPool(workers=args.workers) if args.workers else None
-        try:
-            serial, fast, speedup = compare_paths_serving(
-                kg, pairs, max_hops=args.max_hops, max_paths=args.max_paths,
-                concurrency=args.concurrency, max_batch=args.max_batch,
-                max_delay=args.max_delay_ms / 1e3, pool=pool,
-            )
-        finally:
-            if pool is not None:
-                pool.close()
-        if args.workers:
-            label = f"/paths pool ({args.workers} workers) speedup"
-        else:
-            label = "/paths coalescing speedup"
-        task_label = f"{args.task} pairs"
-    elif args.workers:
-        targets = rng.choice(bundle.task(args.task).target_nodes,
-                             size=args.requests, replace=True)
-        serial, fast, speedup = compare_pool_serving(
-            kg, targets, k=args.top_k, concurrency=args.concurrency,
-            workers=args.workers, mmap_dir=args.mmap_dir,
-            max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
-        )
-        label = f"pool ({args.workers} workers) speedup"
-        task_label = args.task
+        kind, task_label = "/paths ", f"{args.task} pairs"
     else:
         targets = rng.choice(bundle.task(args.task).target_nodes,
                              size=args.requests, replace=True)
-        serial, fast, speedup = compare_serving_modes(
-            bundle.kg, targets, k=args.top_k, concurrency=args.concurrency,
+        requests = [{"op": "ppr", "target": int(t), "k": args.top_k} for t in targets]
+        kind, task_label = "", args.task
+    pool = WorkerPool(workers=args.workers) if args.workers else None
+    try:
+        serial, fast, speedup = compare_serving(
+            kg, requests,
+            baseline={"coalesce": False},
+            candidate={"pool": pool, "mmap_dir": args.mmap_dir},
+            checkpoints=args.checkpoint, concurrency=args.concurrency,
             max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
         )
-        label = "coalescing speedup"
-        task_label = args.task
+    finally:
+        if pool is not None:
+            pool.close()
+    if args.workers:
+        label = f"{kind}pool ({args.workers} workers) speedup"
+    else:
+        label = f"{kind}coalescing speedup"
     print(render_table(
         ROW_HEADERS,
         [serial.as_row(), fast.as_row()],

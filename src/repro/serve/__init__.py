@@ -19,19 +19,7 @@ HTTP/SPARQL-protocol server with streaming pagination
 
 from repro.serve.coalesce import Coalescer
 from repro.serve.http import serve_http
-from repro.serve.loadgen import (
-    LoadReport,
-    compare_distributed_scaling,
-    compare_http_serving,
-    compare_paths_serving,
-    compare_pool_serving,
-    compare_predict_serving,
-    compare_serving_modes,
-    run_http_load,
-    run_load,
-    run_paths_load,
-    run_predict_load,
-)
+from repro.serve.loadgen import LoadReport, compare_serving, run_load
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.placement import shard_for
 from repro.serve.pool import WorkerCrashed, WorkerError, WorkerPool
@@ -58,16 +46,8 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "bound_port",
-    "compare_distributed_scaling",
-    "compare_http_serving",
-    "compare_paths_serving",
-    "compare_pool_serving",
-    "compare_predict_serving",
-    "compare_serving_modes",
-    "run_http_load",
+    "compare_serving",
     "run_load",
-    "run_paths_load",
-    "run_predict_load",
     "serve_http",
     "serve_tcp",
     "shard_for",

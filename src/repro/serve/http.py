@@ -91,6 +91,8 @@ from urllib.parse import parse_qs, urlsplit
 from repro.serve.service import ExtractionService, ServiceOverloaded
 from repro.serve.wire import (
     MAX_LINE_BYTES,
+    OP_BY_NAME,
+    OP_TABLE,
     BadRequest,
     UnknownGraph,
     bound_port,
@@ -634,16 +636,12 @@ async def _handle_op(
     return _json_response(200, result_payload(result))
 
 
-#: path -> (allowed methods, op passed to the shared dispatcher).
+#: path -> (allowed methods, op passed to the shared dispatcher), from the
+#: op table's HTTP column; ``/sparql`` streams through :func:`_handle_sparql`.
 _OP_ROUTES = {
-    "/ppr": (("GET", "POST"), "ppr"),
-    "/ego": (("GET", "POST"), "ego"),
-    "/paths": (("GET", "POST"), "paths"),
-    "/predict": (("GET", "POST"), "predict"),
-    "/triples": (("POST",), "triples"),
-    "/metrics": (("GET",), "metrics"),
-    "/graphs": (("GET",), "graphs"),
-    "/ping": (("GET",), "ping"),
+    f"/{op.name}": (op.http, op.name)
+    for op in OP_TABLE
+    if op.http and op.name != "sparql"
 }
 
 
@@ -654,7 +652,7 @@ async def _respond(service: ExtractionService, request: HttpRequest) -> HttpResp
         return _error_response(status, "bad_request", detail, close=True)
     try:
         if request.path == "/sparql":
-            if request.method not in ("GET", "POST"):
+            if request.method not in OP_BY_NAME["sparql"].http:
                 return _error_response(
                     405, "method_not_allowed", f"{request.method} /sparql"
                 )

@@ -3,42 +3,42 @@
 A fixed population of ``concurrency`` workers each keeps exactly one
 request in flight: issue, await, record latency, issue the next (the
 classic closed-loop model, which measures service capacity rather than
-open-loop queueing collapse).  Workers pull target nodes round-robin from
-the task's target set — the live-traffic version of the IBS benchmark
-loop.
+open-loop queueing collapse).  Requests are wire request dicts — the
+objects the ndjson and HTTP front ends take, e.g. ``{"op": "ppr",
+"target": 17, "k": 16}`` — so one loop drives every op of
+:data:`repro.serve.wire.OP_TABLE`.
 
 :func:`run_load` drives one :class:`ExtractionService` configuration
-(in-process, or multi-process via ``pool=``) and returns a
-:class:`LoadReport`; the ``compare_*`` entry points each run the serial
-one-request-at-a-time baseline and one serving configuration over the
-*same* request sequence, verify the results are bit-identical, and
-report the throughput ratio — the numbers guarded by
-``benchmarks/check_perf_floors.py``: :func:`compare_serving_modes` (the
-in-process coalescing scheduler), :func:`compare_http_serving` (the HTTP
-front end over real sockets) and :func:`compare_pool_serving` (the
-multi-process sharded worker pool).  :func:`compare_distributed_scaling`
-is pool-vs-pool instead: one worker vs a wider (optionally remote TCP)
-tier, guarding that adding workers actually adds capacity.
+(serial or coalesced, in-process or on a worker pool, called through
+:func:`repro.serve.wire.perform_op` or over real HTTP sockets) and
+returns a :class:`LoadReport`.  :func:`compare_serving` runs two
+configurations over the *same* request sequence, verifies their answers
+are identical at every position, and reports the throughput ratio — the
+numbers guarded by ``benchmarks/check_perf_floors.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kg.graph import KnowledgeGraph
+from repro.serve import wire
 from repro.serve.http import serve_http
 from repro.serve.metrics import percentile
 from repro.serve.pool import WorkerPool
 from repro.serve.service import ExtractionService, ServiceOverloaded
-from repro.serve.wire import bound_port
 
+#: The name :func:`run_load` registers its graph under; a request without
+#: a ``graph`` field addresses it.
 GRAPH_NAME = "load"
+
+DEFAULT_CONCURRENCY = 64
 
 
 ROW_HEADERS = [
@@ -59,7 +59,8 @@ class LoadReport:
     p95_ms: float
     rejected: int
     batch_occupancy: float
-    results: Dict[int, List[Tuple[int, float]]] = field(repr=False, default_factory=dict)
+    #: request index -> JSON answer payload
+    results: Dict[int, Any] = field(repr=False, default_factory=dict)
     metrics: dict = field(repr=False, default_factory=dict)
 
     def as_row(self) -> List[str]:
@@ -76,7 +77,7 @@ class LoadReport:
         ]
 
     def as_json(self) -> dict:
-        """The report minus the raw per-target results (for persistence)."""
+        """The report minus the raw per-request results (for persistence)."""
         return {
             "mode": self.mode,
             "requests": self.requests,
@@ -91,98 +92,51 @@ class LoadReport:
 
 
 async def _closed_loop(
-    service: ExtractionService,
-    targets: Sequence[int],
-    k: int,
-    concurrency: int,
-) -> Tuple[Dict[int, List[Tuple[int, float]]], List[float], int]:
-    """Run the request sequence with ``concurrency`` in-flight workers."""
+    open_client, requests: Sequence[dict], concurrency: int
+) -> Tuple[Dict[int, Any], List[float], int]:
+    """Run ``requests`` with ``concurrency`` in-flight workers.
+
+    ``open_client()`` is an async context manager yielding one worker's
+    ``send(request)`` coroutine function.  Answers are keyed by request
+    *index*: sequences legitimately repeat (hot targets), and a coalescing
+    window or result cache may answer repeats together, so the
+    comparisons must still see every position.
+    """
     next_index = 0
     latencies: List[float] = []
     rejected = 0
-    results: Dict[int, List[Tuple[int, float]]] = {}
+    results: Dict[int, Any] = {}
 
     async def worker() -> None:
         nonlocal next_index, rejected
-        while True:
-            index = next_index
-            if index >= len(targets):
-                return
-            next_index = index + 1
-            target = int(targets[index])
-            start = time.perf_counter()
-            while True:
-                try:
-                    result = await service.ppr_top_k(GRAPH_NAME, target, k=k)
-                    break
-                except ServiceOverloaded as exc:
-                    # Closed-loop clients honour the backpressure contract:
-                    # back off for the hinted interval, then retry.
-                    rejected += 1
-                    await asyncio.sleep(exc.retry_after)
-            latencies.append(time.perf_counter() - start)
-            results[target] = result
+        async with open_client() as send:
+            while next_index < len(requests):
+                index = next_index
+                next_index += 1
+                start = time.perf_counter()
+                while True:
+                    try:
+                        results[index] = await send(requests[index])
+                        break
+                    except ServiceOverloaded as exc:
+                        # Closed-loop clients honour the backpressure
+                        # contract: back off for the hinted interval.
+                        rejected += 1
+                        await asyncio.sleep(exc.retry_after)
+                latencies.append(time.perf_counter() - start)
 
     await asyncio.gather(*(worker() for _ in range(concurrency)))
-    await service.drain()
     return results, latencies, rejected
 
 
-def run_load(
-    kg: KnowledgeGraph,
-    targets: Sequence[int],
-    k: int = 16,
-    concurrency: int = 64,
-    coalesce: bool = True,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-    max_pending: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
-    mmap_dir: Optional[str] = None,
-) -> LoadReport:
-    """Drive one service configuration with the closed-loop generator.
+def _in_process(service: ExtractionService):
+    """Clients calling the wire dispatcher directly (raw results)."""
 
-    ``max_pending`` defaults to ``2 * concurrency`` so a healthy run is
-    never admission-limited; pass something smaller to exercise shedding.
-    ``pool`` switches kernel dispatch to the multi-process worker pool
-    (the caller owns the pool's lifecycle; registration of the load graph
-    on the pool is idempotent, so one pool can back several runs).
-    ``mmap_dir`` (pool mode) registers the graph by artifact-store path so
-    workers memory-map their state instead of receiving a pickled graph.
-    """
-    service = ExtractionService(
-        max_pending=max_pending if max_pending is not None else 2 * concurrency,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        coalesce=coalesce,
-        pool=pool,
-    )
-    service.register(GRAPH_NAME, kg, mmap_dir=mmap_dir)
+    @contextlib.asynccontextmanager
+    async def open_client():
+        yield functools.partial(wire.perform_op, service)
 
-    async def run():
-        start = time.perf_counter()
-        results, latencies, rejected = await _closed_loop(
-            service, targets, k, concurrency
-        )
-        return results, latencies, rejected, time.perf_counter() - start
-
-    results, latencies, rejected, wall = asyncio.run(run())
-    return LoadReport(
-        mode="pooled" if pool is not None else ("coalesced" if coalesce else "serial"),
-        requests=len(targets),
-        concurrency=concurrency,
-        wall_seconds=wall,
-        throughput_rps=len(targets) / max(wall, 1e-12),
-        p50_ms=percentile(latencies, 0.50) * 1e3,
-        p95_ms=percentile(latencies, 0.95) * 1e3,
-        rejected=rejected,
-        batch_occupancy=service.metrics.batch_occupancy(),
-        results=results,
-        metrics=service.metrics_snapshot(),
-    )
-
-
-# -- HTTP closed loop ---------------------------------------------------------
+    return open_client
 
 
 async def read_http_response(
@@ -223,53 +177,33 @@ async def read_http_response(
     return status, headers, body, chunks
 
 
-async def _http_request(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, path: str
-) -> Tuple[int, object]:
-    """One keep-alive GET on an open connection; returns (status, JSON body)."""
-    writer.write(f"GET {path} HTTP/1.1\r\nHost: loadgen\r\n\r\n".encode("latin-1"))
-    await writer.drain()
-    status, _headers, body, _chunks = await read_http_response(reader)
-    return status, json.loads(body) if body else None
+def _over_http(port: int):
+    """Clients holding one keep-alive connection each: ``POST /<op>``."""
 
-
-async def _http_closed_loop(
-    port: int,
-    targets: Sequence[int],
-    k: int,
-    concurrency: int,
-) -> Tuple[Dict[int, List[Tuple[int, float]]], List[float], int]:
-    """The closed loop over the wire: one keep-alive connection per worker."""
-    next_index = 0
-    latencies: List[float] = []
-    rejected = 0
-    results: Dict[int, List[Tuple[int, float]]] = {}
-
-    async def worker() -> None:
-        nonlocal next_index, rejected
+    @contextlib.asynccontextmanager
+    async def open_client():
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+        async def send(request: dict) -> Any:
+            body = json.dumps(request).encode("utf-8")
+            writer.write(
+                f"POST /{request['op']} HTTP/1.1\r\nHost: loadgen\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}"
+                "\r\n\r\n".encode("latin-1") + body
+            )
+            await writer.drain()
+            status, _headers, raw, _chunks = await read_http_response(reader)
+            payload = json.loads(raw) if raw else None
+            if status == 503:
+                # 503 + retry_after is the HTTP face of the backpressure
+                # contract.
+                raise ServiceOverloaded(float(payload["retry_after"]))
+            if status != 200:
+                raise RuntimeError(f"unexpected HTTP {status}: {payload!r}")
+            return payload
+
         try:
-            while True:
-                index = next_index
-                if index >= len(targets):
-                    return
-                next_index = index + 1
-                target = int(targets[index])
-                path = f"/ppr?graph={GRAPH_NAME}&target={target}&k={k}"
-                start = time.perf_counter()
-                while True:
-                    status, payload = await _http_request(reader, writer, path)
-                    if status == 200:
-                        break
-                    if status == 503:
-                        # 503 + retry_after is the HTTP face of the
-                        # backpressure contract; honour the hint.
-                        rejected += 1
-                        await asyncio.sleep(float(payload["retry_after"]))
-                        continue
-                    raise RuntimeError(f"unexpected HTTP {status}: {payload!r}")
-                latencies.append(time.perf_counter() - start)
-                results[target] = [(int(node), float(score)) for node, score in payload]
+            yield send
         finally:
             writer.close()
             try:
@@ -277,295 +211,42 @@ async def _http_closed_loop(
             except ConnectionError:  # pragma: no cover - peer already gone
                 pass
 
-    await asyncio.gather(*(worker() for _ in range(concurrency)))
-    return results, latencies, rejected
+    return open_client
 
 
-def run_http_load(
+def run_load(
     kg: KnowledgeGraph,
-    targets: Sequence[int],
-    k: int = 16,
-    concurrency: int = 64,
+    requests: Sequence[dict],
+    *,
+    concurrency: int = DEFAULT_CONCURRENCY,
     coalesce: bool = True,
+    pool: Optional[WorkerPool] = None,
+    mmap_dir: Optional[str] = None,
+    checkpoints: Sequence[str] = (),
+    http: bool = False,
     max_batch: int = 64,
     max_delay: float = 0.002,
     max_pending: Optional[int] = None,
 ) -> LoadReport:
-    """Drive the **HTTP front end** with the closed-loop generator.
+    """Drive one service configuration with the closed-loop generator.
 
-    Same request sequence and worker model as :func:`run_load`, but every
-    request crosses a real socket through ``serve/http.py`` — the number
-    this produces is the wire-level serving capacity, parsing and
-    serialization included.
+    ``kg`` is registered as :data:`GRAPH_NAME`, with ``checkpoints`` for
+    ``predict`` requests.  ``coalesce=False`` is the serial baseline:
+    every request runs its scalar oracle alone.  ``pool`` dispatches the
+    coalesced windows to a worker pool (the caller owns its lifecycle;
+    registration is idempotent, so one pool can back several runs), and
+    ``mmap_dir`` registers the graph there by artifact-store path so
+    workers map it instead of receiving a pickled graph.
+
+    ``http=True`` crosses real sockets through ``serve/http.py`` — the
+    wire-level capacity, parsing and serialization included.  Otherwise
+    requests go through :func:`~repro.serve.wire.perform_op` in process,
+    and their results through :func:`~repro.serve.wire.result_payload`
+    after the timed window, so every mode reports the same JSON payloads.
+    ``max_pending`` defaults to ``2 * concurrency`` so a healthy run is
+    never admission-limited; pass something smaller to exercise shedding.
     """
-    service = ExtractionService(
-        max_pending=max_pending if max_pending is not None else 2 * concurrency,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        coalesce=coalesce,
-    )
-    service.register(GRAPH_NAME, kg)
-
-    async def run():
-        server = await serve_http(service, port=0)
-        async with server:
-            start = time.perf_counter()
-            results, latencies, rejected = await _http_closed_loop(
-                bound_port(server), targets, k, concurrency
-            )
-            wall = time.perf_counter() - start
-            await service.drain()
-        return results, latencies, rejected, wall
-
-    results, latencies, rejected, wall = asyncio.run(run())
-    return LoadReport(
-        mode="http",
-        requests=len(targets),
-        concurrency=concurrency,
-        wall_seconds=wall,
-        throughput_rps=len(targets) / max(wall, 1e-12),
-        p50_ms=percentile(latencies, 0.50) * 1e3,
-        p95_ms=percentile(latencies, 0.95) * 1e3,
-        rejected=rejected,
-        batch_occupancy=service.metrics.batch_occupancy(),
-        results=results,
-        metrics=service.metrics_snapshot(),
-    )
-
-
-def compare_http_serving(
-    kg: KnowledgeGraph,
-    targets: Sequence[int],
-    k: int = 16,
-    concurrency: int = 64,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-) -> Tuple[LoadReport, LoadReport, float]:
-    """In-process serial baseline vs the HTTP front end, same sequence.
-
-    Returns ``(serial, http, speedup)`` after asserting the HTTP path
-    produced bit-identical results — crossing the wire (HTTP parsing,
-    JSON round-trip) must never change an answer, and the coalescing win
-    must survive the protocol overhead.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    serial = run_load(
-        kg, targets, k=k, concurrency=concurrency, coalesce=False,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    over_http = run_http_load(
-        kg, targets, k=k, concurrency=concurrency, coalesce=True,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    if serial.results != over_http.results:
-        raise AssertionError(
-            "HTTP serving diverged from the serial scalar baseline"
-        )
-    speedup = over_http.throughput_rps / max(serial.throughput_rps, 1e-12)
-    return serial, over_http, speedup
-
-
-def compare_pool_serving(
-    kg: KnowledgeGraph,
-    targets: Sequence[int],
-    k: int = 16,
-    concurrency: int = 64,
-    workers: int = 2,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-    pool: Optional[WorkerPool] = None,
-    mmap_dir: Optional[str] = None,
-) -> Tuple[LoadReport, LoadReport, float]:
-    """Single-process serial baseline vs the multi-process worker pool.
-
-    Returns ``(serial, pooled, speedup)`` after asserting the pooled path
-    produced bit-identical results — crossing a process boundary (pickled
-    parameters out, numpy result buffers back) must never change an
-    answer.  The serial baseline is the same single-process scalar-oracle
-    service the other two serving ratios use, so all three recorded
-    numbers (`serving_coalesced_throughput`, `serving_http_throughput`,
-    `serving_pool_throughput`) are directly comparable; on multi-core
-    hosts the pool additionally scales with worker count.
-
-    A caller-provided ``pool`` is reused (and left running); otherwise a
-    ``workers``-wide pool is created for the comparison and closed before
-    returning.  Pool startup and graph shipment happen outside the timed
-    windows — they are one-time costs, not serving throughput.
-    ``mmap_dir`` registers the pooled graph by artifact-store path
-    (zero-copy worker startup); the serial baseline still serves ``kg``
-    in-process, so bit-identity also covers the mmap read path.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    owned = pool is None
-    if pool is None:
-        pool = WorkerPool(workers=workers)
-    try:
-        # Warm the pooled path outside the timed run: first-touch costs
-        # (worker-side artifact builds, pickle code paths) are startup,
-        # not capacity.
-        run_load(
-            kg, targets[: min(len(targets), concurrency)], k=k,
-            concurrency=concurrency, pool=pool, mmap_dir=mmap_dir,
-            max_batch=max_batch, max_delay=max_delay,
-        )
-        serial = run_load(
-            kg, targets, k=k, concurrency=concurrency, coalesce=False,
-            max_batch=max_batch, max_delay=max_delay,
-        )
-        pooled = run_load(
-            kg, targets, k=k, concurrency=concurrency, pool=pool, mmap_dir=mmap_dir,
-            max_batch=max_batch, max_delay=max_delay,
-        )
-    finally:
-        if owned:
-            pool.close()
-    if serial.results != pooled.results:
-        raise AssertionError(
-            "pooled serving diverged from the serial scalar baseline"
-        )
-    speedup = pooled.throughput_rps / max(serial.throughput_rps, 1e-12)
-    return serial, pooled, speedup
-
-
-def compare_distributed_scaling(
-    kg: KnowledgeGraph,
-    targets: Sequence[int],
-    k: int = 16,
-    concurrency: int = 64,
-    workers: int = 2,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-    mmap_dir: Optional[str] = None,
-    remote_workers: Optional[Sequence[str]] = None,
-) -> Tuple[LoadReport, LoadReport, float]:
-    """One-worker pool vs a ``workers``-wide (optionally remote) tier.
-
-    The distributed-tier scaling check: both runs cross the same
-    transport machinery (framing, shipping, stats piggyback), so the
-    ratio isolates what adding workers buys — placement fanning requests
-    over more slots — from what the pool itself buys over in-process
-    serving (that ratio is ``compare_pool_serving``'s job).  Returns
-    ``(single, scaled, speedup)`` after asserting the scaled tier
-    produced bit-identical results; placement must never change an
-    answer, only who computes it.
-
-    ``remote_workers`` (``HOST:PORT`` strings of already-running
-    ``repro serve-worker`` processes) makes the scaled tier a genuinely
-    cross-machine one: the pool runs zero local workers and routes every
-    request over TCP.  Remote registration ships artifact paths, so
-    ``mmap_dir`` is required in that mode.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    remote_workers = list(remote_workers or ())
-    if remote_workers and not mmap_dir:
-        raise ValueError(
-            "remote scaling needs mmap_dir: remote workers register graphs "
-            "by artifact-store path, never a pickled graph"
-        )
-
-    def _timed(pool: WorkerPool) -> LoadReport:
-        # Warm outside the timed run: worker-side artifact opens and
-        # first-touch page faults are startup, not scaling.
-        run_load(
-            kg, targets[: min(len(targets), concurrency)], k=k,
-            concurrency=concurrency, pool=pool, mmap_dir=mmap_dir,
-            max_batch=max_batch, max_delay=max_delay,
-        )
-        return run_load(
-            kg, targets, k=k, concurrency=concurrency, pool=pool,
-            mmap_dir=mmap_dir, max_batch=max_batch, max_delay=max_delay,
-        )
-
-    single_pool = WorkerPool(workers=1)
-    try:
-        single = _timed(single_pool)
-    finally:
-        single_pool.close()
-    scaled_pool = WorkerPool(
-        workers=0 if remote_workers else workers,
-        remote_workers=remote_workers or None,
-    )
-    try:
-        scaled = _timed(scaled_pool)
-        scaled_width = scaled_pool.num_workers
-    finally:
-        scaled_pool.close()
-    if single.results != scaled.results:
-        raise AssertionError(
-            "scaled worker tier diverged from the single-worker baseline"
-        )
-    single.mode = "pooled-1w"
-    scaled.mode = f"pooled-{scaled_width}w" + ("-remote" if remote_workers else "")
-    speedup = scaled.throughput_rps / max(single.throughput_rps, 1e-12)
-    return single, scaled, speedup
-
-
-async def _paths_closed_loop(
-    service: ExtractionService,
-    pairs: Sequence[Tuple[int, int]],
-    max_hops: int,
-    max_paths: int,
-    concurrency: int,
-) -> Tuple[Dict[int, list], List[float], int]:
-    """The closed loop over ``/paths``: results keyed by request *index*.
-
-    Pair sequences legitimately repeat (hot endpoint pairs), so answers
-    are recorded per position — a coalescing window may answer repeats
-    from one kernel call, and the bit-exactness comparison must still see
-    every position.
-    """
-    next_index = 0
-    latencies: List[float] = []
-    rejected = 0
-    results: Dict[int, list] = {}
-
-    async def worker() -> None:
-        nonlocal next_index, rejected
-        while True:
-            index = next_index
-            if index >= len(pairs):
-                return
-            next_index = index + 1
-            src, dst = pairs[index]
-            start = time.perf_counter()
-            while True:
-                try:
-                    result = await service.paths(
-                        GRAPH_NAME, int(src), int(dst),
-                        max_hops=max_hops, max_paths=max_paths,
-                    )
-                    break
-                except ServiceOverloaded as exc:
-                    rejected += 1
-                    await asyncio.sleep(exc.retry_after)
-            latencies.append(time.perf_counter() - start)
-            results[index] = result
-
-    await asyncio.gather(*(worker() for _ in range(concurrency)))
-    await service.drain()
-    return results, latencies, rejected
-
-
-def run_paths_load(
-    kg: KnowledgeGraph,
-    pairs: Sequence[Tuple[int, int]],
-    max_hops: int = 3,
-    max_paths: int = 64,
-    concurrency: int = 64,
-    coalesce: bool = True,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-    max_pending: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
-) -> LoadReport:
-    """Drive ``/paths`` with the closed-loop generator.
-
-    ``pairs`` is a sequence of ``(src, dst)`` node pairs.  The serial
-    mode (``coalesce=False``) answers through the scalar
-    iterative-deepening DFS oracle one request at a time; the coalesced
-    mode batches compatible ``(max_hops, max_paths)`` windows into single
-    ``enumerate_paths_batch`` calls (pooled when ``pool`` is given).
-    """
+    requests = [{"graph": GRAPH_NAME, **request} for request in requests]
     service = ExtractionService(
         max_pending=max_pending if max_pending is not None else 2 * concurrency,
         max_batch=max_batch,
@@ -573,170 +254,37 @@ def run_paths_load(
         coalesce=coalesce,
         pool=pool,
     )
-    service.register(GRAPH_NAME, kg)
-
-    async def run():
-        start = time.perf_counter()
-        results, latencies, rejected = await _paths_closed_loop(
-            service, pairs, max_hops, max_paths, concurrency
-        )
-        return results, latencies, rejected, time.perf_counter() - start
-
-    results, latencies, rejected, wall = asyncio.run(run())
-    mode = "pooled" if pool is not None else ("coalesced" if coalesce else "serial")
-    return LoadReport(
-        mode=f"paths-{mode}",
-        requests=len(pairs),
-        concurrency=concurrency,
-        wall_seconds=wall,
-        throughput_rps=len(pairs) / max(wall, 1e-12),
-        p50_ms=percentile(latencies, 0.50) * 1e3,
-        p95_ms=percentile(latencies, 0.95) * 1e3,
-        rejected=rejected,
-        batch_occupancy=service.metrics.batch_occupancy(),
-        results=results,
-        metrics=service.metrics_snapshot(),
-    )
-
-
-def compare_paths_serving(
-    kg: KnowledgeGraph,
-    pairs: Sequence[Tuple[int, int]],
-    max_hops: int = 3,
-    max_paths: int = 64,
-    concurrency: int = 64,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-    pool: Optional[WorkerPool] = None,
-) -> Tuple[LoadReport, LoadReport, float]:
-    """Scalar-oracle ``/paths`` baseline vs the coalesced batch kernel.
-
-    Returns ``(serial, fast, speedup)`` after asserting both modes
-    produced bit-identical path lists at every request position —
-    micro-batching, the epoch-keyed path cache and (with ``pool``)
-    process boundaries must never change an answer.  This is the ratio
-    the ``serving_paths_throughput`` perf floor guards.
-    """
-    serial = run_paths_load(
-        kg, pairs, max_hops=max_hops, max_paths=max_paths,
-        concurrency=concurrency, coalesce=False,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    fast = run_paths_load(
-        kg, pairs, max_hops=max_hops, max_paths=max_paths,
-        concurrency=concurrency, coalesce=True, pool=pool,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    if serial.results != fast.results:
-        raise AssertionError(
-            "coalesced /paths serving diverged from the scalar oracle baseline"
-        )
-    speedup = fast.throughput_rps / max(serial.throughput_rps, 1e-12)
-    return serial, fast, speedup
-
-
-def _predict_task_types(checkpoints: Sequence[str]) -> Dict[str, str]:
-    """``task name -> task type`` read from checkpoint headers (O(header))."""
-    from repro.nn.checkpoint import read_checkpoint_meta
-
-    return {
-        meta["task_name"]: meta["task_type"]
-        for meta in (read_checkpoint_meta(path) for path in checkpoints)
-    }
-
-
-async def _predict_closed_loop(
-    service: ExtractionService,
-    requests: Sequence[Tuple[str, int]],
-    task_types: Dict[str, str],
-    k: int,
-    candidates: int,
-    concurrency: int,
-) -> Tuple[Dict[int, dict], List[float], int]:
-    """The closed loop over ``/predict``: results keyed by request *index*.
-
-    Prediction requests legitimately repeat (hot nodes), so answers are
-    recorded per position in the sequence, not per item — the result
-    cache may answer a repeat, and the bit-exactness comparison must
-    still see every position.
-    """
-    next_index = 0
-    latencies: List[float] = []
-    rejected = 0
-    results: Dict[int, dict] = {}
-
-    async def worker() -> None:
-        nonlocal next_index, rejected
-        while True:
-            index = next_index
-            if index >= len(requests):
-                return
-            next_index = index + 1
-            task, item = requests[index]
-            field_name = "node" if task_types[task] == "NC" else "head"
-            start = time.perf_counter()
-            while True:
-                try:
-                    result = await service.predict(
-                        GRAPH_NAME, task, k=k, candidates=candidates,
-                        **{field_name: int(item)},
-                    )
-                    break
-                except ServiceOverloaded as exc:
-                    rejected += 1
-                    await asyncio.sleep(exc.retry_after)
-            latencies.append(time.perf_counter() - start)
-            results[index] = result
-
-    await asyncio.gather(*(worker() for _ in range(concurrency)))
-    await service.drain()
-    return results, latencies, rejected
-
-
-def run_predict_load(
-    kg: KnowledgeGraph,
-    checkpoints: Sequence[str],
-    requests: Sequence[Tuple[str, int]],
-    k: int = 10,
-    candidates: int = 0,
-    concurrency: int = 64,
-    coalesce: bool = True,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-    max_pending: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
-) -> LoadReport:
-    """Drive ``/predict`` with the closed-loop generator.
-
-    ``requests`` is a sequence of ``(task name, item id)`` pairs —
-    ``item`` is a target node for NC tasks and a head node for LP tasks
-    (the kind is read from the checkpoint headers).  No latency budget is
-    passed, so routing picks the same (most accurate) checkpoint per task
-    in every mode and the bit-exactness comparisons are apples to apples.
-    """
-    task_types = _predict_task_types(checkpoints)
-    service = ExtractionService(
-        max_pending=max_pending if max_pending is not None else 2 * concurrency,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        coalesce=coalesce,
-        pool=pool,
-    )
-    service.register(GRAPH_NAME, kg)
+    service.register(GRAPH_NAME, kg, mmap_dir=mmap_dir)
     for path in checkpoints:
         service.register_checkpoint(GRAPH_NAME, path)
 
     async def run():
-        start = time.perf_counter()
-        results, latencies, rejected = await _predict_closed_loop(
-            service, requests, task_types, k, candidates, concurrency
-        )
-        return results, latencies, rejected, time.perf_counter() - start
+        if not http:
+            start = time.perf_counter()
+            outcome = await _closed_loop(_in_process(service), requests, concurrency)
+            await service.drain()
+            return outcome, time.perf_counter() - start
+        server = await serve_http(service, port=0)
+        async with server:
+            start = time.perf_counter()
+            outcome = await _closed_loop(
+                _over_http(wire.bound_port(server)), requests, concurrency
+            )
+            wall = time.perf_counter() - start
+            await service.drain()
+        return outcome, wall
 
-    results, latencies, rejected, wall = asyncio.run(run())
-    mode = "pooled" if pool is not None else ("coalesced" if coalesce else "serial")
+    (results, latencies, rejected), wall = asyncio.run(run())
+    if not http:
+        results = {index: wire.result_payload(result) for index, result in results.items()}
+    mode = "http" if http else (
+        "pooled" if pool is not None else ("coalesced" if coalesce else "serial")
+    )
+    ops = sorted({request["op"] for request in requests})
     return LoadReport(
-        mode=f"predict-{mode}",
+        # PPR influence is the original load; other ops prefix the mode
+        # (``paths-serial``, ``predict-pooled``, ...).
+        mode=mode if ops == ["ppr"] else "-".join(ops + [mode]),
         requests=len(requests),
         concurrency=concurrency,
         wall_seconds=wall,
@@ -750,81 +298,36 @@ def run_predict_load(
     )
 
 
-def compare_predict_serving(
+def compare_serving(
     kg: KnowledgeGraph,
-    checkpoints: Sequence[str],
-    requests: Sequence[Tuple[str, int]],
-    k: int = 10,
-    candidates: int = 0,
-    concurrency: int = 64,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-    pool: Optional[WorkerPool] = None,
+    requests: Sequence[dict],
+    baseline: dict,
+    candidate: dict,
+    **common,
 ) -> Tuple[LoadReport, LoadReport, float]:
-    """Scalar-oracle ``/predict`` baseline vs the batched inference path.
+    """Two :func:`run_load` configurations over one request sequence.
 
-    The baseline answers one request at a time through
-    :func:`~repro.serve.kernels.run_predict_oracle` (no result cache, no
-    registry-level logits cache); the fast path is the coalescer's
-    batched extraction→inference pipeline — in-process, or pooled when
-    ``pool`` is given (reused and left running).  Returns
-    ``(serial, fast, speedup)`` after asserting both produced
-    bit-identical payloads at every request position — micro-batching,
-    the result cache and process boundaries must never change an answer.
+    ``baseline`` and ``candidate`` are :func:`run_load` options;
+    ``common`` applies to both.  Returns ``(baseline, candidate,
+    throughput ratio)`` after asserting both answered every request
+    position identically — coalescing, the wire, process boundaries and
+    placement must never change an answer.  A pooled side is warmed
+    outside its timed run: first-touch costs (worker-side artifact
+    builds and checkpoint loads, pickle code paths) are startup, not
+    serving capacity.
     """
-    if pool is not None:
-        # Warm the pooled path outside the timed run: worker-side
-        # checkpoint loads and full-target logits passes are startup
-        # costs, not serving capacity.
-        run_predict_load(
-            kg, checkpoints, requests[: min(len(requests), concurrency)],
-            k=k, candidates=candidates, concurrency=concurrency, pool=pool,
-            max_batch=max_batch, max_delay=max_delay,
-        )
-    serial = run_predict_load(
-        kg, checkpoints, requests, k=k, candidates=candidates,
-        concurrency=concurrency, coalesce=False,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    fast = run_predict_load(
-        kg, checkpoints, requests, k=k, candidates=candidates,
-        concurrency=concurrency, coalesce=True, pool=pool,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    if serial.results != fast.results:
-        raise AssertionError(
-            "batched /predict serving diverged from the scalar oracle baseline"
-        )
-    speedup = fast.throughput_rps / max(serial.throughput_rps, 1e-12)
-    return serial, fast, speedup
-
-
-def compare_serving_modes(
-    kg: KnowledgeGraph,
-    targets: Sequence[int],
-    k: int = 16,
-    concurrency: int = 64,
-    max_batch: int = 64,
-    max_delay: float = 0.002,
-) -> Tuple[LoadReport, LoadReport, float]:
-    """Serial baseline vs coalescing scheduler over one request sequence.
-
-    Returns ``(serial, coalesced, speedup)`` after asserting both modes
-    produced bit-identical results for every target — the coalesced path
-    must be a pure throughput win, never a different answer.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    serial = run_load(
-        kg, targets, k=k, concurrency=concurrency, coalesce=False,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    coalesced = run_load(
-        kg, targets, k=k, concurrency=concurrency, coalesce=True,
-        max_batch=max_batch, max_delay=max_delay,
-    )
-    if serial.results != coalesced.results:
-        raise AssertionError(
-            "coalesced serving diverged from the serial scalar baseline"
-        )
-    speedup = coalesced.throughput_rps / max(serial.throughput_rps, 1e-12)
-    return serial, coalesced, speedup
+    reports = []
+    for side in (baseline, candidate):
+        options = {**common, **side}
+        if options.get("pool") is not None:
+            warm = requests[: options.get("concurrency", DEFAULT_CONCURRENCY)]
+            run_load(kg, warm, **options)
+        reports.append(run_load(kg, requests, **options))
+    base, cand = reports
+    for index in range(len(requests)):
+        if cand.results.get(index) != base.results.get(index):
+            raise AssertionError(
+                f"{cand.mode} serving diverged from the {base.mode} baseline "
+                f"at request {index}: {requests[index]!r}"
+            )
+    return base, cand, cand.throughput_rps / max(base.throughput_rps, 1e-12)

@@ -340,6 +340,9 @@ class ExtractionService:
             self.registry.invalidate_graph(graph, keep_epoch=int(result["epoch"]))
             return {"graph": graph, **result}
 
+    def ping(self) -> str:
+        return "pong"
+
     def graphs(self) -> List[str]:
         return sorted(self._graphs)
 

@@ -74,6 +74,9 @@ def _max_line_bytes() -> int:
 #: terminating it.
 SHUTDOWN_GRACE_SECONDS = 5.0
 
+#: Seconds a crashed local worker's reader waits to learn its exit code.
+CRASH_JOIN_SECONDS = 1.0
+
 
 # -- errors -------------------------------------------------------------------
 
@@ -453,7 +456,7 @@ class WorkerTransport:
         with self._lock:
             return self._inflight.pop(request_id, None)
 
-    def _fail_inflight(self) -> None:
+    def _fail_inflight(self, reason: str = "") -> None:
         with self._lock:
             stale = list(self._inflight.values())
             self._inflight = {}
@@ -461,7 +464,8 @@ class WorkerTransport:
             if not future.done():
                 future.set_exception(
                     WorkerCrashed(
-                        f"pool worker {self.index} died with this request in flight"
+                        f"pool worker {self.index} died with this request in "
+                        f"flight{reason}"
                     )
                 )
 
@@ -531,7 +535,13 @@ class LocalProcessTransport(WorkerTransport):
                 future.set_result(result)
             else:
                 future.set_exception(_reraise(*result))
-        self._fail_inflight()
+        reason = ""
+        if not self.closed:
+            # The pipe closes when the child exits; name how it exited
+            # (e.g. -9: SIGKILL, as from the kernel's OOM killer).
+            self.process.join(timeout=CRASH_JOIN_SECONDS)
+            reason = f" (exitcode {self.process.exitcode})"
+        self._fail_inflight(reason)
         self._on_disconnect(self)
 
     def request(self, op: str, payload: dict) -> concurrent.futures.Future:

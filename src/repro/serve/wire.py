@@ -4,10 +4,11 @@ Both front ends — newline-delimited JSON over TCP (``serve/tcp.py``) and
 the HTTP/SPARQL-protocol server (``serve/http.py``) — share three things
 that used to live inside the TCP module:
 
-* **Request validation + dispatch** (:func:`perform_op`): one place that
-  checks request shape (required fields, castable types) and routes the
-  op to :class:`~repro.serve.service.ExtractionService`.  A missing or
-  malformed field raises :class:`BadRequest` (→ structured
+* **Request validation + dispatch** (:func:`perform_op`): one loop that
+  checks request shape (required fields, castable types) against the
+  op's declaration in :data:`OP_TABLE` and calls the
+  :class:`~repro.serve.service.ExtractionService` method it names.  A
+  missing or malformed field raises :class:`BadRequest` (→ structured
   ``bad_request`` over ndjson, ``400`` over HTTP) instead of surfacing an
   opaque ``KeyError`` server error; an unregistered graph raises
   :class:`UnknownGraph` (→ ``unknown_graph`` / ``404``).
@@ -24,7 +25,8 @@ that used to live inside the TCP module:
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.serve.service import ExtractionService
 from repro.sparql.executor import ResultSet
@@ -38,24 +40,6 @@ MAX_LINE_BYTES = 1 << 20
 # and a slow op does not stall the ones behind it — while responses are
 # written back in request order.
 PIPELINE_DEPTH = 256
-
-#: Every op :func:`perform_op` dispatches, in documentation order.  This
-#: tuple is the single source of truth the docs checker
-#: (``tools/check_docs.py --serving-ops``) cross-checks the op tables in
-#: ``docs/serving.md`` and ``docs/live-graphs.md`` against — adding an op
-#: here without documenting it (or vice versa) fails the docs CI tier.
-OPS = (
-    "ping",
-    "metrics",
-    "graphs",
-    "ppr",
-    "ego",
-    "paths",
-    "predict",
-    "sparql",
-    "count",
-    "triples",
-)
 
 
 class BadRequest(ValueError):
@@ -72,7 +56,8 @@ class UnknownGraph(BadRequest):
 
 # -- request validation -------------------------------------------------------
 
-_MISSING = object()
+#: Default marking a request field as required (see :class:`Op`).
+REQUIRED = object()
 
 
 def text(value: Any) -> str:
@@ -82,33 +67,114 @@ def text(value: Any) -> str:
     return value
 
 
-def _field(request: dict, name: str, op: str, cast, default=_MISSING):
+def rows(value: Any) -> Any:
+    """Cast for ingest rows: only the container type is checked here.
+
+    Shape/range validation happens in the service (ValueError → 400 via
+    each front end's existing mapping); a JSON scalar fails here with a
+    wire-shape error.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise BadRequest(
+            "field 'triples' of op 'triples' must be a list of [s, p, o] rows"
+        )
+    return value
+
+
+def _field(request: dict, name: str, op: str, cast, default=REQUIRED):
     """Fetch + cast one request field, mapping failures to BadRequest."""
-    value = request.get(name, _MISSING)
-    if value is _MISSING:
-        if default is not _MISSING:
+    value = request.get(name, REQUIRED)
+    if value is REQUIRED:
+        if default is not REQUIRED:
             return default
         raise BadRequest(f"op {op!r} requires field {name!r}")
     try:
+        cast_value = cast(value)
         if isinstance(value, bool):
             # JSON true/false would cast cleanly (int(True) == 1) and
             # return a silently wrong answer instead of an error.
             raise TypeError("booleans are not valid field values")
-        return cast(value)
+    except BadRequest:
+        raise  # the cast's own wire-shape error
     except (TypeError, ValueError):
         raise BadRequest(
             f"field {name!r} of op {op!r} must be {cast.__name__}-compatible, "
             f"got {value!r}"
         ) from None
+    return cast_value
 
 
-def _graph_field(service: ExtractionService, request: dict, op: str) -> str:
-    graph = _field(request, "graph", op, text)
-    if not service.has_graph(graph):
-        raise UnknownGraph(
-            f"unknown graph {graph!r}; registered: {service.graphs()}"
-        )
-    return graph
+@dataclass(frozen=True)
+class Op:
+    """One wire op, declared once.
+
+    ``method`` names the :class:`ExtractionService` method the op calls:
+    graph ops await it with the registered graph name first and each of
+    ``fields`` — ``(name, cast, default)``, a :data:`REQUIRED` default
+    meaning the field must be present — as a keyword argument; the
+    observability ops (``graph=False``) call it with no arguments.
+    ``http`` lists the methods of its ``/<name>`` route (empty: no route).
+    """
+
+    name: str
+    method: str
+    fields: Tuple[Tuple[str, Callable[[Any], Any], Any], ...] = ()
+    http: Tuple[str, ...] = ()
+    graph: bool = True
+
+
+_GET_POST = ("GET", "POST")
+
+#: Every op :func:`perform_op` dispatches, in documentation order.  Adding
+#: an op is one entry here plus the service method it names (and the
+#: kernel behind it): dispatch, :data:`OPS` and the HTTP routes derive
+#: from this table.
+OP_TABLE: Tuple[Op, ...] = (
+    Op("ping", "ping", http=("GET",), graph=False),
+    Op("metrics", "metrics_snapshot", http=("GET",), graph=False),
+    Op("graphs", "graphs", http=("GET",), graph=False),
+    Op("ppr", "ppr_top_k", (
+        ("target", int, REQUIRED),
+        ("k", int, 16),
+        ("alpha", float, 0.25),
+        ("eps", float, 2e-4),
+    ), _GET_POST),
+    Op("ego", "extract_ego", (
+        ("root", int, REQUIRED),
+        ("depth", int, 2),
+        ("fanout", int, 8),
+        ("salt", int, 0),
+    ), _GET_POST),
+    Op("paths", "paths", (
+        ("src", int, REQUIRED),
+        ("dst", int, REQUIRED),
+        ("max_hops", int, 3),
+        ("max_paths", int, 64),
+    ), _GET_POST),
+    Op("predict", "predict", (
+        ("node", int, None),
+        ("head", int, None),
+        ("task", text, REQUIRED),
+        ("model", text, None),
+        ("k", int, 10),
+        ("candidates", int, 0),
+        ("budget_ms", float, None),
+    ), _GET_POST),
+    # HTTP /sparql streams its pages through its own handler in http.py.
+    Op("sparql", "sparql", (("query", text, REQUIRED),), _GET_POST),
+    Op("count", "count", (("query", text, REQUIRED),)),
+    Op("triples", "ingest_triples", (("triples", rows, REQUIRED),), ("POST",)),
+)
+
+#: Op name -> declaration.
+OP_BY_NAME: Dict[str, Op] = {op.name: op for op in OP_TABLE}
+
+#: The op names, in table order.  The docs checker
+#: (``tools/check_docs.py --serving-ops``) cross-checks the op tables in
+#: ``docs/serving.md`` and ``docs/live-graphs.md`` against this tuple —
+#: adding an op without documenting it (or vice versa) fails the docs CI
+#: tier.
+OPS = tuple(OP_BY_NAME)
 
 
 async def perform_op(service: ExtractionService, request: Any) -> Any:
@@ -122,79 +188,22 @@ async def perform_op(service: ExtractionService, request: Any) -> Any:
     """
     if not isinstance(request, dict):
         raise BadRequest("request must be a JSON object")
-    op = request.get("op")
-    if op == "ping":
-        return "pong"
-    if op == "metrics":
-        return service.metrics_snapshot()
-    if op == "graphs":
-        return service.graphs()
-    if op == "ppr":
-        graph = _graph_field(service, request, op)
-        return await service.ppr_top_k(
-            graph,
-            _field(request, "target", op, int),
-            k=_field(request, "k", op, int, default=16),
-            alpha=_field(request, "alpha", op, float, default=0.25),
-            eps=_field(request, "eps", op, float, default=2e-4),
+    name = request.get("op")
+    op = OP_BY_NAME.get(name) if isinstance(name, str) else None
+    if op is None:
+        raise BadRequest(f"unknown op {name!r}")
+    method = getattr(service, op.method)
+    if not op.graph:
+        return method()
+    graph = _field(request, "graph", name, text)
+    if not service.has_graph(graph):
+        raise UnknownGraph(
+            f"unknown graph {graph!r}; registered: {service.graphs()}"
         )
-    if op == "ego":
-        graph = _graph_field(service, request, op)
-        return await service.extract_ego(
-            graph,
-            _field(request, "root", op, int),
-            depth=_field(request, "depth", op, int, default=2),
-            fanout=_field(request, "fanout", op, int, default=8),
-            salt=_field(request, "salt", op, int, default=0),
-        )
-    if op == "paths":
-        graph = _graph_field(service, request, op)
-        return await service.paths(
-            graph,
-            _field(request, "src", op, int),
-            _field(request, "dst", op, int),
-            max_hops=_field(request, "max_hops", op, int, default=3),
-            max_paths=_field(request, "max_paths", op, int, default=64),
-        )
-    if op == "predict":
-        graph = _graph_field(service, request, op)
-        node = _field(request, "node", op, int, default=None)
-        head = _field(request, "head", op, int, default=None)
-        if (node is None) == (head is None):
-            raise BadRequest(
-                "op 'predict' requires exactly one of 'node' (node "
-                "classification) or 'head' (link prediction)"
-            )
-        return await service.predict(
-            graph,
-            _field(request, "task", op, text),
-            node=node,
-            head=head,
-            model=_field(request, "model", op, text, default=None),
-            k=_field(request, "k", op, int, default=10),
-            candidates=_field(request, "candidates", op, int, default=0),
-            budget_ms=_field(request, "budget_ms", op, float, default=None),
-        )
-    if op == "sparql":
-        graph = _graph_field(service, request, op)
-        return await service.sparql(graph, _field(request, "query", op, text))
-    if op == "triples":
-        graph = _graph_field(service, request, op)
-        triples = request.get("triples", _MISSING)
-        if triples is _MISSING:
-            raise BadRequest("op 'triples' requires field 'triples'")
-        # Shape/range validation happens in the service (ValueError → 400
-        # via each front end's existing mapping); only the container type
-        # is checked here so a JSON scalar fails with a wire-shape error.
-        if not isinstance(triples, (list, tuple)):
-            raise BadRequest(
-                "field 'triples' of op 'triples' must be a list of [s, p, o] rows"
-            )
-        return await service.ingest_triples(graph, triples)
-    if op == "count":
-        graph = _graph_field(service, request, op)
-        return await service.count(graph, _field(request, "query", op, text))
-    raise BadRequest(f"unknown op {op!r}")
+    kwargs = {}
+    for field, cast, default in op.fields:
+        kwargs[field] = _field(request, field, name, cast, default)
+    return await method(graph, **kwargs)
 
 
 # -- result encoding ----------------------------------------------------------
@@ -306,7 +315,11 @@ __all__: List[str] = [
     "BadRequest",
     "MAX_LINE_BYTES",
     "OPS",
+    "OP_BY_NAME",
+    "OP_TABLE",
+    "Op",
     "PIPELINE_DEPTH",
+    "REQUIRED",
     "UnknownGraph",
     "bound_port",
     "perform_op",

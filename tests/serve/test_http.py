@@ -4,18 +4,10 @@ import asyncio
 import json
 from urllib.parse import quote, urlencode
 
-import numpy as np
-
 from repro.kg.cache import artifacts_for
 from repro.models.shadowsaint import extract_ego
 from repro.sampling.ppr import ppr_top_k
-from repro.serve import (
-    ExtractionService,
-    bound_port,
-    run_http_load,
-    run_load,
-    serve_http,
-)
+from repro.serve import ExtractionService, bound_port, serve_http
 from repro.sparql.endpoint import SparqlEndpoint
 
 from repro.serve.loadgen import read_http_response as _read_response
@@ -339,18 +331,6 @@ def test_pipelined_http_requests_coalesce(toy_kg, toy_task):
         expected = ppr_top_k(adjacency, target, 16)
         assert json.loads(body) == [[node, score] for node, score in expected]
     assert service.metrics.batch_occupancy() > 1.0
-
-
-def test_http_loadgen_matches_serial_baseline(toy_kg, toy_task):
-    """The closed loop over HTTP is bit-identical to in-process serial."""
-    rng = np.random.default_rng(3)
-    targets = rng.choice(toy_task.target_nodes, size=24, replace=True)
-    serial = run_load(toy_kg, targets, k=8, concurrency=4, coalesce=False)
-    over_http = run_http_load(toy_kg, targets, k=8, concurrency=4)
-    assert over_http.mode == "http"
-    assert over_http.requests == len(targets)
-    assert over_http.results == serial.results
-    assert over_http.rejected == 0
 
 
 def test_negative_content_length_answers_400_and_closes(toy_kg):

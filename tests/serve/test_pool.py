@@ -282,6 +282,18 @@ def test_pool_registration_is_idempotent_but_rejects_conflicts(toy_kg, mag_tiny)
             pool.register("toy", mag_tiny.kg)
 
 
+def test_crash_message_names_the_worker_exit_code():
+    """A killed worker's in-flight requests say how it died (-9: SIGKILL)."""
+    with WorkerPool(workers=1) as pool:
+        inflight = pool._workers[0].request("sleep", {"seconds": 60})
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        with pytest.raises(
+            WorkerCrashed,
+            match=r"^pool worker 0 died with this request in flight \(exitcode -9\)$",
+        ):
+            inflight.result(timeout=30)
+
+
 def test_pool_mode_requires_coalescing():
     with pytest.raises(ValueError, match="coalesce"):
         ExtractionService(coalesce=False, pool=object())

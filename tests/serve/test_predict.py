@@ -31,7 +31,6 @@ from repro.serve import (
     WorkerCrashed,
     WorkerPool,
     bound_port,
-    compare_predict_serving,
     serve_http,
     serve_tcp,
 )
@@ -171,19 +170,6 @@ def test_pooled_predict_bit_identical(toy_kg, toy_task, nc_checkpoint, lp_checkp
         nc_pooled, lp_pooled = run(both(pooled))
     assert nc_pooled == nc_oracle
     assert lp_pooled == lp_oracle
-
-
-def test_loadgen_compare_predict_serving(toy_kg, toy_task, nc_checkpoint, lp_checkpoint):
-    lp_heads = [int(h) for h in _lp_task(toy_kg).edges[:, 0]]
-    requests = [("PV", int(t)) for t in toy_task.target_nodes] * 4
-    requests += [("HA", head) for head in lp_heads] * 4
-    serial, fast, speedup = compare_predict_serving(
-        toy_kg, [nc_checkpoint, lp_checkpoint], requests,
-        k=3, candidates=4, concurrency=8,
-    )
-    # compare_predict_serving raises if any position diverged bit-wise.
-    assert serial.requests == fast.requests == len(requests)
-    assert speedup > 0
 
 
 # -- respawn: checkpoints are replayed like graph registrations ----------------

@@ -297,6 +297,29 @@ def test_bench_serve_predict_mode_writes_report(tmp_path, capsys):
     assert payload["metrics"]["predict"]["registry"]["loaded"] == 1
 
 
+def test_bench_serve_predict_mode_on_a_worker_pool(tmp_path, capsys):
+    ckpt = str(tmp_path / "pv.ckpt")
+    assert main([
+        "train", "--dataset", "mag", "--scale", "tiny", "--task", "PV",
+        "--model", "RGCN", "--epochs", "2", "--save-checkpoint", ckpt,
+    ]) == 0
+    out_path = str(tmp_path / "BENCH_predict_pool.json")
+    assert main([
+        "bench-serve", "--dataset", "mag", "--scale", "tiny",
+        "--checkpoint", ckpt, "--requests", "16", "--concurrency", "4",
+        "--workers", "1", "--out", out_path,
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "/predict pool (1 workers) speedup" in out and "bit-identical" in out
+    import json
+
+    with open(out_path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    assert payload["serial"]["mode"] == "predict-serial"
+    assert payload["predict-pooled"]["mode"] == "predict-pooled"
+    assert payload["metrics"]["config"]["pool"]["workers"] == 1
+
+
 def test_bench_serve_checkpoint_conflicts_with_mmap(tmp_path):
     with pytest.raises(SystemExit):
         main(["bench-serve", "--dataset", "mag", "--scale", "tiny",
