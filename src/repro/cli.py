@@ -253,33 +253,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "--workers/--remote-worker require the coalescing scheduler "
             "(drop --no-coalesce)"
         )
-    if args.pin_workers and not args.workers:
-        raise SystemExit("--pin-workers requires a worker pool (add --workers N)")
     if args.remote_worker and not args.mmap_dir:
         raise SystemExit(
             "--remote-worker requires --mmap-dir: remote registration ships "
             "the artifact-store path, never a pickled graph"
         )
-    if (args.workers_min or args.workers_max) and not args.workers:
-        raise SystemExit(
-            "--workers-min/--workers-max scale the local pool; add --workers N"
-        )
     pool = None
     if args.workers or args.remote_worker:
-        from repro.serve.placement import HashPlacement, LoadAwarePlacement
-
-        replicas = args.replicas if args.replicas else None
-        placement_cls = (
-            LoadAwarePlacement if args.placement == "load" else HashPlacement
-        )
         pool = WorkerPool(
             workers=args.workers,
-            replicas=replicas,
-            pin_workers=args.pin_workers,
+            replicas=args.replicas or None,
             remote_workers=args.remote_worker,
-            placement=placement_cls(replicas),
-            workers_min=args.workers_min or None,
-            workers_max=args.workers_max or None,
         )
 
     async def run() -> None:
@@ -303,15 +287,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             mode = f"pool of {pool.num_workers} workers, {replicas} replica(s)/graph"
             if args.remote_worker:
                 mode += f" ({len(args.remote_worker)} remote)"
-            if args.placement != "hash":
-                mode += f", {args.placement} placement"
-            if args.workers_min or args.workers_max:
-                elastic = pool.describe()["elastic"]
-                mode += f", elastic {elastic['min']}..{elastic['max']} local"
-            if args.pin_workers:
-                pinned = pool.describe()["pinned"]
-                cpus = ",".join("-" if cpu is None else str(cpu) for cpu in pinned)
-                mode += f", pinned to cpus [{cpus}]"
         else:
             mode = "serial" if args.no_coalesce else "coalescing"
         if args.mmap_dir:
@@ -581,9 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the graph and its indices memory-map in read-only, and "
                             "pool workers share the same physical pages instead of "
                             "receiving a pickled graph")
-    serve.add_argument("--pin-workers", action="store_true",
-                       help="pin each pool worker to one CPU via os.sched_setaffinity "
-                            "(no-op with a warning where unsupported)")
     serve.add_argument("--checkpoint", action="append", default=[], metavar="PATH",
                        help="register a model checkpoint (created with "
                             "`repro train --save-checkpoint`) so /predict can "
@@ -600,16 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "to the pool as a remote shard (repeatable; requires "
                             "--mmap-dir so registration ships a store path, never "
                             "a pickled graph)")
-    serve.add_argument("--placement", default="hash", choices=("hash", "load"),
-                       help="graph->worker placement policy: deterministic blake2b "
-                            "shard map (hash), or least-loaded by queue-depth EWMA "
-                            "and reported worker memory (load)")
-    serve.add_argument("--workers-min", type=int, default=0,
-                       help="elastic lower bound on local pool workers "
-                            "(0: elasticity off)")
-    serve.add_argument("--workers-max", type=int, default=0,
-                       help="elastic upper bound on local pool workers "
-                            "(0: elasticity off)")
     serve.set_defaults(func=_cmd_serve)
 
     serve_worker = sub.add_parser(

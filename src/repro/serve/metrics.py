@@ -97,8 +97,7 @@ class ServiceMetrics:
         # the ``retry_after`` hint of the backpressure contract.
         self._ewma_request_seconds: Optional[float] = None
         # Smoothed Retry-After hint (seconds) over recent rejections: how
-        # hard admission is currently pushing clients away.  The pool's
-        # elastic controller reads the same signal via note_pressure.
+        # hard admission is currently pushing clients away.
         self._retry_after_ewma: Optional[float] = None
 
     # -- admission --

@@ -1,50 +1,19 @@
-"""Placement layer: which workers serve which graph.
+"""Placement: which workers serve which graph.
 
-:class:`~repro.serve.pool.WorkerPool` separates *where a graph's
-requests run* from *how they get there* (``serve/transport.py``) and
-*when workers start and stop* (the pool's lifecycle layer).  This module
-is the first of those concerns: a :class:`PlacementPolicy` maps a graph
-name onto a subset of the currently active worker slots.
-
-Two policies ship:
-
-* :class:`HashPlacement` — the deterministic blake2b shard map
-  (:func:`shard_for` / :func:`replica_shards`): the same graph always
-  lands on the same home shard, so a restarted parent, every worker and
-  any other process agree where a graph lives without coordination.
-  This is DGL-KE's static partitioning regime and the pool's default.
-* :class:`LoadAwarePlacement` — assigns a new graph to the *least
-  loaded* workers, ranking slots by observed queue-depth EWMA and
-  reported per-worker memory (heap ``nbytes`` + mapped artifact bytes,
-  the measurements the pool already piggybacks on every response).
-  Ties fall back to the deterministic hash walk, so an idle pool places
-  exactly like :class:`HashPlacement`.  This is the online
-  load-and-memory-aware scheduling regime of Luo et al. (PAPERS.md).
-
-Placement decisions are *proposals*: the pool owns the handoff protocol
-(register on the new owners, replay ingest deltas, flip routing, drain
-the old owners) and calls back into the policy when the active worker
-set changes, so a placement change can never produce a request routed to
-a worker that has not finished registering the graph.
+A graph lives on :func:`replica_shards` of its name: the deterministic
+blake2b shard map, DGL-KE's static partitioning regime.  The same graph
+always lands on the same home shard, so a restarted parent, every worker
+and any other process agree where a graph lives without coordination.
+:class:`~repro.serve.pool.WorkerPool` computes the owner set once, at
+registration, and never moves it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
-__all__ = [
-    "HashPlacement",
-    "LoadAwarePlacement",
-    "PlacementPolicy",
-    "WorkerLoad",
-    "replica_shards",
-    "shard_for",
-]
-
-
-# -- deterministic graph -> shard map -----------------------------------------
+__all__ = ["replica_shards", "shard_for"]
 
 
 def shard_for(name: str, num_shards: int) -> int:
@@ -76,142 +45,3 @@ def replica_shards(name: str, num_shards: int, replicas: Optional[int] = None) -
     count = num_shards if replicas is None else min(max(replicas, 1), num_shards)
     home = shard_for(name, num_shards)
     return [(home + offset) % num_shards for offset in range(count)]
-
-
-# -- load observations ---------------------------------------------------------
-
-
-@dataclass
-class WorkerLoad:
-    """One slot's observed load: the signals a placement policy ranks by.
-
-    ``queue_depth_ewma`` smooths the number of in-flight requests the
-    slot had when recent requests were dispatched; ``heap_nbytes`` and
-    ``mapped_nbytes`` come from the worker's piggybacked artifact-cache
-    stats (mapped pages are physically shared, but they still bound what
-    else fits on that worker's machine, so both count toward placement).
-    """
-
-    queue_depth_ewma: float = 0.0
-    heap_nbytes: int = 0
-    mapped_nbytes: int = 0
-
-    def score(self) -> float:
-        """Scalar load rank: queue pressure first, memory as tiebreak.
-
-        Queue depth is in requests (order unity); memory is scaled to
-        GiB so a multi-GiB imbalance outweighs sub-request queue noise
-        but byte-level jitter never reorders equally-busy workers.
-        """
-        return self.queue_depth_ewma + (
-            (self.heap_nbytes + self.mapped_nbytes) / (1 << 30)
-        )
-
-
-# -- policies ------------------------------------------------------------------
-
-
-class PlacementPolicy:
-    """Maps a graph name onto the active worker slots serving it.
-
-    ``place`` receives the *active* slot indices (ascending) and the
-    latest per-slot :class:`WorkerLoad` observations; it returns the
-    slot indices that should serve the graph, home/primary first.  It
-    must be a pure function of its arguments — the pool re-invokes it
-    after elastic resizes and performs the handoff for any graph whose
-    answer changed.
-    """
-
-    #: How many of the returned slots serve each graph (``None``: all).
-    replicas: Optional[int] = None
-
-    def place(
-        self,
-        name: str,
-        active: Sequence[int],
-        loads: Dict[int, WorkerLoad],
-    ) -> List[int]:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        """JSON-serializable policy identity for ``/metrics``."""
-        return {"policy": type(self).__name__.lower(), "replicas": self.replicas}
-
-    def _replica_count(self, active: Sequence[int]) -> int:
-        count = len(active) if self.replicas is None else self.replicas
-        return min(max(count, 1), len(active))
-
-
-@dataclass
-class HashPlacement(PlacementPolicy):
-    """Deterministic blake2b placement (the classic pool shard map).
-
-    With every slot active this reproduces :func:`replica_shards`
-    exactly; after an elastic resize the same walk runs over the active
-    slots in order, so placement stays a pure function of
-    ``(name, active set)`` and any process can recompute it.
-    """
-
-    replicas: Optional[int] = None
-
-    def place(
-        self,
-        name: str,
-        active: Sequence[int],
-        loads: Dict[int, WorkerLoad],
-    ) -> List[int]:
-        if not active:
-            raise ValueError("cannot place a graph on an empty worker set")
-        positions = replica_shards(name, len(active), self.replicas)
-        ordered = sorted(active)
-        return [ordered[position] for position in positions]
-
-    def describe(self) -> dict:
-        return {"policy": "hash", "replicas": self.replicas}
-
-
-@dataclass
-class LoadAwarePlacement(PlacementPolicy):
-    """Least-loaded placement over observed queue depth and memory.
-
-    Slots are ranked by :meth:`WorkerLoad.score` (queue-depth EWMA plus
-    reported heap/mapped bytes in GiB); the graph goes to the
-    ``replicas`` least-loaded slots.  Ties — in particular a freshly
-    started, fully idle pool — break along the deterministic hash walk,
-    so the policy degrades to :class:`HashPlacement` when there is no
-    load signal to act on.
-    """
-
-    replicas: Optional[int] = None
-    loads_seen: Dict[int, float] = field(default_factory=dict, repr=False)
-
-    def place(
-        self,
-        name: str,
-        active: Sequence[int],
-        loads: Dict[int, WorkerLoad],
-    ) -> List[int]:
-        if not active:
-            raise ValueError("cannot place a graph on an empty worker set")
-        ordered = sorted(active)
-        # Deterministic tiebreak: each slot's position in the hash walk.
-        walk = {
-            slot: turn
-            for turn, slot in enumerate(
-                ordered[p] for p in replica_shards(name, len(ordered), None)
-            )
-        }
-        scored = sorted(
-            ordered,
-            key=lambda slot: (
-                loads.get(slot, WorkerLoad()).score(),
-                walk[slot],
-            ),
-        )
-        chosen = scored[: self._replica_count(ordered)]
-        for slot in chosen:
-            self.loads_seen[slot] = loads.get(slot, WorkerLoad()).score()
-        return chosen
-
-    def describe(self) -> dict:
-        return {"policy": "load", "replicas": self.replicas}

@@ -384,11 +384,6 @@ class ExtractionService:
         if self._pending >= self.max_pending:
             retry_after = self._retry_after(kind)
             self.metrics.record_rejected(retry_after)
-            if self.pool is not None:
-                # Retry-After pressure feeds the pool's elastic controller:
-                # rejected requests never reach a worker queue, so queue
-                # depth alone under-reports saturation.
-                self.pool.note_pressure(retry_after)
             raise ServiceOverloaded(retry_after=retry_after)
         self._pending += 1
         self.metrics.record_admitted()
@@ -800,7 +795,7 @@ class ExtractionService:
         In pool mode the per-graph artifact-cache and endpoint counters
         come from the owning workers (piggybacked on responses, summed
         across replicas — eventually consistent), and the snapshot gains
-        a ``config.pool`` section with worker health and placement.
+        a ``config.pool`` section with worker health and graph owners.
         """
         snapshot = self.metrics.snapshot()
         graphs = {}

@@ -1,8 +1,7 @@
 """Transport layer: how pool requests reach a worker, wherever it runs.
 
-``serve/pool.py`` used to fuse three concerns; this module is the lowest
-of the three layers it split into (placement lives in
-``serve/placement.py``, lifecycle/elasticity in the pool itself):
+The pool (``serve/pool.py``) owns a fixed set of worker slots and their
+lifecycle; this module is the wire beneath it:
 
 * **The worker-side op executor** (:func:`_execute_op`): one serial
   recv/execute/send loop body shared by every transport.  A worker is a
@@ -196,6 +195,7 @@ def _execute_op(graphs: Dict[str, dict], op: str, payload: dict) -> Any:
                 "live": LiveGraph(kg),
                 "endpoint": SparqlEndpoint(kg, compression=payload["compression"]),
                 "registry": ModelRegistry(),
+                "seq": 0,  # sequence number of the last applied delta
             }
         # Checkpoints ride the registration payload by *path* (respawn
         # replays re-read the same files); models load lazily on the
@@ -219,7 +219,21 @@ def _execute_op(graphs: Dict[str, dict], op: str, payload: dict) -> Any:
         # with a half-applied ingest.
         from repro.sparql.endpoint import SparqlEndpoint
 
+        # Deltas are numbered per graph from 1.  One this worker already
+        # applied arrives again when a respawn's replay overlaps the live
+        # send, or when a reconnect replays the log to a worker that kept
+        # its state: applying it twice would fork the epoch chain.
+        seq = int(payload["seq"])
+        if seq <= entry["seq"]:
+            # An empty ingest changes nothing and reports the current epoch.
+            return entry["live"].ingest(np.empty((0, 3), dtype=np.int64))
+        if seq != entry["seq"] + 1:
+            raise ValueError(
+                f"delta {seq} of graph {payload['graph']!r} skips ahead: this "
+                f"worker applied deltas up to {entry['seq']}"
+            )
         result = entry["live"].ingest(payload["triples"], compact=payload["compact"])
+        entry["seq"] = seq
         if result["added"]:
             old = entry["endpoint"]
             entry["kg"] = entry["live"].kg
@@ -439,11 +453,6 @@ class WorkerTransport:
         return {"kind": self.kind}
 
     # -- shared bookkeeping --
-
-    def inflight_depth(self) -> int:
-        """Requests currently awaiting this worker (the load signal)."""
-        with self._lock:
-            return len(self._inflight)
 
     def _track(self, op: str) -> Tuple[int, concurrent.futures.Future]:
         future: concurrent.futures.Future = concurrent.futures.Future()

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.serve import ExtractionService, ServiceMetrics
+from repro.serve import ExtractionService, ServiceMetrics, ServiceOverloaded, WorkerPool
 
 
 def test_error_latencies_stay_out_of_the_success_window():
@@ -131,3 +131,35 @@ def test_overloaded_sparql_request_carries_kind_specific_hint(toy_kg):
     # One pending request at the ~0.25s sparql rate; the old code answered
     # ~0.25/64 s here.
     assert hint > 0.1
+
+
+def test_retry_after_ewma_smooths_rejection_hints():
+    metrics = ServiceMetrics()
+    assert metrics.snapshot()["admission"]["retry_after_ewma_s"] == 0.0
+    metrics.record_rejected(1.0)
+    assert metrics.snapshot()["admission"]["retry_after_ewma_s"] == 1.0
+    metrics.record_rejected(2.0)
+    assert metrics.snapshot()["admission"]["retry_after_ewma_s"] == pytest.approx(1.2)
+    # A hint-less rejection still counts but does not move the EWMA.
+    metrics.record_rejected()
+    snapshot = metrics.snapshot()["admission"]
+    assert snapshot["rejected"] == 3
+    assert snapshot["retry_after_ewma_s"] == pytest.approx(1.2)
+
+
+def test_admission_rejections_are_counted_under_a_pool(toy_kg):
+    with WorkerPool(workers=1) as pool:
+        service = ExtractionService(pool=pool, max_pending=1)
+        service.register("toy", toy_kg)
+
+        async def flood():
+            results = await asyncio.gather(
+                *(service.ppr_top_k("toy", 0, k=4) for _ in range(32)),
+                return_exceptions=True,
+            )
+            return sum(isinstance(r, ServiceOverloaded) for r in results)
+
+        rejected = asyncio.run(flood())
+        assert rejected > 0
+        assert service.metrics_snapshot()["admission"]["rejected"] == rejected
+        assert service.metrics_snapshot()["admission"]["retry_after_ewma_s"] > 0.0

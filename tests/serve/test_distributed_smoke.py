@@ -73,11 +73,10 @@ def test_two_cli_serve_workers_behind_a_remote_placement_parent(tmp_path):
             "serve", "--dataset", "mag", "--scale", "tiny",
             "--protocol", "http", "--mmap-dir", store,
             "--remote-worker", addresses[0], "--remote-worker", addresses[1],
-            "--placement", "load", "--port", "0", "--duration", "120",
+            "--port", "0", "--duration", "120",
         ])
         line, match = _banner(parent, r"on 127\.0\.0\.1:(\d+) via http")
         assert "pool of 2 workers" in line and "(2 remote)" in line
-        assert "load placement" in line
         port = int(match.group(1))
 
         kg = open_artifacts(store).kg
@@ -108,7 +107,6 @@ def test_two_cli_serve_workers_behind_a_remote_placement_parent(tmp_path):
         assert pool["workers"] == 2
         assert pool["transports"] == ["remote", "remote"]
         assert pool["alive"] == [True, True]
-        assert pool["placement"] == {"policy": "load", "replicas": None}
         assert sorted(pool["graphs"]["mag"]) == [0, 1]
         # The workers mapped the store; the parent holds no kernel state.
         assert metrics["graphs"]["mag"]["artifact_cache"]["mapped_nbytes"] > 0

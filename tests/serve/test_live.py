@@ -17,6 +17,9 @@ import asyncio
 import json
 import os
 import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import quote
 
 import numpy as np
@@ -218,6 +221,95 @@ def test_pooled_respawn_replays_the_delta_log(toy_kg):
         assert run(service.ppr_top_k("toy", 0, k=4)) == before
         cold = service._graphs["toy"].live.epoch.cold_rebuild()
         assert before == batch_ppr_top_k(artifacts_for(cold).csr("both"), [0], 4)[0]
+        run(service.drain())
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def _worker_epoch(pool, index):
+    """The epoch worker ``index`` holds.
+
+    Re-sending the last logged delta is a no-op on a worker that already
+    applied it, and the no-op answer reports that worker's epoch.
+    """
+    last = pool._deltas_for(index)[-1]
+    return pool._workers[index].request("triples", last).result(timeout=30)["epoch"]
+
+
+def _assert_worker_tracks_parent(service, pool):
+    live = service._graphs["toy"].live
+    assert _worker_epoch(pool, 0) == live.epoch.number
+    # After one more ingest, a read at the parent's epoch must resolve to
+    # the same merged graph on the worker.
+    run(service.ingest_triples("toy", [[0, 0, 3], [3, 1, 0]]))
+    cold = live.epoch.cold_rebuild()
+    expected = batch_ppr_top_k(artifacts_for(cold).csr("both"), [0], 4)[0]
+    assert run(service.ppr_top_k("toy", 0, k=4)) == expected
+    assert _worker_epoch(pool, 0) == live.epoch.number
+
+
+def test_ingest_racing_a_respawn_replay_applies_the_delta_once(toy_kg):
+    """The respawn replays a delta whose ingest is still waiting to send it."""
+    with WorkerPool(workers=1) as pool:
+        service = ExtractionService(pool=pool)
+        service.register("toy", toy_kg)
+        slot = pool._workers[0]
+        respawning, logged = threading.Event(), threading.Event()
+        spawn = slot.spawn
+
+        def gated_spawn():
+            # Hold the respawn until the ingest has logged its delta: the
+            # replay then carries it, and the waiting ingest sends it again.
+            respawning.set()
+            assert logged.wait(timeout=30)
+            spawn()
+
+        slot.spawn = gated_spawn
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        assert respawning.wait(timeout=30)
+        with ThreadPoolExecutor(1) as executor:
+            ingest = executor.submit(
+                run, service.ingest_triples("toy", [[0, 0, 2], [2, 0, 0]])
+            )
+            _wait_until(lambda: pool._graphs["toy"].deltas)
+            logged.set()
+            assert ingest.result(timeout=60)["epoch"] == 1
+        _assert_worker_tracks_parent(service, pool)
+        run(service.drain())
+
+
+def test_ingest_on_an_unnoticed_dead_worker_succeeds_through_replay(toy_kg):
+    """A delta sent to a dead worker before the crash is noticed still lands."""
+    with WorkerPool(workers=1) as pool:
+        service = ExtractionService(pool=pool)
+        service.register("toy", toy_kg)
+        transport = pool._workers[0].transport
+        noticed, release = threading.Event(), threading.Event()
+        on_disconnect = transport._on_disconnect
+
+        def held(dead):
+            # The reader saw the pipe close; the pool hears of it only
+            # after the ingest has been sent to the dead worker.
+            noticed.set()
+            assert release.wait(timeout=30)
+            on_disconnect(dead)
+
+        transport._on_disconnect = held
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        assert noticed.wait(timeout=30)
+        try:
+            result = run(service.ingest_triples("toy", [[0, 0, 2], [2, 0, 0]]))
+        finally:
+            release.set()
+        assert result["epoch"] == 1
+        slot = pool._workers[0]
+        _wait_until(lambda: slot.respawns == 1 and slot.ready.is_set())
+        _assert_worker_tracks_parent(service, pool)
         run(service.drain())
 
 

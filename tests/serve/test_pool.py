@@ -442,29 +442,9 @@ def test_mapped_bytes_merge_with_max_not_sum(toy_store):
     assert merged_mapped(2) == single
 
 
-# -- worker CPU pinning -------------------------------------------------------
+# -- construction -------------------------------------------------------------
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity here"
-)
-def test_pinned_workers_land_on_parent_affinity_cpus(toy_kg):
-    cpus = sorted(os.sched_getaffinity(0))
-    with WorkerPool(workers=2, pin_workers=True) as pool:
-        pinned = pool.describe()["pinned"]
-        assert pinned == [cpus[0 % len(cpus)], cpus[1 % len(cpus)]]
-        for index, cpu in enumerate(pinned):
-            assert os.sched_getaffinity(pool.worker_pids()[index]) == {cpu}
-        # Pinning survives a respawn (the new incarnation is re-pinned).
-        inflight = pool._workers[0].request("sleep", {"seconds": 60})
-        os.kill(pool.worker_pids()[0], signal.SIGKILL)
-        with pytest.raises(WorkerCrashed):
-            inflight.result(timeout=30)
-        assert pool.ping(0) == "pong"
-        assert pool.describe()["pinned"][0] == pinned[0]
-        assert os.sched_getaffinity(pool.worker_pids()[0]) == {pinned[0]}
-
-
-def test_unpinned_pool_reports_no_cpus(toy_kg):
-    with WorkerPool(workers=2) as pool:
-        assert pool.describe()["pinned"] == [None, None]
+def test_pool_needs_a_worker():
+    with pytest.raises(ValueError, match="workers must be"):
+        WorkerPool(workers=0)

@@ -327,6 +327,40 @@ def test_remote_worker_killed_and_restarted_replays_state(toy_kg, toy_store):
         process.wait(timeout=30)
 
 
+def test_reconnect_to_a_stateful_worker_does_not_reapply_deltas(
+    toy_kg, toy_store, worker_thread
+):
+    """A dropped connection replays the whole log to a worker that kept it.
+
+    The standalone worker outlives the connection with its graphs and
+    epochs intact, so every replayed delta is one it already applied.
+    """
+    rows = [_ids(toy_kg, "p5", "cites", "p0"), _ids(toy_kg, "p0", "cites", "p5")]
+    more = [_ids(toy_kg, "p4", "cites", "p0")]
+    local = ExtractionService()
+    local.register("toy", toy_kg)
+    with WorkerPool(workers=0, remote_workers=[worker_thread.address]) as pool:
+        service = ExtractionService(pool=pool)
+        service.register("toy", open_artifacts(toy_store).kg, mmap_dir=toy_store)
+        for target in (service, local):
+            run(target.ingest_triples("toy", rows))
+        slot = pool._workers[0]
+        slot.transport._sock.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + 30
+        while not (slot.respawns == 1 and slot.ready.is_set()):
+            assert time.monotonic() < deadline, pool.describe()
+            time.sleep(0.01)
+
+        worker = worker_thread.server._graphs["toy"]["live"]
+        assert worker.epoch.number == service._graphs["toy"].live.epoch.number == 1
+        for target in (service, local):
+            run(target.ingest_triples("toy", more))
+        assert worker.epoch.number == 2
+        assert run(service.ppr_top_k("toy", 0, k=4)) == run(
+            local.ppr_top_k("toy", 0, k=4)
+        )
+
+
 def test_dead_replica_does_not_stall_routing(toy_kg, toy_store):
     """Requests route around a crashed owner while its reconnect pends.
 

@@ -147,20 +147,6 @@ def test_serve_mmap_command_binds_and_stops(tmp_path, capsys):
     assert "serving MAG-tiny" in out and "mmap artifacts" in out
 
 
-def test_serve_pin_workers_banner(capsys):
-    assert main([
-        "serve", "--dataset", "mag", "--scale", "tiny", "--workers", "2",
-        "--pin-workers", "--port", "0", "--duration", "0.2",
-    ]) == 0
-    assert "pinned to cpus [" in capsys.readouterr().out
-
-
-def test_serve_pin_workers_requires_pool():
-    with pytest.raises(SystemExit):
-        main(["serve", "--dataset", "mag", "--scale", "tiny",
-              "--pin-workers", "--port", "0", "--duration", "0.1"])
-
-
 def test_bench_serve_mmap_requires_workers(tmp_path):
     with pytest.raises(SystemExit):
         main(["bench-serve", "--dataset", "mag", "--scale", "tiny",
