@@ -331,10 +331,10 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
         )
     state = WorkerServer()
     if args.mmap_dir:
-        # Pre-register from the local store: the parent's later register op
-        # for the same name is then an idempotent no-op, so it pays no
-        # startup cost on this worker.  Use --graph to match the name the
-        # parent serves under (its --dataset value).
+        # Pre-register from the local store: a parent's later register op
+        # for the same name starts its chain on the mapped graph, so it
+        # pays no startup cost on this worker.  Use --graph to match the
+        # name the parent serves under (its --dataset value).
         from repro.kg.store import open_artifacts
 
         name = args.graph or open_artifacts(args.mmap_dir).kg.name
@@ -342,7 +342,6 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
             "name": name,
             "mmap_dir": args.mmap_dir,
             "warm": True,
-            "warm_kinds": ("csr",),
             "compression": True,
             "checkpoints": list(args.checkpoint),
         })

@@ -24,16 +24,11 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.placement import shard_for
 from repro.serve.pool import WorkerCrashed, WorkerError, WorkerPool
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import (
-    AsyncSparqlEndpoint,
-    ExtractionService,
-    ServiceOverloaded,
-)
+from repro.serve.service import ExtractionService, ServiceOverloaded
 from repro.serve.tcp import serve_tcp
 from repro.serve.wire import BadRequest, UnknownGraph, bound_port
 
 __all__ = [
-    "AsyncSparqlEndpoint",
     "BadRequest",
     "Coalescer",
     "ExtractionService",

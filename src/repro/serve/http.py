@@ -13,8 +13,8 @@ on ``asyncio`` streams, dependency-free:
     ``application/sparql-results+json`` with **streaming pagination**:
     the result is written as chunked transfer-encoding pages of
     ``page_rows`` rows (default :data:`DEFAULT_PAGE_ROWS`, override with
-    the ``page_rows`` parameter), cut lazily by the endpoint's
-    LIMIT/OFFSET planner (:meth:`SparqlEndpoint.stream_pages`), so a
+    the ``page_rows`` parameter), cut lazily from the once-evaluated
+    result (:meth:`ExtractionService.sparql_stream`), so a
     multi-million-row SELECT ships without the service ever holding its
     serialized body — and TCP flow control paces the producer to the
     consumer.  Binding values are typed integer literals indexing the
@@ -85,7 +85,7 @@ import asyncio
 import json
 import math
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.service import ExtractionService, ServiceOverloaded
@@ -292,40 +292,46 @@ def _encode_page(page: ResultSet, first: bool) -> bytes:
     return text.encode("utf-8")
 
 
-async def _stream_results(stream: PageStream) -> AsyncIterator[bytes]:
-    """Chunk generator: head, one chunk per page, tail.
+async def _stream_pages(
+    head: bytes,
+    stream: PageStream,
+    encode: Callable[[ResultSet, bool], bytes],
+    tail: bytes,
+) -> AsyncIterator[bytes]:
+    """Chunk generator: ``head``, one chunk per page, ``tail``.
 
-    Pages are pulled and serialized on a worker thread as the writer
-    drains — the consumer paces the producer (writer backpressure), and
-    at most one serialized page exists at a time.
+    ``encode(page, first)`` serializes one page (``first`` until a chunk
+    has gone out) on a worker thread as the writer drains: the consumer
+    paces the producer, and at most one serialized page exists at a time.
+    Every format serializes the same lazily-cut pages, which keeps them
+    bit-exact relative to each other.
     """
-    yield _results_json_head(stream.variables)
+    yield head
     first = True
-    iterator = stream.pages
     while True:
-        chunk = await asyncio.to_thread(_next_page_chunk, iterator, first)
+        chunk = await asyncio.to_thread(_next_chunk, stream.pages, encode, first)
         if chunk is None:
             break
         first = False
         yield chunk
-    yield b"]}}"
+    yield tail
 
 
-def _next_page_chunk(iterator, first: bool) -> Optional[bytes]:
+def _next_chunk(iterator, encode, first: bool) -> Optional[bytes]:
     page = next(iterator, None)
     if page is None:
         return None
-    return _encode_page(page, first)
+    return encode(page, first)
 
 
 # -- SPARQL results as text/csv (content negotiation) --------------------------
 
 
-def _wants_csv(request: "HttpRequest") -> bool:
-    """Whether the Accept header asks for ``text/csv`` (default: JSON)."""
+def _accepts(request: "HttpRequest", media_type: str) -> bool:
+    """Whether the Accept header lists ``media_type``."""
     accept = request.headers.get("accept", "")
     return any(
-        part.split(";")[0].strip().lower() == "text/csv"
+        part.split(";")[0].strip().lower() == media_type
         for part in accept.split(",")
     )
 
@@ -339,41 +345,9 @@ def _encode_csv_page(page: ResultSet) -> bytes:
     ).encode("utf-8")
 
 
-async def _stream_csv(stream: PageStream) -> AsyncIterator[bytes]:
-    """Chunk generator mirroring :func:`_stream_results` for ``text/csv``.
-
-    Same lazily-cut pages, same thread/backpressure discipline — only the
-    serialization differs, so CSV and JSON answers are built from
-    identical result pages (the bit-exactness the CSV tests assert).
-    """
-    yield (",".join(stream.variables) + "\r\n").encode("utf-8")
-    iterator = stream.pages
-    while True:
-        chunk = await asyncio.to_thread(_next_csv_chunk, iterator)
-        if chunk is None:
-            break
-        yield chunk
-
-
-def _next_csv_chunk(iterator) -> Optional[bytes]:
-    page = next(iterator, None)
-    if page is None:
-        return None
-    return _encode_csv_page(page)
-
-
 # -- SPARQL results as XML with IRI-decoded bindings ---------------------------
 
 SPARQL_RESULTS_XML = "application/sparql-results+xml"
-
-
-def _wants_xml(request: "HttpRequest") -> bool:
-    """Whether the Accept header asks for SPARQL 1.1 XML results."""
-    accept = request.headers.get("accept", "")
-    return any(
-        part.split(";")[0].strip().lower() == SPARQL_RESULTS_XML
-        for part in accept.split(",")
-    )
 
 
 def _note_domain(domains: Dict[str, Optional[str]], term, domain: str) -> None:
@@ -487,33 +461,7 @@ def _encode_xml_page(page: ResultSet, vocabs: Dict[str, object]) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-async def _stream_xml(
-    stream: PageStream, vocabs: Dict[str, object]
-) -> AsyncIterator[bytes]:
-    """Chunk generator mirroring :func:`_stream_results` for XML results."""
-    yield _xml_head(stream.variables)
-    iterator = stream.pages
-    while True:
-        chunk = await asyncio.to_thread(_next_xml_chunk, iterator, vocabs)
-        if chunk is None:
-            break
-        yield chunk
-    yield b"</results></sparql>"
-
-
-def _next_xml_chunk(iterator, vocabs) -> Optional[bytes]:
-    page = next(iterator, None)
-    if page is None:
-        return None
-    return _encode_xml_page(page, vocabs)
-
-
 # -- routing ------------------------------------------------------------------
-
-
-def _single_graph_default(service: ExtractionService) -> Optional[str]:
-    graphs = service.graphs()
-    return graphs[0] if len(graphs) == 1 else None
 
 
 async def _handle_sparql(service: ExtractionService, request: HttpRequest) -> HttpResponse:
@@ -540,9 +488,9 @@ async def _handle_sparql(service: ExtractionService, request: HttpRequest) -> Ht
     if not query:
         return _error_response(400, "bad_request", "missing 'query' parameter")
 
-    graph = params.get("graph") or _single_graph_default(service)
+    graphs = service.graphs()
+    graph = params.get("graph") or (graphs[0] if len(graphs) == 1 else None)
     if graph is None:
-        graphs = service.graphs()
         if not graphs:
             return _error_response(
                 404, "unknown_graph", "no graphs are registered"
@@ -576,25 +524,28 @@ async def _handle_sparql(service: ExtractionService, request: HttpRequest) -> Ht
         # Evaluation-time query errors (e.g. projecting an unbound
         # variable) are the client's fault, not a server failure.
         return _error_response(400, "bad_request", f"invalid query: {exc}")
-    if _wants_xml(request):
+    if _accepts(request, SPARQL_RESULTS_XML):
         # Checked before CSV: a client asking for both formats gets the
         # richer (IRI-decoded) one.
         vocabs = _binding_vocabs(service, graph, query, stream.variables)
-        return HttpResponse(
-            200,
-            headers=[("Content-Type", f"{SPARQL_RESULTS_XML}; charset=utf-8")],
-            stream=_stream_xml(stream, vocabs),
+        media, head, encode, tail = (
+            f"{SPARQL_RESULTS_XML}; charset=utf-8", _xml_head(stream.variables),
+            lambda page, _first: _encode_xml_page(page, vocabs), b"</results></sparql>",
         )
-    if _wants_csv(request):
-        return HttpResponse(
-            200,
-            headers=[("Content-Type", "text/csv; charset=utf-8")],
-            stream=_stream_csv(stream),
+    elif _accepts(request, "text/csv"):
+        media, head, encode, tail = (
+            "text/csv; charset=utf-8", (",".join(stream.variables) + "\r\n").encode("utf-8"),
+            lambda page, _first: _encode_csv_page(page), b"",
+        )
+    else:
+        media, head, encode, tail = (
+            "application/sparql-results+json", _results_json_head(stream.variables),
+            _encode_page, b"]}}",
         )
     return HttpResponse(
         200,
-        headers=[("Content-Type", "application/sparql-results+json")],
-        stream=_stream_results(stream),
+        headers=[("Content-Type", media)],
+        stream=_stream_pages(head, stream, encode, tail),
     )
 
 

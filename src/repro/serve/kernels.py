@@ -1,40 +1,33 @@
-"""The single definition of a dispatched extraction or inference window.
+"""Every coalesced serving window, declared once.
 
-:func:`run_window` is the one place a coalesced window runs, and both
-serving modes call it: the in-process service (``service.py``, on
-``asyncio.to_thread``) and the pool workers (``transport.py``, in their
-own processes), with the same payload dict either way.  ``ppr``, ``ego``
-and ``paths`` windows go through the graph's
-:class:`~repro.kg.epoch.LiveGraph` retained stores (the batch kernel runs
-on misses only); ``predict`` windows through :func:`run_predict_batch`.
-The bit-exactness contract — pooled answers identical to in-process
-answers — reduces to this function being the *only* place the batch
-kernels are invoked with serving parameters, so a future signature or
-artifact change cannot silently diverge the two modes.
+A window op (``ppr``, ``ego``, ``paths``, ``predict``) is one
+:class:`Window` in :data:`WINDOWS`.  The service's coalescers and
+dispatcher, the worker executor (``serve/transport.py``) and the remote
+codec all read this table, so adding a window op is one declaration plus
+its kernel.  ``Window.run`` is the only place a batch kernel is called
+with serving parameters, in this process or in a pool worker, so
+in-process and pooled answers cannot diverge; ``ppr``, ``ego`` and
+``paths`` run through the live graph's retained stores (the kernel runs
+on misses only).
 
-The ``/predict`` pair extends the contract to model inference:
-:func:`run_predict_batch` serves one coalesced window of prediction
-requests through the model registry (extraction→inference pipelining:
-the batch PPR kernel generates link-prediction candidates, one
-vectorized scoring pass covers the whole window), and
-:func:`run_predict_oracle` is the retained scalar baseline that answers
-one request at a time with no registry-level caches.  Both build their
-answers from per-row computations over identical model state, so batched
-== scalar **bit for bit** — the property ``tests/serve/test_predict.py``
-and the loadgen comparisons assert.
+``/predict`` windows run :func:`run_predict_batch` (extraction→inference
+pipelining: batch PPR candidates, one vectorized scoring pass per
+window), whose scalar oracle :func:`run_predict_oracle` it matches bit
+for bit (``tests/serve/test_predict.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kg.cache import artifacts_for
 from repro.kg.graph import KnowledgeGraph
-
-#: Ops whose coalesced windows :func:`run_window` executes.
-WINDOW_OPS = ("ppr", "ego", "paths", "predict")
+from repro.models.shadowsaint import _EgoGraph, extract_ego
+from repro.sampling.paths import enumerate_paths_scalar
+from repro.sampling.ppr import ppr_top_k
 
 #: PPR parameters used for link-prediction candidate generation (the same
 #: defaults the ``/ppr`` op serves; candidates must match extraction).
@@ -42,46 +35,109 @@ PREDICT_PPR_ALPHA = 0.25
 PREDICT_PPR_EPS = 2e-4
 
 
-def run_window(live, registry, op: str, payload: dict) -> list:
-    """Run one coalesced ``op`` window: one answer per item, item order.
+@dataclass(frozen=True)
+class Window:
+    """One coalesced window op.
 
-    ``payload`` is exactly what the pool ships for the window — ``graph``,
-    the admission ``epoch``, the items (``targets`` / ``roots`` / ``pairs``
-    / ``items``) and the op's parameters — so in-process and pooled
-    serving execute the identical call.  ``live`` is the graph's
-    :class:`~repro.kg.epoch.LiveGraph`; ``registry`` its model registry.
+    ``params`` name, in order, the request parameters that follow
+    ``(graph, epoch)`` in the coalescing key; a window's payload is
+    ``{"graph", "epoch", items: [...], **params}``.  ``check(params)``
+    raises ``ValueError`` for a value that must reject its own request
+    before it can fail a shared window.  ``run(live, registry, payload)``
+    answers a window, one answer per item in item order;
+    ``oracle(kg, registry, payload, item)`` answers one item with the
+    scalar kernel (the serial baseline).  ``decode`` rebuilds one answer
+    from its JSON form (``None``: the JSON is the answer).
     """
-    epoch = payload.get("epoch")
-    if op == "ppr":
-        table = live.ppr_top_k(
-            payload["targets"], payload["k"],
-            alpha=payload["alpha"], eps=payload["eps"], epoch=epoch,
-        )
-        return [table[int(target)] for target in payload["targets"]]
-    if op == "ego":
-        return live.ego_batch(
-            payload["roots"], payload["depth"], payload["fanout"],
-            payload["salt"], epoch=epoch,
-        )
-    if op == "paths":
-        # Path lists are interleaved plain-int rows, so they cross every
-        # wire (pickle pipe, JSON frames) without a codec branch.
-        return live.paths_batch(
-            payload["pairs"],
-            max_hops=payload["max_hops"], max_paths=payload["max_paths"],
-            epoch=epoch,
-        )
-    if op == "predict":
-        # The registry keys its built state (model + logits) with the
-        # resolved snapshot's epoch, so a window can never answer from
-        # another epoch's forward pass.
-        snapshot = live.resolve(epoch)
-        return run_predict_batch(
-            snapshot.kg, registry, payload["graph"], payload["task"],
-            payload["model"], payload["items"], payload["k"],
-            payload["candidates"], epoch=snapshot.number,
-        )
-    raise ValueError(f"unknown window op {op!r}")
+
+    name: str
+    items: str
+    params: Tuple[str, ...]
+    check: Callable[[Dict[str, Any]], None]
+    run: Callable[[Any, Any, dict], list]
+    oracle: Callable[[KnowledgeGraph, Any, dict, Any], Any]
+    decode: Optional[Callable[[Any], Any]] = None
+
+
+def _at_least(**floors: int) -> Callable[[Dict[str, Any]], None]:
+    def check(params: Dict[str, Any]) -> None:
+        for name, floor in floors.items():
+            if params[name] < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {params[name]}")
+
+    return check
+
+
+def _check_ppr(params: Dict[str, Any]) -> None:
+    _at_least(k=1)(params)
+    if not 0.0 < params["alpha"] <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {params['alpha']}")
+    if params["eps"] <= 0.0:
+        raise ValueError(f"eps must be positive, got {params['eps']}")
+
+
+def _run_ppr(live, _registry, payload: dict) -> list:
+    table = live.ppr_top_k(
+        payload["targets"], payload["k"],
+        alpha=payload["alpha"], eps=payload["eps"], epoch=payload.get("epoch"),
+    )
+    return [table[int(target)] for target in payload["targets"]]
+
+
+def _run_predict(live, registry, payload: dict) -> list:
+    # The registry keys its built state (model + logits) with the resolved
+    # snapshot's epoch, so a window can never answer from another epoch's
+    # forward pass.
+    snapshot = live.resolve(payload.get("epoch"))
+    return run_predict_batch(
+        snapshot.kg, registry, payload["graph"], payload["task"],
+        payload["model"], payload["items"], payload["k"],
+        payload["candidates"], epoch=snapshot.number,
+    )
+
+
+WINDOWS: Dict[str, Window] = {window.name: window for window in (
+    Window(
+        "ppr", "targets", ("k", "alpha", "eps"), _check_ppr, _run_ppr,
+        lambda kg, _registry, p, target: ppr_top_k(
+            artifacts_for(kg).csr("both"), target, p["k"], p["alpha"], p["eps"]
+        ),
+        lambda row: [(int(node), float(score)) for node, score in row],
+    ),
+    Window(
+        "ego", "roots", ("depth", "fanout", "salt"),
+        _at_least(depth=0, fanout=1),
+        lambda live, _registry, p: live.ego_batch(
+            p["roots"], p["depth"], p["fanout"], p["salt"], epoch=p.get("epoch")
+        ),
+        lambda kg, _registry, p, root: extract_ego(
+            kg, root, p["depth"], p["fanout"], p["salt"]
+        ),
+        lambda answer: _EgoGraph(**{
+            name: np.asarray(answer[name], dtype=np.int64)
+            for name in ("nodes", "src", "dst", "rel")
+        }),
+    ),
+    Window(
+        "paths", "pairs", ("max_hops", "max_paths"),
+        _at_least(max_hops=1, max_paths=1),
+        lambda live, _registry, p: live.paths_batch(
+            p["pairs"], max_hops=p["max_hops"], max_paths=p["max_paths"],
+            epoch=p.get("epoch"),
+        ),
+        lambda kg, _registry, p, pair: enumerate_paths_scalar(
+            kg, pair[0], pair[1], p["max_hops"], p["max_paths"]
+        ),
+    ),
+    Window(
+        "predict", "items", ("task", "model", "k", "candidates"),
+        _at_least(k=1, candidates=0), _run_predict,
+        lambda kg, registry, p, item: run_predict_oracle(
+            kg, registry, p["graph"], p["task"], p["model"], item, p["k"],
+            p["candidates"], p["epoch"],
+        ),
+    ),
+)}
 
 
 # -- /predict: model inference over checkpointed models -----------------------
@@ -264,8 +320,6 @@ def run_predict_oracle(
     :func:`~repro.sampling.ppr.ppr_top_k` kernel.  The batched path must
     match this function's output bit for bit.
     """
-    from repro.sampling.ppr import ppr_top_k
-
     model = registry.model(graph, task, architecture, kg, epoch)
     task_obj = model.task
     item = int(item)

@@ -24,7 +24,7 @@ import contextlib
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kg.graph import KnowledgeGraph
@@ -78,17 +78,7 @@ class LoadReport:
 
     def as_json(self) -> dict:
         """The report minus the raw per-request results (for persistence)."""
-        return {
-            "mode": self.mode,
-            "requests": self.requests,
-            "concurrency": self.concurrency,
-            "wall_seconds": self.wall_seconds,
-            "throughput_rps": self.throughput_rps,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "rejected": self.rejected,
-            "batch_occupancy": self.batch_occupancy,
-        }
+        return {spec.name: getattr(self, spec.name) for spec in fields(self) if spec.repr}
 
 
 async def _closed_loop(

@@ -40,6 +40,11 @@ from typing import Deque, Dict, Iterable, List, Optional
 LATENCY_WINDOW = 4096
 
 
+def _smoothed(average: Optional[float], value: float, rate: float) -> float:
+    """One exponentially weighted moving-average step (seeded by ``value``)."""
+    return value if average is None else average + rate * (value - average)
+
+
 def percentile(samples: Iterable[float], q: float) -> float:
     """Nearest-rank percentile of ``samples`` (0 when empty).
 
@@ -112,12 +117,7 @@ class ServiceMetrics:
         with self._lock:
             self.rejected += 1
             if retry_after is not None:
-                if self._retry_after_ewma is None:
-                    self._retry_after_ewma = retry_after
-                else:
-                    self._retry_after_ewma += 0.2 * (
-                        retry_after - self._retry_after_ewma
-                    )
+                self._retry_after_ewma = _smoothed(self._retry_after_ewma, retry_after, 0.2)
 
     def record_departed(self) -> None:
         with self._lock:
@@ -139,14 +139,8 @@ class ServiceMetrics:
                 return
             stats.completed += 1
             stats.latencies.append(seconds)
-            if stats.ewma is None:
-                stats.ewma = seconds
-            else:
-                stats.ewma += 0.05 * (seconds - stats.ewma)
-            if self._ewma_request_seconds is None:
-                self._ewma_request_seconds = seconds
-            else:
-                self._ewma_request_seconds += 0.05 * (seconds - self._ewma_request_seconds)
+            stats.ewma = _smoothed(stats.ewma, seconds, 0.05)
+            self._ewma_request_seconds = _smoothed(self._ewma_request_seconds, seconds, 0.05)
 
     # -- coalescing --
 

@@ -62,6 +62,7 @@ import itertools
 import multiprocessing
 import threading
 import time
+import uuid
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kg.graph import KnowledgeGraph
@@ -173,16 +174,6 @@ class _WorkerSlot:
             # via WorkerCrashed; describe() exposes it per slot.
             self.spawn_failure = f"{type(exc).__name__}: {exc}"
 
-    def _respawn_now(self) -> None:
-        """Reconnect-on-demand: retry a failed spawn from a request path.
-
-        A remote worker that was down when the disconnect-path respawn
-        ran may be back by the time the next request routes here; local
-        slots get the same second chance after a failed fork.
-        """
-        with self.spawn_lock:
-            self._respawn_attempt()
-
     def _respawn_attempt(self) -> None:
         """One spawn retry; the caller holds ``spawn_lock``."""
         if (
@@ -243,7 +234,11 @@ class _WorkerSlot:
                     transport = self.transport
                     break
             if self.spawn_failure is not None:
-                self._respawn_now()
+                # Reconnect on demand: a remote worker that was down when
+                # the disconnect-path respawn ran may be back by now; local
+                # slots get the same second chance after a failed fork.
+                with self.spawn_lock:
+                    self._respawn_attempt()
                 if self.ready.is_set():
                     continue
             remaining = deadline - time.monotonic()
@@ -370,6 +365,7 @@ class WorkerPool:
         self.num_workers = total
         self.replicas = replicas
         self.compression = compression
+        self.parent_id = uuid.uuid4().hex
         self._closed = False
         self._registry_lock = threading.Lock()
         self._graphs: Dict[str, _PoolGraph] = {}
@@ -447,8 +443,10 @@ class WorkerPool:
         payload = {
             "name": record.name,
             "warm": record.warm,
-            "warm_kinds": ("csr",),
             "compression": self.compression,
+            # Names this parent to a standalone worker, which keeps one
+            # set of shards (and epoch chains) per parent.
+            "parent": self.parent_id,
             # Checkpoint paths ride the registration record, so a respawned
             # worker replays them and serves /predict like the original.
             "checkpoints": list(record.checkpoints),
@@ -471,9 +469,7 @@ class WorkerPool:
         per path.  Returns the owning worker indices.
         """
         with self._registry_lock:
-            record = self._graphs.get(name)
-            if record is None:
-                raise KeyError(f"graph {name!r} is not registered with the pool")
+            record = self._record(name)
             if path not in record.checkpoints:
                 record.checkpoints.append(path)
             shards = list(record.shards)
@@ -520,9 +516,7 @@ class WorkerPool:
         both the replay and this send deliver.
         """
         with self._registry_lock:
-            record = self._graphs.get(name)
-            if record is None:
-                raise KeyError(f"graph {name!r} is not registered with the pool")
+            record = self._record(name)
             payload = {
                 "graph": name,
                 "triples": triples,
@@ -544,21 +538,24 @@ class WorkerPool:
             except WorkerCrashed:
                 pass
 
+    def _record(self, name: str) -> _PoolGraph:
+        """``name``'s registration record; the caller holds the registry lock."""
+        record = self._graphs.get(name)
+        if record is None:
+            raise KeyError(f"graph {name!r} is not registered with the pool")
+        return record
+
     def shards_of(self, name: str) -> List[int]:
         """The worker indices serving graph ``name``."""
         with self._registry_lock:
-            record = self._graphs.get(name)
-            if record is None:
-                raise KeyError(f"graph {name!r} is not registered with the pool")
+            record = self._record(name)
             return list(record.shards)
 
     # -- requests -------------------------------------------------------------
 
     def _route(self, graph: str) -> _WorkerSlot:
         with self._registry_lock:
-            record = self._graphs.get(graph)
-            if record is None:
-                raise KeyError(f"graph {graph!r} is not registered with the pool")
+            record = self._record(graph)
             shards = record.shards
             turn = next(record.rr)
         # Round-robin over the owners, but skip slots that are not ready:
@@ -611,33 +608,41 @@ class WorkerPool:
             with self._stats_lock:
                 self._graph_stats[(name, worker_index)] = stats
 
+    def _counters(self, snapshots: List[dict]) -> dict:
+        """The monotonic counters of ``snapshots``, summed per key."""
+        caches: Dict[str, dict] = {}
+        for snapshot in snapshots:
+            for cache, counters in snapshot.get("live", {}).items():
+                total = caches.setdefault(
+                    cache, dict.fromkeys(("entries", *self._LIVE_CACHE_COUNTERS), 0)
+                )
+                for counter in self._LIVE_CACHE_COUNTERS:
+                    total[counter] += counters[counter]
+        return {
+            "artifact_cache": {
+                key: sum(s["artifact_cache"][key] for s in snapshots)
+                for key in self._ARTIFACT_COUNTERS
+            },
+            "endpoint": {
+                key: sum(s["endpoint"][key] for s in snapshots)
+                for key in self._ENDPOINT_COUNTERS
+            },
+            "live": caches,
+        }
+
     def _retire_worker_stats(self, worker_index: int) -> None:
         """Fold a dead incarnation's counters into the slot's retired base."""
         with self._stats_lock:
             for key in [k for k in self._graph_stats if k[1] == worker_index]:
-                snapshot = self._graph_stats.pop(key)
-                base = self._retired_stats.setdefault(
-                    key,
-                    {
-                        "artifact_cache": dict.fromkeys(self._ARTIFACT_COUNTERS, 0),
-                        "endpoint": dict.fromkeys(self._ENDPOINT_COUNTERS, 0),
-                    },
-                )
-                for counter in self._ARTIFACT_COUNTERS:
-                    base["artifact_cache"][counter] += snapshot["artifact_cache"][counter]
-                for counter in self._ENDPOINT_COUNTERS:
-                    base["endpoint"][counter] += snapshot["endpoint"][counter]
-                for cache, counters in snapshot.get("live", {}).items():
-                    folded = base.setdefault("live", {}).setdefault(
-                        cache, dict.fromkeys(self._LIVE_CACHE_COUNTERS, 0)
-                    )
-                    for counter in self._LIVE_CACHE_COUNTERS:
-                        folded[counter] += counters[counter]
+                folded = [self._graph_stats.pop(key)]
+                if key in self._retired_stats:
+                    folded.append(self._retired_stats[key])
+                self._retired_stats[key] = self._counters(folded)
 
-    def graph_stats(self, name: str) -> Optional[dict]:
+    def graph_stats(self, name: str) -> dict:
         """Worker-side artifact/endpoint stats of ``name``, summed over owners.
 
-        ``None`` until the first graph-touching response arrived.  Counters
+        All zero until the first graph-touching response arrived.  Counters
         sum each owning worker's latest piggybacked snapshot plus the
         retired counters of that slot's dead incarnations (so respawns
         never step a counter backwards); ``nbytes`` sums live snapshots
@@ -648,7 +653,9 @@ class WorkerPool:
         worker builds its own artifacts, so ``builds`` counts per-worker
         construction, as documented in ``docs/serving.md``.  ``live`` holds
         the owners' retained-kernel cache counters (``ppr_cache``,
-        ``ego_cache``, ``paths_cache``), merged the same way.
+        ``ego_cache``, ``paths_cache``), merged the same way; their
+        ``entries`` gauge sums the live snapshots only.  ``bytes_raw``
+        stays for the service's ratio over its merged byte counters.
         """
         with self._stats_lock:
             live = [
@@ -661,41 +668,16 @@ class WorkerPool:
                 for (stats_name, _worker), value in self._retired_stats.items()
                 if stats_name == name
             ]
-        if not live and not retired:
-            return None
-        merged = {
-            "artifact_cache": {
-                key: sum(s["artifact_cache"][key] for s in live + retired)
-                for key in self._ARTIFACT_COUNTERS
-            },
-            "endpoint": {
-                key: sum(s["endpoint"][key] for s in live + retired)
-                for key in self._ENDPOINT_COUNTERS
-            },
-        }
+        merged = self._counters(live + retired)
         merged["artifact_cache"]["nbytes"] = sum(
             s["artifact_cache"]["nbytes"] for s in live
         )
         merged["artifact_cache"]["mapped_nbytes"] = max(
             (s["artifact_cache"].get("mapped_nbytes", 0) for s in live), default=0
         )
-        # The workers' retained-kernel caches, summed like the counters
-        # above; retired bases carry no ``entries``, so that gauge sums the
-        # live snapshots only.
-        caches = merged["live"] = {}
-        for snapshot in live + retired:
+        for snapshot in live:
             for cache, counters in snapshot.get("live", {}).items():
-                total = caches.setdefault(
-                    cache, dict.fromkeys(("entries", *self._LIVE_CACHE_COUNTERS), 0)
-                )
-                for counter in total:
-                    total[counter] += counters.get(counter, 0)
-        # bytes_raw stays in the dict: the service folds parent-side page
-        # accounting (streamed /sparql pages are cut parent-side) into these
-        # counters before recomputing the ratio over the merged totals.
-        raw = merged["endpoint"]["bytes_raw"]
-        shipped = merged["endpoint"]["bytes_shipped"]
-        merged["endpoint"]["compression_ratio"] = (raw / shipped) if shipped else 1.0
+                merged["live"][cache]["entries"] += counters["entries"]
         return merged
 
     def worker_pids(self) -> List[Optional[int]]:

@@ -98,11 +98,6 @@ class ModelRegistry:
             self._meta[key] = meta
         return meta
 
-    def paths(self) -> List[str]:
-        """Every registered checkpoint path (registration order not kept)."""
-        with self._lock:
-            return sorted(set(self._paths.values()))
-
     def candidates(self, graph: str, task: str) -> List[Tuple[str, dict]]:
         """``(architecture, meta)`` per checkpoint able to answer ``task``.
 
@@ -161,32 +156,35 @@ class ModelRegistry:
             self.loads += 1
         return built
 
+    def _built(self, cache: dict, key: BuiltKey, build):
+        """``cache[key]``, computed by ``build()`` outside the lock once."""
+        with self._lock:
+            cached = cache.get(key)
+        if cached is not None:
+            return cached
+        value = build()
+        with self._lock:
+            return cache.setdefault(key, value)
+
     def logits(
         self, graph: str, task: str, architecture: str, kg, epoch: int = 0
     ) -> np.ndarray:
         """Cached full-target NC logits (one vectorized pass, then gathers)."""
-        key: BuiltKey = (graph, task, architecture, int(epoch))
-        with self._lock:
-            cached = self._logits.get(key)
-        if cached is not None:
-            return cached
-        logits = self.model(graph, task, architecture, kg, epoch).predict_logits()
-        with self._lock:
-            return self._logits.setdefault(key, logits)
+        return self._built(
+            self._logits, (graph, task, architecture, int(epoch)),
+            lambda: self.model(graph, task, architecture, kg, epoch).predict_logits(),
+        )
 
     def target_positions(
         self, graph: str, task: str, architecture: str, kg, epoch: int = 0
     ) -> dict:
         """``node id -> row`` lookup into the task's target/logits order."""
-        key: BuiltKey = (graph, task, architecture, int(epoch))
-        with self._lock:
-            cached = self._positions.get(key)
-        if cached is not None:
-            return cached
-        targets = self.model(graph, task, architecture, kg, epoch).task.target_nodes
-        positions = {int(node): index for index, node in enumerate(targets)}
-        with self._lock:
-            return self._positions.setdefault(key, positions)
+
+        def build() -> dict:
+            targets = self.model(graph, task, architecture, kg, epoch).task.target_nodes
+            return {int(node): index for index, node in enumerate(targets)}
+
+        return self._built(self._positions, (graph, task, architecture, int(epoch)), build)
 
     def invalidate_graph(self, graph: str, keep_epoch: Optional[int] = None) -> int:
         """Drop ``graph``'s built state (models, logits, positions).

@@ -13,10 +13,11 @@ Three contracts, in order of the request path:
   carrying a ``retry_after`` hint (seconds), instead of queueing without
   bound: a loaded service must shed, not buffer, the paper's
   millions-of-users regime.
-* **Coalescing** — requests whose kernel parameters match (same graph,
-  same ``(k, alpha, eps)``, ``(depth, fanout, salt)`` or
-  ``(max_hops, max_paths)``) share one batch kernel call per window.  Results are bit-identical to per-request scalar
-  extraction because the kernels are bit-exact against their oracles.
+* **Coalescing** — requests of one window op whose kernel parameters
+  match (same graph, epoch and the parameters its declaration in
+  ``serve/kernels.py`` names) share one batch kernel call per window.
+  Results are bit-identical to per-request scalar extraction because
+  the kernels are bit-exact against their oracles.
 * **Isolation** — kernel work runs off the event loop
   (``asyncio.to_thread``); the loop only routes, so slow extraction never
   blocks admission, metrics or other graphs.  With ``pool=`` the kernels
@@ -33,30 +34,23 @@ a dispatched batch executes.
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.kg.cache import artifacts_for
-from repro.kg.epoch import LiveGraph
 from repro.kg.graph import KnowledgeGraph
-from repro.models.shadowsaint import _EgoGraph, extract_ego
-from repro.sampling.paths import enumerate_paths_scalar
-from repro.sampling.ppr import ppr_top_k
+from repro.models.shadowsaint import _EgoGraph
 from repro.serve.coalesce import MAX_BATCH, MAX_DELAY_SECONDS, Coalescer
-from repro.serve.kernels import run_predict_oracle, run_window
+from repro.serve.kernels import WINDOWS
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import WorkerPool
 from repro.serve.registry import ModelRegistry
-from repro.serve.transport import graph_cache_stats
+from repro.serve.transport import GraphShard
 from repro.sparql.ast import SelectQuery
-from repro.sparql.endpoint import (
-    EndpointStats,
-    PageStream,
-    SparqlEndpoint,
-    account_page,
-)
+from repro.sparql.endpoint import EndpointStats, PageStream, account_page
 from repro.sparql.executor import ResultSet
 
 # Default in-flight bound: enough to keep several full coalescing windows
@@ -89,80 +83,28 @@ class ServiceOverloaded(RuntimeError):
         self.retry_after = retry_after
 
 
-class AsyncSparqlEndpoint:
-    """Async façade over :class:`~repro.sparql.endpoint.SparqlEndpoint`.
+class _RegisteredGraph(GraphShard):
+    """Per-graph routing state: the shard plus the parent's own bookkeeping.
 
-    Every call runs the synchronous endpoint on a worker thread, so SPARQL
-    requests coexist with extraction traffic on one event loop.  The
-    wrapped endpoint's stats stay correct under this concurrency — its
-    counters are guarded by the endpoint's own lock.
+    The shard's epoch chain (``live``) numbers the epochs that key windows
+    and result caches; without a pool, the shard also answers every op.
+    ``page_stats`` / ``page_lock`` account streamed-``/sparql`` pages,
+    which are always cut here; ``metrics_snapshot`` merges them with the
+    endpoint counters.
     """
 
-    def __init__(self, endpoint: SparqlEndpoint):
-        self.endpoint = endpoint
+    __slots__ = ("ingest_lock", "page_stats", "page_lock")
 
-    @property
-    def stats(self):
-        return self.endpoint.stats
-
-    async def query(self, query: Query) -> ResultSet:
-        return await asyncio.to_thread(self.endpoint.query, query)
-
-    async def count(self, query: Query) -> int:
-        return await asyncio.to_thread(self.endpoint.count, query)
-
-    async def fetch_all(
-        self, query: Query, batch_size: int, workers: int = 1
-    ) -> ResultSet:
-        return await asyncio.to_thread(
-            self.endpoint.fetch_all, query, batch_size, workers
-        )
-
-
-class _RegisteredGraph:
-    """Per-graph routing state: the live epoch chain, endpoint, caches.
-
-    ``live`` is the :class:`~repro.kg.epoch.LiveGraph` holding the chain
-    of immutable epochs; ``kg`` and ``epoch`` read its *current* snapshot.
-    The SPARQL endpoint is rebuilt on every ingest (:meth:`advance`)
-    carrying its lifetime stats forward, so counters never step backwards
-    while in-flight requests keep answering through the endpoint object
-    they captured — on their original epoch.
-
-    ``page_stats`` / ``page_lock`` account streamed-``/sparql`` pages cut
-    *parent-side* in pool mode; ``metrics_snapshot`` merges them with the
-    worker-side counters so pooled and in-process ``/metrics`` agree.
-    """
-
-    __slots__ = (
-        "live", "endpoint", "async_endpoint", "ingest_lock",
-        "page_stats", "page_lock",
-    )
-
-    def __init__(self, kg: KnowledgeGraph, compression: bool, compact_every: int = 0):
-        self.live = LiveGraph(kg, compact_every=compact_every)
-        self.endpoint = SparqlEndpoint(kg, compression=compression)
-        self.async_endpoint = AsyncSparqlEndpoint(self.endpoint)
+    def __init__(self, kg, compression, registry, compact_every=0):
+        super().__init__(kg, compression, registry, compact_every=compact_every)
         self.ingest_lock = asyncio.Lock()
         self.page_stats = EndpointStats()
         self.page_lock = threading.Lock()
 
     @property
-    def kg(self) -> KnowledgeGraph:
-        """The current epoch's merged graph."""
-        return self.live.kg
-
-    @property
     def epoch(self) -> int:
         """The current epoch number (keys windows and result caches)."""
         return self.live.epoch.number
-
-    def advance(self, compression: bool) -> None:
-        """Swap in an endpoint on the new epoch, keeping lifetime stats."""
-        endpoint = SparqlEndpoint(self.live.kg, compression=compression)
-        endpoint.stats = self.endpoint.stats
-        self.endpoint = endpoint
-        self.async_endpoint = AsyncSparqlEndpoint(endpoint)
 
 
 class ExtractionService:
@@ -174,7 +116,7 @@ class ExtractionService:
         In-flight request bound (the admission queue size).  Requests
         arriving beyond it raise :class:`ServiceOverloaded`.
     max_batch / max_delay:
-        Coalescing window passed to both schedulers (PPR and ego); see
+        Coalescing window passed to every window op's scheduler; see
         :class:`~repro.serve.coalesce.Coalescer`.
     coalesce:
         ``False`` switches to the serial one-request-at-a-time baseline:
@@ -238,7 +180,7 @@ class ExtractionService:
                 max_delay=max_delay,
                 metrics=self.metrics,
             )
-            for op in ("ppr", "ego", "predict", "paths")
+            for op in WINDOWS
         }
         # Checkpointed models (lazy, identity-cached).  In pool mode the
         # parent registry holds *metadata only* (for routing); the models
@@ -282,12 +224,12 @@ class ExtractionService:
         if name in self._graphs:
             raise ValueError(f"graph {name!r} already registered")
         self._graphs[name] = _RegisteredGraph(
-            kg, self._compression, compact_every=self.compact_every
+            kg, self._compression, self.registry, compact_every=self.compact_every
         )
         if self.pool is not None:
             self.pool.register(name, kg, warm=warm, mmap_dir=mmap_dir)
         elif warm:
-            artifacts_for(kg).warm(("csr",))
+            artifacts_for(kg).warm()
 
     def register_checkpoint(self, graph: str, path: str) -> dict:
         """Attach the checkpoint at ``path`` to registered graph ``graph``.
@@ -315,9 +257,8 @@ class ExtractionService:
         pool mode, ships the delta (with that decision) to every owning
         worker *first* — every process's epoch chain advances in lockstep
         and a respawned worker replays the same chain.  Then the parent's
-        own :class:`~repro.kg.epoch.LiveGraph` ingests, the SPARQL
-        endpoint swaps onto the new epoch (stats carried forward), and the
-        model registry drops built state for the old epochs.  In-flight
+        own shard applies it exactly as a worker does
+        (:meth:`~repro.serve.transport.GraphShard.ingest`).  In-flight
         requests keep the epoch they were admitted under; requests
         arriving after the response see the new one.
 
@@ -333,11 +274,9 @@ class ExtractionService:
                 # Owning workers first (all acks awaited): once the client
                 # sees the new epoch number, every shard can serve it.
                 await asyncio.to_thread(self.pool.ingest, graph, arr, compact)
-            result = await asyncio.to_thread(
-                entry.live.ingest, arr, compact
-            )
-            entry.advance(self._compression)
-            self.registry.invalidate_graph(graph, keep_epoch=int(result["epoch"]))
+            delta = {"graph": graph, "triples": arr, "compact": compact,
+                     "seq": entry.seq + 1}
+            result = await asyncio.to_thread(entry.ingest, delta)
             return {"graph": graph, **result}
 
     def ping(self) -> str:
@@ -369,17 +308,6 @@ class ExtractionService:
 
     # -- admission gate --
 
-    #: Request kinds that route through a coalescing scheduler; only their
-    #: drain estimates may be divided by a batch factor.  ``/predict``
-    #: kinds are per-model (``predict:<architecture>``) so each model gets
-    #: its own EWMA — the basis of latency-budget routing — and are
-    #: coalesced too (see :meth:`_coalesced_kind`).
-    COALESCED_KINDS = ("ppr", "ego", "paths")
-
-    @classmethod
-    def _coalesced_kind(cls, kind: str) -> bool:
-        return kind in cls.COALESCED_KINDS or kind.startswith("predict:")
-
     def _admit(self, kind: str) -> None:
         if self._pending >= self.max_pending:
             retry_after = self._retry_after(kind)
@@ -401,7 +329,10 @@ class ExtractionService:
             # rate, then to one coalescing window.
             per_request = self.metrics.ewma_request_seconds(default=self.max_delay)
         drain = self._pending * per_request
-        if self.coalesce and self._coalesced_kind(kind):
+        # Window kinds are op names, except /predict's per-model
+        # ``predict:<architecture>`` (each model gets its own EWMA — the
+        # basis of latency-budget routing).
+        if self.coalesce and kind.partition(":")[0] in WINDOWS:
             occupancy = self.metrics.batch_occupancy()
             batch_factor = min(max(occupancy, 1.0), float(self.max_batch))
             drain /= batch_factor
@@ -436,6 +367,32 @@ class ExtractionService:
 
     # -- request kinds --
 
+    async def _windowed(
+        self, op: str, graph: str, item: Any, params: Dict[str, Any], kind: str = ""
+    ) -> Any:
+        """One request of window op ``op``: coalesced, or the scalar oracle."""
+        entry = self._graph(graph)  # fail fast before entering the queue
+        window = WINDOWS[op]
+        # Validate here, not in the kernel: a bad parameter must reject
+        # *this* request (ValueError → 400 on both front ends) instead of
+        # failing the whole coalescing window on the dispatch thread.
+        window.check(params)
+
+        async def start():
+            if self.coalesce:
+                # The window key carries the epoch at admission: requests
+                # admitted under different epochs never share a batch, and
+                # the dispatcher runs each batch on its own snapshot.
+                key = (graph, entry.epoch, *(params[name] for name in window.params))
+                return await self._coalescers[op].submit(key, item)
+            # The serial baseline: the scalar oracle, one request at a time,
+            # on the admission-epoch snapshot.
+            kg, payload = entry.kg, {"graph": graph, "epoch": entry.epoch, **params}
+            async with self._serial_lock:
+                return await asyncio.to_thread(window.oracle, kg, self.registry, payload, item)
+
+        return await self._serve(kind or op, start)
+
     async def ppr_top_k(
         self,
         graph: str,
@@ -445,29 +402,9 @@ class ExtractionService:
         eps: float = 2e-4,
     ) -> List[Tuple[int, float]]:
         """Top-``k`` influence list of ``target`` (IBS's per-target unit)."""
-        entry = self._graph(graph)  # fail fast before entering the queue
-        # Validate here, not in the kernel: a bad parameter must reject
-        # *this* request (ValueError → 400 on both front ends) instead of
-        # failing the whole coalescing window on the dispatch thread.
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-
-        def start():
-            if self.coalesce:
-                # The window key carries the epoch at admission: requests
-                # admitted under different epochs never share a batch, and
-                # the dispatcher runs each batch on its own snapshot.
-                return self._coalescers["ppr"].submit(
-                    (graph, entry.epoch, k, alpha, eps), int(target)
-                )
-            adjacency = artifacts_for(entry.kg).csr("both")
-            return self._serial(ppr_top_k, adjacency, int(target), k, alpha, eps)
-
-        return await self._serve("ppr", start)
+        return await self._windowed(
+            "ppr", graph, int(target), {"k": k, "alpha": alpha, "eps": eps}
+        )
 
     async def extract_ego(
         self,
@@ -478,22 +415,9 @@ class ExtractionService:
         salt: int = 0,
     ) -> _EgoGraph:
         """One ShaDowSAINT ego scope around ``root``."""
-        entry = self._graph(graph)
-        # Same fail-fast rule as ppr_top_k: reject out-of-range parameters
-        # before they can poison a shared coalescing window.
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        if fanout < 1:
-            raise ValueError(f"fanout must be >= 1, got {fanout}")
-
-        def start():
-            if self.coalesce:
-                return self._coalescers["ego"].submit(
-                    (graph, entry.epoch, depth, fanout, salt), int(root)
-                )
-            return self._serial(extract_ego, entry.kg, int(root), depth, fanout, salt)
-
-        return await self._serve("ego", start)
+        return await self._windowed(
+            "ego", graph, int(root), {"depth": depth, "fanout": fanout, "salt": salt}
+        )
 
     async def paths(
         self,
@@ -514,23 +438,10 @@ class ExtractionService:
         live graph's retained per-pair cache); the serial baseline runs
         the scalar DFS oracle per request.
         """
-        entry = self._graph(graph)
-        if max_hops < 1:
-            raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-        if max_paths < 1:
-            raise ValueError(f"max_paths must be >= 1, got {max_paths}")
-
-        def start():
-            if self.coalesce:
-                return self._coalescers["paths"].submit(
-                    (graph, entry.epoch, int(max_hops), int(max_paths)),
-                    (int(src), int(dst)),
-                )
-            return self._serial(
-                enumerate_paths_scalar, entry.kg, int(src), int(dst), max_hops, max_paths
-            )
-
-        return await self._serve("paths", start)
+        return await self._windowed(
+            "paths", graph, (int(src), int(dst)),
+            {"max_hops": int(max_hops), "max_paths": int(max_paths)},
+        )
 
     async def predict(
         self,
@@ -568,10 +479,6 @@ class ExtractionService:
                 "classification) or 'head' (link prediction)"
             )
         item = int(node if node is not None else head)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if candidates < 0:
-            raise ValueError(f"candidates must be >= 0, got {candidates}")
         architecture = model if model is not None else self._route_predict(
             graph, task, budget_ms
         )
@@ -589,18 +496,12 @@ class ExtractionService:
                 return cached
             self._predict_cache_misses += 1
 
-        def start():
-            if self.coalesce:
-                return self._coalescers["predict"].submit(
-                    (graph, entry.epoch, task, architecture, int(k), int(candidates)),
-                    item,
-                )
-            return self._serial(
-                run_predict_oracle, entry.kg, self.registry, graph, task,
-                architecture, item, k, candidates, entry.epoch,
-            )
-
-        result = await self._serve(f"predict:{architecture}", start)
+        result = await self._windowed(
+            "predict", graph, item,
+            {"task": task, "model": architecture, "k": int(k),
+             "candidates": int(candidates)},
+            kind=f"predict:{architecture}",
+        )
         if "error" in result:
             # Per-item failures ship inside the window payload so one bad
             # id cannot fail its whole batch; surface as a client error.
@@ -654,25 +555,12 @@ class ExtractionService:
         return min(timed, key=lambda pair: pair[0])[1][0]
 
     async def sparql(self, graph: str, query: Query) -> ResultSet:
-        """One SPARQL request through the graph's async endpoint façade."""
-        entry = self._graph(graph)
-        if self.pool is not None:
-            return await self._serve(
-                "sparql", lambda: asyncio.to_thread(self._pool_sparql, graph, query)
-            )
-        return await self._serve("sparql", lambda: entry.async_endpoint.query(query))
+        """One SPARQL request, evaluated by the graph's executor."""
+        return await self._query_op("sparql", graph, query)
 
     async def count(self, graph: str, query: Query) -> int:
         """``getGraphSize`` for ``query`` (Algorithm 3's cardinality probe)."""
-        entry = self._graph(graph)
-        if self.pool is not None:
-            return await self._serve(
-                "sparql",
-                lambda: asyncio.to_thread(
-                    self.pool.call, "count", {"graph": graph, "query": query}
-                ),
-            )
-        return await self._serve("sparql", lambda: entry.async_endpoint.count(query))
+        return await self._query_op("count", graph, query)
 
     async def sparql_stream(self, graph: str, query: Query, page_rows: int = 4096):
         """Plan ``query`` as a stream of LIMIT/OFFSET pages.
@@ -681,85 +569,15 @@ class ExtractionService:
         evaluated once under admission/latency accounting (it holds the
         expensive columnar work), and the pages are then cut lazily as the
         wire layer pulls them — the consumer-paced half of the HTTP front
-        end's chunked streaming.  In pool mode the evaluation runs in the
-        owning worker and the columnar result ships back whole; pages are
-        cut parent-side, so the streamed bytes stay bit-exact while the
-        worker-side endpoint accounts the query as one request (not per
-        page).
+        end's chunked streaming.  The executor accounts the query as one
+        request; the pages are cut here and accounted into the graph's
+        ``page_stats``, so streamed bytes and ``/metrics`` counters are
+        the same whichever process evaluated the query.
         """
         entry = self._graph(graph)
-        if self.pool is not None:
-            return await self._serve(
-                "sparql",
-                lambda: asyncio.to_thread(self._pool_stream, graph, query, page_rows),
-            )
-        return await self._serve(
-            "sparql",
-            lambda: asyncio.to_thread(entry.endpoint.stream_pages, query, page_rows),
-        )
-
-    # -- batched dispatchers (worker-thread side) --
-    #
-    # Each builds the payload the pool ships for its window; the window
-    # itself runs in exactly one place, ``kernels.run_window`` — here or
-    # in the worker owning the graph's shard.
-
-    def _run_window(self, op: str, payload: dict) -> list:
-        if self.pool is not None:
-            return self.pool.call(op, payload)
-        return run_window(
-            self._graphs[payload["graph"]].live, self.registry, op, payload
-        )
-
-    def _dispatch_ppr(self, key: Hashable, targets: List[int]) -> List[list]:
-        graph, epoch, k, alpha, eps = key
-        return self._run_window("ppr", {
-            "graph": graph, "epoch": epoch,
-            "targets": [int(target) for target in targets],
-            "k": k, "alpha": alpha, "eps": eps,
-        })
-
-    def _dispatch_ego(self, key: Hashable, roots: List[int]) -> List[_EgoGraph]:
-        graph, epoch, depth, fanout, salt = key
-        return self._run_window("ego", {
-            "graph": graph, "epoch": epoch,
-            "roots": [int(root) for root in roots],
-            "depth": depth, "fanout": fanout, "salt": salt,
-        })
-
-    def _dispatch_paths(self, key: Hashable, pairs: List[Tuple[int, int]]) -> List[list]:
-        graph, epoch, max_hops, max_paths = key
-        return self._run_window("paths", {
-            "graph": graph, "epoch": epoch,
-            "pairs": [[int(src), int(dst)] for src, dst in pairs],
-            "max_hops": max_hops, "max_paths": max_paths,
-        })
-
-    def _dispatch_predict(self, key: Hashable, items: List[int]) -> List[dict]:
-        graph, epoch, task, architecture, k, candidates = key
-        return self._run_window("predict", {
-            "graph": graph, "epoch": epoch, "task": task, "model": architecture,
-            "items": [int(item) for item in items],
-            "k": k, "candidates": candidates,
-        })
-
-    # -- pool-mode SPARQL plumbing (runs on asyncio.to_thread) --
-
-    def _pool_sparql(self, graph: str, query: Query) -> ResultSet:
-        payload = self.pool.call("sparql", {"graph": graph, "query": query})
-        return ResultSet(payload["variables"], payload["columns"])
-
-    def _pool_stream(self, graph: str, query: Query, page_rows: int) -> PageStream:
         if page_rows <= 0:
             raise ValueError(f"page_rows must be positive, got {page_rows}")
-        # The worker evaluates and accounts the *request* only
-        # (op "sparql_stream"); pages are cut here, parent-side, and
-        # accounted into the entry's page_stats — merged with worker-side
-        # counters in metrics_snapshot, so pooled /metrics counts streamed
-        # traffic exactly like in-process serving.
-        entry = self._graphs[graph]
-        payload = self.pool.call("sparql_stream", {"graph": graph, "query": query})
-        result = ResultSet(payload["variables"], payload["columns"])
+        result = await self._query_op("sparql_stream", graph, query)
 
         def pages():
             for page in result.iter_pages(page_rows):
@@ -775,12 +593,30 @@ class ExtractionService:
             pages=pages(),
         )
 
-    # -- serial baseline (scalar oracle, one request at a time) --
+    async def _query_op(self, op: str, graph: str, query: Query) -> Any:
+        self._graph(graph)
+        payload = {"graph": graph, "query": query}
+        return await self._serve(
+            "sparql", lambda: asyncio.to_thread(self._execute, op, payload)
+        )
 
-    async def _serial(self, oracle, *args):
-        """``oracle(*args)`` off the event loop, one request at a time."""
-        async with self._serial_lock:
-            return await asyncio.to_thread(oracle, *args)
+    # -- execution (worker-thread side) --
+
+    def _execute(self, op: str, payload: dict) -> Any:
+        """Run one graph op: on the owning pool worker, or on this
+        process's own shard — the executor a worker runs."""
+        if self.pool is not None:
+            return self.pool.call(op, payload)
+        return self._graphs[payload["graph"]].execute(op, payload)
+
+    def _dispatch(self, op: str, key: Hashable, items: List[Any]) -> list:
+        """Run one coalesced window of ``op`` (one answer per item)."""
+        window = WINDOWS[op]
+        graph, epoch, *params = key
+        return self._execute(op, {
+            "graph": graph, "epoch": epoch, window.items: items,
+            **dict(zip(window.params, params)),
+        })
 
     # -- lifecycle / observability --
 
@@ -800,7 +636,18 @@ class ExtractionService:
         snapshot = self.metrics.snapshot()
         graphs = {}
         for name, entry in self._graphs.items():
-            stats = self._graph_cache_stats(name, entry)
+            # The executor's counters: the owning workers' (piggybacked on
+            # their responses), or this process's shard's, read only here.
+            stats = self.pool.graph_stats(name) if self.pool is not None else entry.stats()
+            # Fold in the streamed-/sparql pages cut here (invisible to the
+            # executor's EndpointStats); the ratio is computed over the
+            # merged byte counters.
+            endpoint = stats["endpoint"]
+            with entry.page_lock:
+                for counter in ("rows_returned", "bytes_raw", "bytes_shipped"):
+                    endpoint[counter] += getattr(entry.page_stats, counter)
+            raw, shipped = endpoint.pop("bytes_raw"), endpoint["bytes_shipped"]
+            endpoint["compression_ratio"] = (raw / shipped) if shipped else 1.0
             # Epoch/delta gauges + retained-kernel cache counters of the
             # live epoch chain (docs/live-graphs.md walks these); in pool
             # mode the caches that answer are the owning workers'.
@@ -835,32 +682,11 @@ class ExtractionService:
             snapshot["config"]["pool"] = self.pool.describe()
         return snapshot
 
-    def _graph_cache_stats(self, name: str, entry: _RegisteredGraph) -> dict:
-        if self.pool is None:
-            stats = graph_cache_stats(entry.kg, entry.endpoint.stats)
-        else:
-            stats = self.pool.graph_stats(name)
-            if stats is None:
-                # No graph-touching response yet: report empty worker-side
-                # counters rather than the parent's (unused) caches.
-                stats = {
-                    "artifact_cache": dict.fromkeys(
-                        ("hits", "builds", "nbytes", "mapped_nbytes"), 0
-                    ),
-                    "endpoint": dict.fromkeys(
-                        ("requests", "rows_returned", "bytes_raw", "bytes_shipped"), 0
-                    ),
-                }
-            # Fold in the pages this parent cut from worker-evaluated
-            # streamed results (invisible to worker-side EndpointStats) —
-            # pooled and in-process /metrics agree page for page.
-            endpoint = stats["endpoint"]
-            with entry.page_lock:
-                endpoint["rows_returned"] += entry.page_stats.rows_returned
-                endpoint["bytes_raw"] += entry.page_stats.bytes_raw
-                endpoint["bytes_shipped"] += entry.page_stats.bytes_shipped
-        # The ratio is computed over the (merged) byte counters.
-        endpoint = stats["endpoint"]
-        raw, shipped = endpoint.pop("bytes_raw"), endpoint["bytes_shipped"]
-        endpoint["compression_ratio"] = (raw / shipped) if shipped else 1.0
-        return stats
+
+# The coalescers and tracers find each window's dispatcher by name on the
+# class, as ``_dispatch_<op>``.
+for _op in WINDOWS:
+    setattr(
+        ExtractionService, f"_dispatch_{_op}",
+        functools.partialmethod(ExtractionService._dispatch, _op),
+    )

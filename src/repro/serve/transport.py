@@ -3,13 +3,10 @@
 The pool (``serve/pool.py``) owns a fixed set of worker slots and their
 lifecycle; this module is the wire beneath it:
 
-* **The worker-side op executor** (:func:`_execute_op`): one serial
-  recv/execute/send loop body shared by every transport.  A worker is a
-  shard — it owns its slice of the per-graph artifact cache and answers
-  the ten pool ops (``ping``/``register``/``triples``/``ppr``/``ego``/
-  ``paths``/``predict``/``sparql``/``sparql_stream``/``count``) one at a
-  time, so intra-worker parallelism can never reintroduce the GIL
-  contention the pool exists to remove.
+* **The executor** (:class:`WorkerServer` over one :class:`GraphShard`
+  per graph): every worker, pool child or standalone, answers ops
+  through it one at a time; the in-process service runs the same
+  :meth:`GraphShard.execute` on its own shards.
 * **:class:`WorkerTransport`** — the parent-side interface the pool's
   lifecycle layer orchestrates: ``start()`` / ``request()`` (future per
   op) / ``close()``, plus a disconnect callback so a dead peer surfaces
@@ -22,10 +19,9 @@ lifecycle; this module is the wire beneath it:
   as newline-delimited JSON frames over TCP to a standalone
   ``repro serve-worker`` process (possibly on another machine), reusing
   the framing/pipelining core in ``serve/wire.py`` on the server side.
-  The JSON codec (:func:`encode_result` / :func:`decode_result`)
-  round-trips every answer losslessly — JSON floats serialize via
-  ``repr`` (shortest round-trip), so remote answers stay **bit-exact**
-  with local ones; the oracle suites assert it per op.
+  Results cross as the front ends' own JSON and are rebuilt by each
+  op's declared decoder; JSON floats round-trip exactly, so remote
+  answers stay **bit-exact** with local ones.
 
 Remote registration ships *paths*, never graphs: a remote worker maps
 ``--mmap-dir`` artifacts (``repro build-artifacts``) from its own
@@ -47,7 +43,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.kg.cache import artifacts_for
+from repro.kg.epoch import LiveGraph
+from repro.models.shadowsaint import _EgoGraph
+from repro.serve.kernels import WINDOWS
+from repro.serve.registry import ModelRegistry
+from repro.sparql.endpoint import SparqlEndpoint
+from repro.sparql.executor import ResultSet
+
 __all__ = [
+    "GraphShard",
     "LocalProcessTransport",
     "RemoteTcpTransport",
     "WorkerCrashed",
@@ -111,165 +116,192 @@ def _reraise(type_name: str, message: str) -> Exception:
     return WorkerError(f"{type_name}: {message}")
 
 
-# -- worker-side op execution (shared by every transport) ----------------------
+# -- the shard executor (pool workers and the in-process service) --------------
 
 
-def graph_cache_stats(kg, stats) -> dict:
-    """One graph's artifact-cache and endpoint (``stats``) counters.
+#: Query op -> the ``SparqlEndpoint`` method that answers it.  Streamed
+#: ``/sparql`` evaluates once (one request in the endpoint's stats); the
+#: serving process cuts and accounts its pages.
+QUERY_OPS = {"sparql": "query", "sparql_stream": "evaluate_stream", "count": "count"}
 
-    Workers piggyback this on every response; the in-process service
-    reports the same dict, so both modes' ``/metrics`` share one shape.
-    ``nbytes`` is per-process resident memory; ``mapped_nbytes`` the shared
-    file-backed footprint (counted once, never multiplied per worker).
+
+class GraphShard:
+    """One graph as an executor holds it.
+
+    ``live`` is the graph's epoch chain, ``endpoint`` its SPARQL endpoint
+    on the current epoch, ``registry`` the model registry answering its
+    predict windows, and ``seq`` the sequence number of the last ingest
+    delta applied (deltas are numbered per graph from 1).
     """
-    from repro.kg.cache import artifacts_for
 
-    artifacts = artifacts_for(kg)
-    return {
-        "artifact_cache": {
-            "hits": artifacts.hits,
-            "builds": artifacts.builds,
-            "nbytes": artifacts.nbytes(),
-            "mapped_nbytes": artifacts.mapped_nbytes(),
-        },
-        "endpoint": {
-            "requests": stats.requests,
-            "rows_returned": stats.rows_returned,
-            "bytes_raw": stats.bytes_raw,
-            "bytes_shipped": stats.bytes_shipped,
-        },
-    }
+    __slots__ = ("live", "endpoint", "registry", "seq")
 
+    def __init__(
+        self,
+        kg,
+        compression: bool,
+        registry: Optional[ModelRegistry] = None,
+        compact_every: int = 0,
+    ):
+        self.live = LiveGraph(kg, compact_every=compact_every)
+        self.endpoint = SparqlEndpoint(kg, compression=compression)
+        self.registry = registry if registry is not None else ModelRegistry()
+        self.seq = 0
 
-def _piggyback_stats(graphs: Dict[str, dict], payload: dict) -> Optional[dict]:
-    """The stats a response carries for the graph its request named.
+    @property
+    def kg(self):
+        """The current epoch's merged graph."""
+        return self.live.kg
 
-    Besides :func:`graph_cache_stats`, the worker's retained-kernel cache
-    counters (``live``): in pool mode those caches answer, not the parent's.
-    """
-    name = payload.get("graph") or payload.get("name")
-    entry = graphs.get(name)
-    if entry is None:
-        return None
-    return {
-        "graph": name,
-        **graph_cache_stats(entry["kg"], entry["endpoint"].stats),
-        "live": entry["live"].cache_stats(),
-    }
+    def execute(self, op: str, payload: dict) -> Any:
+        """Run one graph op; coalesced windows run their declaration."""
+        window = WINDOWS.get(op)
+        if window is not None:
+            return window.run(self.live, self.registry, payload)
+        if op == "triples":
+            return self.ingest(payload)
+        if op in QUERY_OPS:
+            return getattr(self.endpoint, QUERY_OPS[op])(payload["query"])
+        raise ValueError(f"unknown pool op {op!r}")
 
+    def ingest(self, payload: dict) -> dict:
+        """Apply delta ``payload["seq"]`` unless it is already applied.
 
-def _execute_op(graphs: Dict[str, dict], op: str, payload: dict) -> Any:
-    """Run one op against this worker's shard of graphs.
-
-    Coalesced windows go through :func:`repro.serve.kernels.run_window`,
-    the same call the in-process service makes, so the modes cannot drift.
-    """
-    from repro.kg.cache import artifacts_for
-    from repro.serve.kernels import WINDOW_OPS, run_window
-
-    if op == "ping":
-        return "pong"
-    if op == "sleep":  # diagnostics/tests: hold the worker busy
-        time.sleep(float(payload["seconds"]))
-        return None
-    if op == "register":
-        name = payload["name"]
-        entry = graphs.get(name)
-        if entry is None:
-            from repro.kg.epoch import LiveGraph
-            from repro.serve.registry import ModelRegistry
-            from repro.sparql.endpoint import SparqlEndpoint
-
-            mmap_dir = payload.get("mmap_dir")
-            if mmap_dir is not None:
-                # Zero-copy startup: map the saved artifact store instead of
-                # unpickling a shipped graph + rebuilding indices.  Every
-                # worker mapping the same file shares its physical pages.
-                from repro.kg.store import open_artifacts
-
-                kg = open_artifacts(mmap_dir).kg
-            else:
-                kg = payload["kg"]
-            graphs[name] = entry = {
-                "kg": kg,
-                "live": LiveGraph(kg),
-                "endpoint": SparqlEndpoint(kg, compression=payload["compression"]),
-                "registry": ModelRegistry(),
-                "seq": 0,  # sequence number of the last applied delta
-            }
-        # Checkpoints ride the registration payload by *path* (respawn
-        # replays re-read the same files); models load lazily on the
-        # first predict window that reaches this worker.
-        for checkpoint in payload.get("checkpoints", ()):
-            entry["registry"].add(
-                name, checkpoint, expected_graph=entry["kg"].name
-            )
-        if payload.get("warm"):
-            artifacts_for(entry["kg"]).warm(payload.get("warm_kinds", ("csr",)))
-        return sorted(graphs)
-
-    entry = graphs.get(payload["graph"])
-    if entry is None:
-        raise KeyError(f"graph {payload['graph']!r} is not registered on this worker")
-    if op == "triples":
-        # Lockstep ingest: the parent ships the delta (and its compaction
-        # decision) to every owning worker *before* applying it locally, so
-        # any client that saw the new epoch number can be served by every
-        # shard.  The worker loop is serial — no request can interleave
-        # with a half-applied ingest.
-        from repro.sparql.endpoint import SparqlEndpoint
-
-        # Deltas are numbered per graph from 1.  One this worker already
-        # applied arrives again when a respawn's replay overlaps the live
-        # send, or when a reconnect replays the log to a worker that kept
-        # its state: applying it twice would fork the epoch chain.
+        A delta arrives twice when a respawn's replay overlaps the live
+        send, or when a reconnect replays the log to a worker that kept
+        its state: applying it twice would fork the epoch chain.  The new
+        epoch gets an endpoint (lifetime stats carried forward) and the
+        registry drops built state of older epochs.
+        """
         seq = int(payload["seq"])
-        if seq <= entry["seq"]:
+        if seq <= self.seq:
             # An empty ingest changes nothing and reports the current epoch.
-            return entry["live"].ingest(np.empty((0, 3), dtype=np.int64))
-        if seq != entry["seq"] + 1:
+            return self.live.ingest(np.empty((0, 3), dtype=np.int64))
+        if seq != self.seq + 1:
             raise ValueError(
                 f"delta {seq} of graph {payload['graph']!r} skips ahead: this "
-                f"worker applied deltas up to {entry['seq']}"
+                f"worker applied deltas up to {self.seq}"
             )
-        result = entry["live"].ingest(payload["triples"], compact=payload["compact"])
-        entry["seq"] = seq
+        result = self.live.ingest(payload["triples"], compact=payload["compact"])
+        self.seq = seq
         if result["added"]:
-            old = entry["endpoint"]
-            entry["kg"] = entry["live"].kg
-            endpoint = SparqlEndpoint(entry["live"].kg, compression=old.compression)
-            endpoint.stats = old.stats  # counters survive the epoch bump
-            entry["endpoint"] = endpoint
-            entry["registry"].invalidate_graph(
+            endpoint = SparqlEndpoint(self.live.kg, compression=self.endpoint.compression)
+            endpoint.stats = self.endpoint.stats  # counters survive the epoch bump
+            self.endpoint = endpoint
+            self.registry.invalidate_graph(
                 payload["graph"], keep_epoch=int(result["epoch"])
             )
         return result
-    if op in WINDOW_OPS:
-        return run_window(entry["live"], entry["registry"], op, payload)
-    if op in ("sparql", "sparql_stream"):
-        # Streamed /sparql in pool mode evaluates here too (one request in
-        # this endpoint's stats) and ships the columns whole; the parent
-        # cuts pages and accounts them with endpoint.account_page.
-        endpoint = entry["endpoint"]
-        evaluate = endpoint.query if op == "sparql" else endpoint.evaluate_stream
-        result = evaluate(payload["query"])
+
+    def stats(self) -> dict:
+        """Artifact-cache, endpoint and retained-kernel cache counters.
+
+        ``nbytes`` is per-process resident memory; ``mapped_nbytes`` the
+        shared file-backed footprint (counted once, never per worker).
+        """
+        artifacts = artifacts_for(self.kg)
         return {
-            "variables": list(result.variables),
-            "columns": {v: result.columns[v] for v in result.variables},
+            "artifact_cache": {
+                "hits": artifacts.hits,
+                "builds": artifacts.builds,
+                "nbytes": artifacts.nbytes(),
+                "mapped_nbytes": artifacts.mapped_nbytes(),
+            },
+            "endpoint": {
+                counter: getattr(self.endpoint.stats, counter)
+                for counter in ("requests", "rows_returned", "bytes_raw", "bytes_shipped")
+            },
+            "live": self.live.cache_stats(),
         }
-    if op == "count":
-        return entry["endpoint"].count(payload["query"])
-    raise ValueError(f"unknown pool op {op!r}")
+
+
+def _register(shards: Dict[str, GraphShard], payload: dict) -> List[str]:
+    name = payload["name"]
+    shard = shards.get(name)
+    if shard is None:
+        kg = payload.get("kg")
+        if kg is None:
+            # Zero-copy startup: map the saved artifact store instead of
+            # unpickling a shipped graph + rebuilding indices.  Every
+            # worker mapping the same file shares its physical pages.
+            from repro.kg.store import open_artifacts
+
+            kg = open_artifacts(payload["mmap_dir"]).kg
+        shards[name] = shard = GraphShard(kg, payload["compression"])
+    # Checkpoints ride the registration payload by *path* (respawn
+    # replays re-read the same files); models load lazily on the first
+    # predict window that reaches this worker.
+    for checkpoint in payload.get("checkpoints", ()):
+        shard.registry.add(name, checkpoint, expected_graph=shard.kg.name)
+    if payload.get("warm"):
+        artifacts_for(shard.kg).warm()
+    return sorted(shards)
+
+
+class WorkerServer:
+    """One worker's executor: its shards, one set per parent.
+
+    Pool children (:func:`_worker_main`) and standalone ``repro
+    serve-worker`` processes (:func:`serve_worker`) answer through it one
+    request at a time: a worker is a shard, and the lockstep-ingest
+    contract (no request interleaves with a half-applied delta) depends
+    on serial execution.  Each registration names its parent (the pool's
+    ``parent_id``) and its connection then runs against that parent's
+    shards, so a parent only ever sees the epoch chain its own deltas
+    built, and finds it again when it reconnects.  A graph pre-registered
+    from the CLI is mapped once; each parent registering that name starts
+    its own chain on it at O(1) cost.
+    """
+
+    def __init__(self) -> None:
+        self._shards: Dict[Optional[str], Dict[str, GraphShard]] = {}
+        self._preloaded: Dict[str, dict] = {}
+        self._execute_lock = threading.Lock()
+
+    def register_local(self, payload: dict) -> List[str]:
+        """Pre-register a graph from the CLI (same payload as the wire op)."""
+        with self._execute_lock:
+            scratch: Dict[str, GraphShard] = {}
+            _register(scratch, payload)  # maps, warms, reads checkpoint headers
+            name = payload["name"]
+            self._preloaded[name] = dict(payload, kg=scratch[name].kg)
+            return sorted(self._preloaded)
+
+    def graphs(self) -> List[str]:
+        with self._execute_lock:
+            return sorted(set(self._preloaded).union(*self._shards.values()))
+
+    def execute(
+        self, op: str, payload: dict, parent: Optional[str] = None
+    ) -> Tuple[Any, Optional[dict]]:
+        """One op of ``parent`` → (result, the stats of the graph it names)."""
+        with self._execute_lock:
+            shards = self._shards.setdefault(parent, {})
+            name = payload.get("graph") or payload.get("name")
+            if op == "ping":
+                result = "pong"
+            elif op == "sleep":  # diagnostics/tests: hold the worker busy
+                time.sleep(float(payload["seconds"]))
+                result = None
+            elif op == "register":
+                if name not in shards and name in self._preloaded:
+                    _register(shards, self._preloaded[name])
+                result = _register(shards, payload)
+            elif name in shards:
+                result = shards[name].execute(op, payload)
+            else:
+                raise KeyError(f"graph {name!r} is not registered on this worker")
+            shard = shards.get(name)
+            return result, None if shard is None else {"graph": name, **shard.stats()}
 
 
 def _worker_main(conn, worker_index: int) -> None:
     """Entry point of one local worker process: serial recv/execute/send.
 
-    One request at a time per worker by design — a worker is a shard, and
-    intra-worker parallelism would reintroduce the GIL contention the
-    pool exists to remove.  Parallelism comes from the number of workers.
+    Parallelism comes from the number of workers, each one
+    :class:`WorkerServer`.
     """
-    graphs: Dict[str, dict] = {}
+    server = WorkerServer()
     while True:
         try:
             message = conn.recv()
@@ -283,8 +315,7 @@ def _worker_main(conn, worker_index: int) -> None:
                 pass
             break
         try:
-            result = _execute_op(graphs, op, payload)
-            response = (request_id, "ok", result, _piggyback_stats(graphs, payload))
+            response = (request_id, "ok", *server.execute(op, payload))
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
             response = (request_id, "error", (type(exc).__name__, str(exc)), None)
         try:
@@ -298,10 +329,7 @@ def _worker_main(conn, worker_index: int) -> None:
 #
 # The remote protocol is newline-delimited JSON: requests
 # ``{"id", "op", "payload"}`` out, responses ``{"id", "status", "result",
-# "stats"}`` back.  Python's json round-trips floats exactly (repr-based
-# shortest round-trip), so encoding kernel answers as JSON preserves the
-# pool's bit-exactness contract; only the *container* types need explicit
-# reconstruction (tuples, numpy arrays, ego-graph objects).
+# "stats"}`` back.
 
 
 def _json_default(value: Any) -> Any:
@@ -333,7 +361,7 @@ def check_remote_payload(op: str, payload: dict) -> None:
             "graph; save the store with `repro build-artifacts` and register "
             "with mmap_dir (serve --mmap-dir)"
         )
-    if op in ("sparql", "sparql_stream", "count") and not isinstance(
+    if op in QUERY_OPS and not isinstance(
         payload.get("query"), str
     ):
         raise TypeError(
@@ -342,59 +370,51 @@ def check_remote_payload(op: str, payload: dict) -> None:
         )
 
 
-def decode_request_payload(op: str, payload: dict) -> dict:
-    """Worker-side: rebuild the kernel-facing types from a JSON payload."""
-    if op == "ppr" and "targets" in payload:
-        payload["targets"] = np.asarray(payload["targets"], dtype=np.int64)
-    elif op == "ego" and "roots" in payload:
-        payload["roots"] = np.asarray(payload["roots"], dtype=np.int64)
-    elif op == "triples" and "triples" in payload:
-        payload["triples"] = np.asarray(
-            payload["triples"], dtype=np.int64
-        ).reshape(-1, 3)
-    elif op == "register" and "warm_kinds" in payload:
-        payload["warm_kinds"] = tuple(payload["warm_kinds"])
-    return payload
-
-
-def encode_result(op: str, result: Any) -> Any:
-    """Worker-side: make one op's result JSON-encodable (lossless)."""
-    if op == "ego":
-        return [
-            {"nodes": e.nodes, "src": e.src, "dst": e.dst, "rel": e.rel}
-            for e in result
-        ]
-    # ppr (lists of (node, score) tuples), sparql columns (numpy arrays) and
-    # predict payloads (plain dicts) all serialize via _json_default.
+def result_payload(result: Any) -> Any:
+    """JSON-encode one op's result, or one answer of a window op: the one
+    encoding both front ends answer with and remote workers ship."""
+    if type(result) is ResultSet:
+        return {
+            "variables": list(result.variables),
+            "columns": {
+                variable: result.columns[variable].tolist()
+                for variable in result.variables
+            },
+            "num_rows": int(result.num_rows),
+        }
+    if type(result) is _EgoGraph:
+        return {
+            "nodes": result.nodes.tolist(),
+            "src": result.src.tolist(),
+            "dst": result.dst.tolist(),
+            "rel": result.rel.tolist(),
+        }
+    if isinstance(result, list) and result and isinstance(result[0], tuple):
+        # ppr top-k [(node, score), ...]
+        return [[int(node), float(score)] for node, score in result]
     return result
 
 
-def decode_result(op: str, result: Any) -> Any:
-    """Parent-side: rebuild the exact in-process result types from JSON."""
-    if op == "ppr":
-        return [
-            [(int(node), float(score)) for node, score in row] for row in result
-        ]
-    if op == "ego":
-        from repro.models.shadowsaint import _EgoGraph
+def encode_result(op: str, result: Any) -> Any:
+    """Worker-side: one op's result in the front ends' JSON form."""
+    if op in WINDOWS:
+        return [result_payload(answer) for answer in result]
+    return result_payload(result)
 
-        return [
-            _EgoGraph(
-                nodes=np.asarray(e["nodes"], dtype=np.int64),
-                src=np.asarray(e["src"], dtype=np.int64),
-                dst=np.asarray(e["dst"], dtype=np.int64),
-                rel=np.asarray(e["rel"], dtype=np.int64),
-            )
-            for e in result
-        ]
+
+def decode_result(op: str, result: Any) -> Any:
+    """Parent-side: rebuild the in-process result from its JSON form."""
+    window = WINDOWS.get(op)
+    if window is not None:
+        return [window.decode(answer) for answer in result] if window.decode else result
     if op in ("sparql", "sparql_stream"):
-        return {
-            "variables": list(result["variables"]),
-            "columns": {
-                variable: np.asarray(column, dtype=np.int64)
-                for variable, column in result["columns"].items()
+        return ResultSet(
+            list(result["variables"]),
+            {
+                variable: np.asarray(result["columns"][variable], dtype=np.int64)
+                for variable in result["variables"]
             },
-        }
+        )
     return result
 
 
@@ -465,6 +485,23 @@ class WorkerTransport:
         with self._lock:
             return self._inflight.pop(request_id, None)
 
+    def _deliver(self, request_id, ok: bool, result, stats, decode=None) -> None:
+        """Resolve one response's future; ``result`` is ``(type, message)``
+        for an error.  Piggybacked ``stats`` are recorded either way."""
+        if stats is not None:
+            self._on_stats(self.index, stats)
+        entry = self._untrack(request_id)
+        if entry is None:
+            return  # request already failed (e.g. during close)
+        op, future = entry
+        if not ok:
+            future.set_exception(_reraise(*result))
+            return
+        try:
+            future.set_result(result if decode is None else decode(op, result))
+        except Exception as exc:  # malformed result payload
+            future.set_exception(WorkerError(f"undecodable {op!r} result: {exc}"))
+
     def _fail_inflight(self, reason: str = "") -> None:
         with self._lock:
             stale = list(self._inflight.values())
@@ -534,16 +571,7 @@ class LocalProcessTransport(WorkerTransport):
                 # object while this thread was blocked inside recv().
                 break
             request_id, status, result, stats = message
-            if stats is not None:
-                self._on_stats(self.index, stats)
-            entry = self._untrack(request_id)
-            if entry is None:
-                continue  # request already failed (e.g. during close)
-            _op, future = entry
-            if status == "ok":
-                future.set_result(result)
-            else:
-                future.set_exception(_reraise(*result))
+            self._deliver(request_id, status == "ok", result, stats)
         reason = ""
         if not self.closed:
             # The pipe closes when the child exits; name how it exited
@@ -692,23 +720,11 @@ class RemoteTcpTransport(WorkerTransport):
                 break  # protocol corruption: treat the peer as gone
             if not isinstance(message, dict):
                 break
-            stats = message.get("stats")
-            if stats is not None:
-                self._on_stats(self.index, stats)
-            entry = self._untrack(message.get("id"))
-            if entry is None:
-                continue
-            op, future = entry
-            if message.get("status") == "ok":
-                try:
-                    future.set_result(decode_result(op, message.get("result")))
-                except Exception as exc:  # malformed result payload
-                    future.set_exception(
-                        WorkerError(f"undecodable {op!r} result: {exc}")
-                    )
-            else:
-                error = message.get("result") or ["WorkerError", "unspecified"]
-                future.set_exception(_reraise(str(error[0]), str(error[1])))
+            ok, result = message.get("status") == "ok", message.get("result")
+            if not ok:
+                error = result or ["WorkerError", "unspecified"]
+                result = (str(error[0]), str(error[1]))
+            self._deliver(message.get("id"), ok, result, message.get("stats"), decode_result)
         self._fail_inflight()
         self._on_disconnect(self)
 
@@ -790,39 +806,6 @@ async def _write_wire_response(writer: asyncio.StreamWriter, response: dict) -> 
     await writer.drain()
 
 
-class WorkerServer:
-    """The state of one standalone worker: its shard of graphs.
-
-    Execution is serialized by a lock — a standalone worker is the same
-    shard abstraction as a pooled process child, and the lockstep-ingest
-    contract (no request interleaves with a half-applied delta) depends
-    on one-at-a-time execution.  Connections only add pipelining.
-    """
-
-    def __init__(self) -> None:
-        self._graphs: Dict[str, dict] = {}
-        self._execute_lock = threading.Lock()
-
-    def register_local(self, payload: dict) -> List[str]:
-        """Pre-register a graph from the CLI (same payload as the wire op).
-
-        A later ``register`` op from a parent with the same name is then
-        the usual idempotent no-op, so pre-registration turns the
-        parent's registration round-trip into O(1).
-        """
-        return self.execute("register", dict(payload))[0]
-
-    def graphs(self) -> List[str]:
-        with self._execute_lock:
-            return sorted(self._graphs)
-
-    def execute(self, op: str, payload: dict) -> Tuple[Any, Optional[dict]]:
-        """One op → (result, piggybacked stats); serial, like a pool child."""
-        with self._execute_lock:
-            result = _execute_op(self._graphs, op, payload)
-            return result, _piggyback_stats(self._graphs, payload)
-
-
 async def serve_worker(
     server: WorkerServer,
     host: str = "127.0.0.1",
@@ -835,35 +818,39 @@ async def serve_worker(
     order, while execution itself stays serial in :class:`WorkerServer`.
     """
 
-    async def respond(frame: _WireFrame) -> dict:
-        if frame.error is not None:
-            return {
-                "id": frame.request_id,
-                "status": "error",
-                "result": ["BadRequest", frame.error],
-            }
-        try:
-            payload = decode_request_payload(frame.op, dict(frame.payload))
-            result, stats = await asyncio.to_thread(
-                server.execute, frame.op, payload
-            )
-            response = {
-                "id": frame.request_id,
-                "status": "ok",
-                "result": encode_result(frame.op, result),
-            }
-            if stats is not None:
-                response["stats"] = stats
-            return response
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            return {
-                "id": frame.request_id,
-                "status": "error",
-                "result": [type(exc).__name__, str(exc)],
-            }
-
     async def handler(reader, writer):
         from repro.serve.wire import serve_pipelined
+
+        parent = None  # named by this connection's registrations
+
+        async def respond(frame: _WireFrame) -> dict:
+            nonlocal parent
+            if frame.error is not None:
+                return {
+                    "id": frame.request_id,
+                    "status": "error",
+                    "result": ["BadRequest", frame.error],
+                }
+            if frame.op == "register":
+                parent = frame.payload.get("parent")
+            try:
+                result, stats = await asyncio.to_thread(
+                    server.execute, frame.op, frame.payload, parent
+                )
+                response = {
+                    "id": frame.request_id,
+                    "status": "ok",
+                    "result": encode_result(frame.op, result),
+                }
+                if stats is not None:
+                    response["stats"] = stats
+                return response
+            except BaseException as exc:  # noqa: BLE001 - shipped to the parent
+                return {
+                    "id": frame.request_id,
+                    "status": "error",
+                    "result": [type(exc).__name__, str(exc)],
+                }
 
         await serve_pipelined(
             reader,

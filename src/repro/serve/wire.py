@@ -12,7 +12,8 @@ that used to live inside the TCP module:
   ``bad_request`` over ndjson, ``400`` over HTTP) instead of surfacing an
   opaque ``KeyError`` server error; an unregistered graph raises
   :class:`UnknownGraph` (→ ``unknown_graph`` / ``404``).
-* **Result encoding** (:func:`result_payload`): kernel results
+* **Result encoding** (:func:`result_payload`, defined beside the
+  remote workers' codec in ``serve/transport.py``): kernel results
   (ResultSet / ego graph / PPR top-k) to JSON-serializable payloads.
 * **The pipelined connection loop** (:func:`serve_pipelined`): the reader
   spawns one handler task per frame so pipelined requests are handled
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.serve.service import ExtractionService
-from repro.sparql.executor import ResultSet
+from repro.serve.transport import result_payload
 
 # One request frame is bounded (queries are short); a huge line/header is a
 # client bug, not a reason to buffer without limit.
@@ -204,33 +205,6 @@ async def perform_op(service: ExtractionService, request: Any) -> Any:
     for field, cast, default in op.fields:
         kwargs[field] = _field(request, field, name, cast, default)
     return await method(graph, **kwargs)
-
-
-# -- result encoding ----------------------------------------------------------
-
-
-def result_payload(result: Any) -> Any:
-    """JSON-encode one op's result."""
-    if isinstance(result, ResultSet):
-        return {
-            "variables": list(result.variables),
-            "columns": {
-                variable: result.columns[variable].tolist()
-                for variable in result.variables
-            },
-            "num_rows": int(result.num_rows),
-        }
-    if hasattr(result, "nodes") and hasattr(result, "rel"):  # _EgoGraph
-        return {
-            "nodes": result.nodes.tolist(),
-            "src": result.src.tolist(),
-            "dst": result.dst.tolist(),
-            "rel": result.rel.tolist(),
-        }
-    if isinstance(result, list) and result and isinstance(result[0], tuple):
-        # ppr top-k [(node, score), ...]
-        return [[int(node), float(score)] for node, score in result]
-    return result
 
 
 # -- pipelined connection loop ------------------------------------------------

@@ -20,6 +20,7 @@ form:
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -34,7 +35,9 @@ import pytest
 
 from repro.kg.store import open_artifacts, save_artifacts
 from repro.serve import ExtractionService, WorkerCrashed, WorkerPool, bound_port
+from repro.serve.kernels import WINDOWS
 from repro.serve.transport import (
+    GraphShard,
     WorkerServer,
     check_remote_payload,
     decode_result,
@@ -224,21 +227,66 @@ def test_check_remote_payload_rejects_ast_queries():
         check_remote_payload("count", {"query": None})
 
 
-def test_codec_round_trips_exact_container_types():
-    # ppr rows survive JSON as lists; the decoder restores tuples so the
-    # parent-side result compares == with the in-process one.
-    ppr = [[(3, 0.125), (1, 0.0625)], []]
-    assert decode_result("ppr", json.loads(encode_frame(
-        {"result": encode_result("ppr", ppr)}
-    ))["result"]) == ppr
-    # sparql columns come back as int64 arrays keyed by variable.
-    columns = {"s": np.asarray([1, 2, 3], dtype=np.int64)}
-    decoded = decode_result("sparql", json.loads(encode_frame(
-        {"result": encode_result("sparql", {"variables": ["s"], "columns": columns})}
-    ))["result"])
-    assert decoded["variables"] == ["s"]
-    assert decoded["columns"]["s"].dtype == np.int64
-    np.testing.assert_array_equal(decoded["columns"]["s"], columns["s"])
+def _assert_same(decoded, answer):
+    """``decoded == answer``, with containers and arrays compared exactly."""
+    if isinstance(answer, np.ndarray):
+        assert decoded.dtype == answer.dtype
+        np.testing.assert_array_equal(decoded, answer)
+    elif dataclasses.is_dataclass(answer):
+        assert type(decoded) is type(answer)
+        _assert_same(vars(decoded), vars(answer))
+    elif isinstance(answer, dict):
+        assert type(decoded) is dict and decoded.keys() == answer.keys()
+        for key in answer:
+            _assert_same(decoded[key], answer[key])
+    elif isinstance(answer, (list, tuple)):
+        assert type(decoded) is type(answer) and len(decoded) == len(answer)
+        for item, expected in zip(decoded, answer):
+            _assert_same(item, expected)
+    else:
+        assert decoded == answer
+
+
+#: One sample payload per op, beyond ``graph`` (and ``epoch``) — a window
+#: op declared without one fails its generated case below.
+_CODEC_SAMPLES = {
+    "ppr": {"targets": [0, 3, 5, 3], "k": 6, "alpha": 0.25, "eps": 2e-4},
+    "ego": {"roots": [0, 3, 9], "depth": 2, "fanout": 3, "salt": 5},
+    "paths": {"pairs": [[3, 6], [0, 9], [2, 0]], "max_hops": 3, "max_paths": 8},
+    "predict": {"items": [0, 2, 5, 7], "task": "PV", "model": "RGCN", "k": 2,
+                "candidates": 0},
+    "sparql": {"query": "select ?s ?p ?o where { ?s ?p ?o }"},
+    "count": {"query": "select ?s ?o where { ?s <cites> ?o }"},
+}
+
+
+@pytest.mark.parametrize("op", [*WINDOWS, "sparql", "count"])
+def test_codec_round_trips_every_op(op, toy_kg, toy_task, tmp_path):
+    """Worker JSON → parent decode rebuilds the in-process answer exactly.
+
+    The worker's encoding is the front ends' ``result_payload`` (per
+    answer of a window), so both wires ship the same JSON.
+    """
+    from repro.models import ModelConfig, RGCNNodeClassifier
+    from repro.nn.checkpoint import save_checkpoint
+    from repro.serve.wire import result_payload
+
+    shard = GraphShard(toy_kg, compression=True)
+    if op == "predict":
+        config = ModelConfig(hidden_dim=8, num_layers=2, dropout=0.0, lr=0.05,
+                             batch_size=16, seed=3)
+        model = RGCNNodeClassifier(toy_kg, toy_task, config)
+        model.train_epoch(np.random.default_rng(0))
+        checkpoint = str(tmp_path / "nc.ckpt")
+        save_checkpoint(model, checkpoint, metrics={"test_metric": 0.9})
+        shard.registry.add("toy", checkpoint, expected_graph="toy")
+    payload = {"graph": "toy", "epoch": 0, **_CODEC_SAMPLES[op]}
+    answer = shard.execute(op, payload)
+    shipped = json.loads(encode_frame({"result": encode_result(op, answer)}))["result"]
+    _assert_same(decode_result(op, shipped), answer)
+    answers, encoded = ([answer], [shipped]) if op not in WINDOWS else (answer, shipped)
+    for one, wire in zip(answers, encoded):
+        assert json.dumps(result_payload(one)) == json.dumps(wire)
 
 
 # -- crash containment, reconnect-on-demand, replay ----------------------------
@@ -351,7 +399,7 @@ def test_reconnect_to_a_stateful_worker_does_not_reapply_deltas(
             assert time.monotonic() < deadline, pool.describe()
             time.sleep(0.01)
 
-        worker = worker_thread.server._graphs["toy"]["live"]
+        worker = worker_thread.server._shards[pool.parent_id]["toy"].live
         assert worker.epoch.number == service._graphs["toy"].live.epoch.number == 1
         for target in (service, local):
             run(target.ingest_triples("toy", more))
@@ -359,6 +407,49 @@ def test_reconnect_to_a_stateful_worker_does_not_reapply_deltas(
         assert run(service.ppr_top_k("toy", 0, k=4)) == run(
             local.ppr_top_k("toy", 0, k=4)
         )
+
+
+def test_a_second_parent_does_not_inherit_an_earlier_parents_epochs(
+    toy_kg, toy_store, worker_thread
+):
+    """Parents that share a standalone worker each see only their own chain.
+
+    Two pools, one after the other, ingest one different triple each into
+    the same graph on one worker; the second parent must answer exactly
+    like a fresh in-process parent that ingested only its own triple.
+    """
+    for rows in ([_ids(toy_kg, "p5", "cites", "p0")],
+                 [_ids(toy_kg, "p4", "cites", "p1")]):
+        local = ExtractionService()
+        local.register("toy", toy_kg)
+        run(local.ingest_triples("toy", rows))
+        with WorkerPool(workers=0, remote_workers=[worker_thread.address]) as pool:
+            service = ExtractionService(pool=pool)
+            service.register("toy", open_artifacts(toy_store).kg, mmap_dir=toy_store)
+            ingest = run(service.ingest_triples("toy", rows))
+            assert ingest["epoch"] == 1
+            assert run(service.ppr_top_k("toy", 0, k=6)) == run(
+                local.ppr_top_k("toy", 0, k=6)
+            )
+
+
+def test_preregistered_graph_serves_each_parent_its_own_chain(toy_kg, toy_store):
+    """A CLI pre-registered graph is mapped once and reused by every parent."""
+    server = WorkerServer()
+    server.register_local(
+        {"name": "toy", "mmap_dir": toy_store, "warm": True, "compression": True}
+    )
+    assert server.graphs() == ["toy"]
+    registration = {"name": "toy", "mmap_dir": toy_store, "compression": True}
+    delta = {"graph": "toy", "triples": [_ids(toy_kg, "p5", "cites", "p0")],
+             "compact": False, "seq": 1}
+    server.execute("register", dict(registration, parent="a"), "a")
+    assert server.execute("triples", delta, "a")[0]["epoch"] == 1
+    server.execute("register", dict(registration, parent="b"), "b")
+    first, second = server._shards["a"]["toy"], server._shards["b"]["toy"]
+    assert second.live.epoch.number == 0
+    assert second.live.epoch.base_kg is first.live.epoch.base_kg
+    assert server.execute("triples", delta, "b")[0]["epoch"] == 1
 
 
 def test_dead_replica_does_not_stall_routing(toy_kg, toy_store):
