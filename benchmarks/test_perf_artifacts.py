@@ -78,9 +78,8 @@ def test_perf_artifact_warm_time(benchmark, report, report_dir, tmp_path):
     save_artifacts(kg, store_dir)  # also pre-builds the baseline's CSR inputs
 
     def pickled_worker_startup():
-        # What `WorkerPool.register` costs per worker without --mmap-dir:
-        # the parent pickles the graph, the worker unpickles and warms the
-        # CSR projection before it can serve.
+        # The baseline: shipping a pickled graph to each worker, which
+        # unpickles and warms the CSR projection before it can serve.
         clone = pickle.loads(pickle.dumps(kg))
         artifacts_for(clone).warm(("csr",))
 

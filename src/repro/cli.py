@@ -256,7 +256,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.remote_worker and not args.mmap_dir:
         raise SystemExit(
             "--remote-worker requires --mmap-dir: remote registration ships "
-            "the artifact-store path, never a pickled graph"
+            "the artifact-store path, which each worker maps from its own disk"
         )
     pool = None
     if args.workers or args.remote_worker:
@@ -314,9 +314,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_serve_worker(args: argparse.Namespace) -> int:
     import asyncio
+    import threading
 
-    from repro.serve.transport import WorkerServer, serve_worker
-    from repro.serve.wire import bound_port
+    from repro.serve.transport import WorkerListener, WorkerServer
 
     host, _, port_text = args.listen.rpartition(":")
     try:
@@ -346,19 +346,20 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
             "checkpoints": list(args.checkpoint),
         })
 
-    async def run() -> None:
-        server = await serve_worker(state, host, port)
-        graphs = state.graphs()
-        banner = (
-            f"serve-worker listening on {host}:{bound_port(server)} "
-            f"(graphs: {', '.join(graphs) if graphs else 'none, awaiting registration'})"
-        )
-        await _serve_until_stopped(server, args.duration, banner)
-
+    listener = WorkerListener(state, host, port)
+    threading.Thread(target=listener.serve_forever, name="serve-worker-accept",
+                     daemon=True).start()
+    graphs = state.graphs()
+    banner = (
+        f"serve-worker listening on {host}:{listener.port} "
+        f"(graphs: {', '.join(graphs) if graphs else 'none, awaiting registration'})"
+    )
     try:
-        asyncio.run(run())
+        asyncio.run(_serve_until_stopped(listener, args.duration, banner))
     except KeyboardInterrupt:  # pragma: no cover - interrupted before serving
         pass
+    finally:
+        listener.close()
     return 0
 
 
@@ -553,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mmap-dir", default=None,
                        help="serve from a saved artifact store (see build-artifacts): "
                             "the graph and its indices memory-map in read-only, and "
-                            "pool workers share the same physical pages instead of "
-                            "receiving a pickled graph")
+                            "pool workers share the same physical pages (without it "
+                            "a pool saves the graph to a private store first)")
     serve.add_argument("--checkpoint", action="append", default=[], metavar="PATH",
                        help="register a model checkpoint (created with "
                             "`repro train --save-checkpoint`) so /predict can "
@@ -569,14 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="HOST:PORT",
                        help="add a standalone `repro serve-worker` at this address "
                             "to the pool as a remote shard (repeatable; requires "
-                            "--mmap-dir so registration ships a store path, never "
-                            "a pickled graph)")
+                            "--mmap-dir: registration ships the store path, which "
+                            "the worker maps from its own disk)")
     serve.set_defaults(func=_cmd_serve)
 
     serve_worker = sub.add_parser(
         "serve-worker",
         help="run one standalone pool worker: answers the pool ops over "
-             "ndjson TCP for a parent started with serve --remote-worker",
+             "TCP for a parent started with serve --remote-worker",
     )
     serve_worker.add_argument("--listen", required=True, metavar="HOST:PORT",
                               help="interface:port to bind (port 0 picks a free port)")
@@ -618,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="coalescing window: max ms a request waits to batch")
     bench_serve.add_argument("--mmap-dir", default=None,
                              help="pool workers memory-map this saved artifact store "
-                                  "(see build-artifacts) instead of receiving a "
-                                  "pickled graph; requires --workers")
+                                  "(see build-artifacts) instead of a private copy "
+                                  "the pool saves first; requires --workers")
     bench_serve.add_argument("--checkpoint", action="append", default=[], metavar="PATH",
                              help="benchmark /predict instead of extraction: drive "
                                   "a closed-loop inference load over these model "

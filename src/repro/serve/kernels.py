@@ -2,8 +2,8 @@
 
 A window op (``ppr``, ``ego``, ``paths``, ``predict``) is one
 :class:`Window` in :data:`WINDOWS`.  The service's coalescers and
-dispatcher, the worker executor (``serve/transport.py``) and the remote
-codec all read this table, so adding a window op is one declaration plus
+dispatcher, the worker executor (``serve/transport.py``) and the worker
+wire's codec all read this table, so adding a window op is one declaration plus
 its kernel.  ``Window.run`` is the only place a batch kernel is called
 with serving parameters, in this process or in a pool worker, so
 in-process and pooled answers cannot diverge; ``ppr``, ``ego`` and

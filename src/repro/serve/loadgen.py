@@ -225,8 +225,8 @@ def run_load(
     every request runs its scalar oracle alone.  ``pool`` dispatches the
     coalesced windows to a worker pool (the caller owns its lifecycle;
     registration is idempotent, so one pool can back several runs), and
-    ``mmap_dir`` registers the graph there by artifact-store path so
-    workers map it instead of receiving a pickled graph.
+    ``mmap_dir`` registers the graph there by that artifact-store path
+    (without it the pool saves a private store).
 
     ``http=True`` crosses real sockets through ``serve/http.py`` — the
     wire-level capacity, parsing and serialization included.  Otherwise
@@ -303,7 +303,7 @@ def compare_serving(
     position identically — coalescing, the wire, process boundaries and
     placement must never change an answer.  A pooled side is warmed
     outside its timed run: first-touch costs (worker-side artifact
-    builds and checkpoint loads, pickle code paths) are startup, not
+    builds and checkpoint loads, codec code paths) are startup, not
     serving capacity.
     """
     reports = []

@@ -16,8 +16,8 @@ Bounded and process-local by contract: every window is a fixed-size ring
 (:data:`LATENCY_WINDOW`), so a long-running service reports recent state
 at constant memory; and one :class:`ServiceMetrics` lives in the serving
 (parent) process — under pool mode the worker-side artifact-cache and
-endpoint counters are *not* recorded here but piggybacked on pool
-responses and merged into the snapshot by
+endpoint counters are *not* recorded here but asked of the pool workers
+and merged into the snapshot by
 :meth:`ExtractionService.metrics_snapshot`.
 
 Memory is reported in two separate gauges per graph: ``nbytes`` (heap

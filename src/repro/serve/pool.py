@@ -5,20 +5,16 @@ cores the box has: the in-process :class:`ExtractionService` runs every
 batch kernel on ``asyncio.to_thread``, and the GIL serializes the
 Python-level parts of those kernels.  :class:`WorkerPool` removes that
 bottleneck the way DGL-KE partitions KG state across processes: each
-**worker owns a shard of the artifact cache** — CSR projections,
-hexastore orderings and walk engines are built exactly once per owning
-worker and never cross a process boundary — and the parent ships only
-request parameters out and numpy result buffers back.
-
-The pool sits on two smaller pieces:
+**worker owns a shard of the artifact cache**, mapped from an artifact
+store and never shipped, and the parent ships only request parameters
+out and results back.  The pool sits on two smaller pieces:
 
 * **Transport** (``serve/transport.py``) — *how* a request reaches a
-  worker: a local ``multiprocessing`` child over a pipe, or a standalone
-  ``repro serve-worker`` process over newline-delimited JSON/TCP
-  (possibly on another machine).  Above the
-  :class:`~repro.serve.transport.WorkerTransport` interface the pool
-  cannot tell the two apart, so crash handling, replay and bit-exactness
-  hold identically for both.
+  worker: one :class:`~repro.serve.transport.WorkerTransport` sends
+  length-prefixed JSON frames over a ``Connection``, a pipe to a local
+  ``multiprocessing`` child or TCP to a standalone ``repro serve-worker``
+  (possibly on another machine), so crash handling, replay and
+  bit-exactness hold identically for both.
 * **Placement** (``serve/placement.py``) — *which* workers serve a
   graph: :func:`~repro.serve.placement.replica_shards`, a stable hash of
   the graph *name*.  The same graph always lands on the same home shard,
@@ -31,16 +27,14 @@ crash → structured :class:`WorkerCrashed` → respawn (local) or reconnect
 
 Contracts:
 
-* **Ship parameters, not state** — registration ships a pickled graph
-  once per owner, or (``mmap_dir``) just a *path* each owner maps
-  zero-copy; every later message is request parameters or result
-  buffers.  Remote workers accept only the path form.
+* **Ship parameters, not state** — registration ships an artifact
+  store *path* each owner maps zero-copy (an in-memory graph is saved
+  once to a private store that :meth:`WorkerPool.close` removes).
 * **Bit-exactness** — workers run the same batch kernels against their
-  own :func:`~repro.kg.cache.artifacts_for` cache, and the remote JSON
-  codec round-trips every answer losslessly, so which process — or
-  machine — runs a batch can never change an answer
-  (``tests/serve/test_pool.py`` and ``tests/serve/test_transport.py``
-  assert pooled == in-process across both transports).
+  own :func:`~repro.kg.cache.artifacts_for` cache, and the JSON codec
+  round-trips every answer losslessly, so which process — or machine —
+  runs a batch can never change an answer (``tests/serve/test_pool.py``
+  and ``tests/serve/test_transport.py``).
 * **Crash containment** — a dead worker fails only its in-flight
   requests, each with a structured :class:`WorkerCrashed`; the pool
   respawns (local) or reconnects (remote) the slot and replays its
@@ -58,18 +52,22 @@ kernels.  See ``docs/serving.md`` for the operator surface.
 
 from __future__ import annotations
 
+import concurrent.futures
+import copy
 import itertools
 import multiprocessing
+import shutil
+import tempfile
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kg.graph import KnowledgeGraph
 from repro.serve.placement import replica_shards
 from repro.serve.transport import (
-    LocalProcessTransport,
-    RemoteTcpTransport,
+    SHUTDOWN_GRACE_SECONDS,
     WorkerCrashed,
     WorkerError,
     WorkerTransport,
@@ -95,16 +93,9 @@ class _WorkerSlot:
     (``reporting transport is self.transport``), never a state machine.
     """
 
-    def __init__(
-        self,
-        pool: "WorkerPool",
-        index: int,
-        kind: str = "local",
-        address: Optional[str] = None,
-    ):
+    def __init__(self, pool: "WorkerPool", index: int, address: Optional[str] = None):
         self.pool = pool
         self.index = index
-        self.kind = kind
         self.address = address
         self.lock = threading.Lock()
         self.spawn_lock = threading.Lock()
@@ -116,24 +107,11 @@ class _WorkerSlot:
 
     # -- lifecycle --
 
-    def _make_transport(self) -> WorkerTransport:
-        if self.kind == "remote":
-            return RemoteTcpTransport(
-                self.address,
-                self.index,
-                self.pool._record_graph_stats,
-                self._on_disconnect,
-            )
-        return LocalProcessTransport(
-            self.pool._ctx,
-            self.index,
-            self.pool._record_graph_stats,
-            self._on_disconnect,
-        )
-
     def spawn(self) -> None:
         """Start (or restart) this slot's worker behind a fresh transport."""
-        transport = self._make_transport()
+        transport = WorkerTransport(
+            self.index, self._on_disconnect, address=self.address, ctx=self.pool._ctx
+        )
         with self.lock:
             self.transport = transport
         transport.start()
@@ -272,35 +250,24 @@ class _WorkerSlot:
             transport = self.transport
         self.ready.set()  # unblock waiters; they see closed and raise
         if transport is not None:
-            transport.close()
+            transport.close(self.pool.parent_id)
 
 
+@dataclass
 class _PoolGraph:
     """Parent-side registration record (replayed on worker respawn)."""
 
-    __slots__ = (
-        "name", "kg", "warm", "shards", "rr", "mmap_dir", "checkpoints", "deltas",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        kg: KnowledgeGraph,
-        warm: bool,
-        shards: List[int],
-        mmap_dir: Optional[str] = None,
-    ):
-        self.name = name
-        self.kg = kg
-        self.warm = warm
-        self.shards = shards
-        self.mmap_dir = mmap_dir
-        self.checkpoints: List[str] = []
-        # Ingest payloads in arrival order, ``seq`` numbering them from 1;
-        # a respawned worker replays them after its registrations, so it
-        # reconstructs the same epoch chain as the surviving workers.
-        self.deltas: List[dict] = []
-        self.rr = itertools.count()
+    name: str
+    kg: KnowledgeGraph
+    warm: bool
+    shards: List[int]
+    mmap_dir: str
+    checkpoints: List[str] = field(default_factory=list)
+    # Ingest payloads in arrival order, ``seq`` numbering them from 1; a
+    # respawned worker replays them after its registrations, so it
+    # reconstructs the same epoch chain as the surviving workers.
+    deltas: List[dict] = field(default_factory=list)
+    rr: Iterator[int] = field(default_factory=itertools.count)
 
 
 class WorkerPool:
@@ -327,7 +294,7 @@ class WorkerPool:
     remote_workers:
         ``HOST:PORT`` addresses of standalone ``repro serve-worker``
         processes.  Remote slots sit after the local slots in index
-        order, answer the same ops over JSON/TCP bit-exactly, and are
+        order, answer the same ops over TCP bit-exactly, and are
         reconnected (never respawned) on failure — a remote worker owns
         its own lifecycle.
 
@@ -369,8 +336,10 @@ class WorkerPool:
         self._closed = False
         self._registry_lock = threading.Lock()
         self._graphs: Dict[str, _PoolGraph] = {}
+        # Private artifact stores of in-memory registrations (see register).
+        self._stores: List[str] = []
         self._stats_lock = threading.Lock()
-        # Latest live piggybacked snapshot per (graph, worker slot) ...
+        # Latest pulled snapshot per (graph, worker slot) ...
         self._graph_stats: Dict[Tuple[str, int], dict] = {}
         # ... plus cumulative counters inherited from dead incarnations of
         # each slot, so a respawn never makes /metrics counters step back.
@@ -379,9 +348,7 @@ class WorkerPool:
             _WorkerSlot(self, index) for index in range(workers)
         ]
         for address in remote_workers:
-            self._workers.append(
-                _WorkerSlot(self, len(self._workers), kind="remote", address=address)
-            )
+            self._workers.append(_WorkerSlot(self, len(self._workers), address))
         for slot in self._workers:
             slot.spawn()
 
@@ -409,14 +376,15 @@ class WorkerPool:
         registered name is an error.  Returns the worker indices serving
         the graph, primary first.
 
-        With ``mmap_dir`` the registration payload carries only that *path*
-        — never a pickled graph — and each owning worker memory-maps the
-        saved artifact store (``repro/kg/store.py``) instead of rebuilding
-        artifacts locally.  ``kg`` is still recorded parent-side (for
-        metrics identity and conflict checks) and should be the
-        ``open_artifacts(mmap_dir).kg`` of the same store.  Remote workers
-        accept **only** this form: the path must resolve on their own
-        filesystem, and a pickled graph never crosses the network.
+        The registration payload carries only an artifact-store *path*,
+        and each owning worker memory-maps that store
+        (``repro/kg/store.py``) instead of building artifacts itself.  With
+        ``mmap_dir`` it is that store, and ``kg`` (recorded parent-side for
+        metrics identity and conflict checks) should be its
+        ``open_artifacts(mmap_dir).kg``.  Without it the graph is saved
+        once to a private temporary store, which :meth:`close` removes;
+        remote owners need ``mmap_dir``, since the path must resolve on
+        their own filesystem.
         """
         with self._registry_lock:
             existing = self._graphs.get(name)
@@ -427,10 +395,24 @@ class WorkerPool:
                     )
                 return list(existing.shards)
             shards = replica_shards(name, self.num_workers, self.replicas)
-            record = _PoolGraph(name, kg, warm, shards, mmap_dir=mmap_dir)
+            if mmap_dir is None:
+                if any(self._workers[shard].address for shard in shards):
+                    raise ValueError(
+                        "remote workers register graphs by artifact path, not by "
+                        "pickled graph; save the store with `repro build-artifacts` "
+                        "and register with mmap_dir (serve --mmap-dir)"
+                    )
+                # Saved under the lock, so a respawn's replay never ships
+                # the path before the store is written.  The copy shares
+                # the graph's arrays but not its caches: the artifacts
+                # built for the store are dropped once it is written.
+                from repro.kg.store import save_artifacts
+
+                mmap_dir = tempfile.mkdtemp(prefix="tosg-pool-")
+                self._stores.append(mmap_dir)
+                save_artifacts(copy.copy(kg), mmap_dir)
+            record = _PoolGraph(name, kg, warm, shards, mmap_dir)
             self._graphs[name] = record
-        # Ship outside the registry lock: pickling a large graph must not
-        # block routing of other graphs' requests.
         futures = [
             self._workers[shard].request("register", self._registration_payload(record))
             for shard in shards
@@ -440,8 +422,11 @@ class WorkerPool:
         return list(shards)
 
     def _registration_payload(self, record: _PoolGraph) -> dict:
-        payload = {
+        return {
             "name": record.name,
+            # Respawn replays re-map the same file, so recovery is as
+            # cheap as startup.
+            "mmap_dir": record.mmap_dir,
             "warm": record.warm,
             "compression": self.compression,
             # Names this parent to a standalone worker, which keeps one
@@ -451,13 +436,6 @@ class WorkerPool:
             # worker replays them and serves /predict like the original.
             "checkpoints": list(record.checkpoints),
         }
-        if record.mmap_dir is not None:
-            # Ship the artifact-store path, not the graph: respawn replays
-            # re-map the same file, so recovery is as cheap as startup.
-            payload["mmap_dir"] = record.mmap_dir
-        else:
-            payload["kg"] = record.kg
-        return payload
 
     def register_checkpoint(self, name: str, path: str) -> List[int]:
         """Ship the checkpoint at ``path`` to every worker serving ``name``.
@@ -597,16 +575,25 @@ class WorkerPool:
     #: Counters of each retained-kernel cache; its ``entries`` is a gauge.
     _LIVE_CACHE_COUNTERS = ("hits", "misses", "invalidated")
 
-    def _record_graph_stats(self, worker_index: int, stats: dict) -> None:
-        # Piggybacked on every graph-touching response; eventually
-        # consistent (latest snapshot per (graph, worker)), aggregated
-        # across owning workers — and this slot's dead incarnations — at
-        # read time.
-        stats = dict(stats)
-        name = stats.pop("graph", None)
-        if name is not None:
+    def _pull_stats(self, name: str) -> None:
+        """Ask each ready owner of ``name`` for its counters; an owner that
+        is not ready (or does not answer in time) keeps its last snapshot."""
+        pending = []
+        for index in self.shards_of(name):
+            slot = self._workers[index]
+            transport = slot.transport
+            if slot.ready.is_set() and transport is not None:
+                try:
+                    pending.append((index, transport.request("stats", {"graph": name})))
+                except WorkerCrashed:
+                    pass
+        for index, future in pending:
+            try:
+                snapshot = future.result(timeout=SHUTDOWN_GRACE_SECONDS)
+            except (WorkerCrashed, KeyError, concurrent.futures.TimeoutError):
+                continue
             with self._stats_lock:
-                self._graph_stats[(name, worker_index)] = stats
+                self._graph_stats[(name, index)] = snapshot
 
     def _counters(self, snapshots: List[dict]) -> dict:
         """The monotonic counters of ``snapshots``, summed per key."""
@@ -642,8 +629,8 @@ class WorkerPool:
     def graph_stats(self, name: str) -> dict:
         """Worker-side artifact/endpoint stats of ``name``, summed over owners.
 
-        All zero until the first graph-touching response arrived.  Counters
-        sum each owning worker's latest piggybacked snapshot plus the
+        Pulled from the ready owners on every call.  Counters
+        sum each owning worker's latest snapshot plus the
         retired counters of that slot's dead incarnations (so respawns
         never step a counter backwards); ``nbytes`` sums live snapshots
         only — it is a gauge.  ``mapped_nbytes`` is the **max** (not sum)
@@ -657,23 +644,18 @@ class WorkerPool:
         ``entries`` gauge sums the live snapshots only.  ``bytes_raw``
         stays for the service's ratio over its merged byte counters.
         """
+        self._pull_stats(name)
         with self._stats_lock:
-            live = [
-                value
-                for (stats_name, _worker), value in self._graph_stats.items()
-                if stats_name == name
-            ]
+            live = [value for (graph, _), value in self._graph_stats.items() if graph == name]
             retired = [
-                value
-                for (stats_name, _worker), value in self._retired_stats.items()
-                if stats_name == name
+                value for (graph, _), value in self._retired_stats.items() if graph == name
             ]
         merged = self._counters(live + retired)
         merged["artifact_cache"]["nbytes"] = sum(
             s["artifact_cache"]["nbytes"] for s in live
         )
         merged["artifact_cache"]["mapped_nbytes"] = max(
-            (s["artifact_cache"].get("mapped_nbytes", 0) for s in live), default=0
+            (s["artifact_cache"]["mapped_nbytes"] for s in live), default=0
         )
         for snapshot in live:
             for cache, counters in snapshot.get("live", {}).items():
@@ -693,8 +675,9 @@ class WorkerPool:
             "workers": self.num_workers,
             "replicas": self.replicas,
             "start_method": self.start_method,
-            # Per-slot transport kind ("local"/"remote").
-            "transports": [slot.kind for slot in self._workers],
+            "transports": [
+                "local" if slot.address is None else "remote" for slot in self._workers
+            ],
             "alive": [slot.alive() for slot in self._workers],
             "respawns": sum(slot.respawns for slot in self._workers),
             # Per-slot reason when a respawn itself failed (None = healthy);
@@ -706,12 +689,21 @@ class WorkerPool:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut every worker down (idempotent).
+        """Say goodbye to every worker, then drop the links (idempotent).
 
-        Local workers get the shutdown-op/join/terminate protocol; remote
-        slots only drop their connection — a standalone ``serve-worker``
-        owns its own lifecycle and may be serving other parents.
+        A local worker exits on its goodbye; a standalone ``serve-worker``
+        drops this parent's shards and keeps serving other parents.  The
+        private stores go last, once no worker maps them.  The workers'
+        final counters stay readable through :meth:`graph_stats`.
         """
+        if self._closed:
+            return
+        with self._registry_lock:
+            names = list(self._graphs)
+        for name in names:
+            self._pull_stats(name)
         self._closed = True
         for slot in self._workers:
             slot.close()
+        for store in self._stores:
+            shutil.rmtree(store, ignore_errors=True)

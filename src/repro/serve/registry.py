@@ -10,7 +10,7 @@ architecture / task / recorded metric / parameter count without ever
 holding model parameters.  The full checkpoint is loaded and the model
 rebuilt lazily, on the first request that actually needs it, and cached
 under its ``(graph, task, architecture, epoch)`` identity for every later
-request — the same double-checked idiom ``artifacts_for`` uses.  The
+request; requests that arrive during that build wait for it.  The
 epoch component ties built state (model, logits, target positions) to
 one immutable graph snapshot: a ``POST /triples`` ingest bumps the
 graph's epoch and calls :meth:`invalidate_graph`, so the next request
@@ -31,6 +31,7 @@ event loop routes; counters (``hits`` / ``loads``) feed ``/metrics``.
 
 from __future__ import annotations
 
+import concurrent.futures
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -63,9 +64,11 @@ class ModelRegistry:
         self._lock = threading.RLock()
         self._paths: Dict[Key, str] = {}
         self._meta: Dict[Key, dict] = {}
-        self._models: Dict[BuiltKey, object] = {}
-        self._logits: Dict[BuiltKey, np.ndarray] = {}
-        self._positions: Dict[BuiltKey, dict] = {}
+        # Built state, one future per key: the first caller builds, callers
+        # arriving meanwhile wait on it.
+        self._models: Dict[BuiltKey, concurrent.futures.Future] = {}
+        self._logits: Dict[BuiltKey, concurrent.futures.Future] = {}
+        self._positions: Dict[BuiltKey, concurrent.futures.Future] = {}
         self.hits = 0  # cache hits: a request found its model already built
         self.loads = 0  # checkpoint loads: full parse + model rebuild
 
@@ -130,41 +133,48 @@ class ModelRegistry:
         """The warm model for ``(graph, task, architecture)`` at ``epoch``.
 
         The slow path (checkpoint parse + model rebuild + parameter load)
-        runs outside the lock; a double-check keeps one build per key even
-        when concurrent windows race, mirroring ``artifacts_for``.  ``kg``
+        runs once per key, outside the lock (see :meth:`_built`).  ``kg``
         must be the graph snapshot ``epoch`` names — the built model holds
         a reference to it, which is exactly why built state is epoch-keyed.
         """
-        key: BuiltKey = (graph, task, architecture, int(epoch))
         with self._lock:
-            model = self._models.get(key)
-            if model is not None:
-                self.hits += 1
-                return model
-            path = self._paths.get(key[:3])
+            path = self._paths.get((graph, task, architecture))
         if path is None:
             raise KeyError(
                 f"no {architecture} checkpoint for task {task!r} on graph {graph!r}"
             )
-        built = load_checkpoint(path).build_model(kg)
+        model, built = self._built(
+            self._models, (graph, task, architecture, int(epoch)),
+            lambda: load_checkpoint(path).build_model(kg),
+        )
         with self._lock:
-            model = self._models.get(key)
-            if model is not None:
+            if built:
+                self.loads += 1
+            else:
                 self.hits += 1
-                return model
-            self._models[key] = built
-            self.loads += 1
-        return built
+        return model
 
-    def _built(self, cache: dict, key: BuiltKey, build):
-        """``cache[key]``, computed by ``build()`` outside the lock once."""
+    def _built(self, cache: dict, key: BuiltKey, build) -> Tuple[object, bool]:
+        """``(cache[key], whether this call built it)``.
+
+        The first caller runs ``build()`` outside the lock; callers that
+        arrive meanwhile wait for its result, or its error.  A failed build
+        is not cached, so the next caller retries it.
+        """
         with self._lock:
-            cached = cache.get(key)
-        if cached is not None:
-            return cached
-        value = build()
-        with self._lock:
-            return cache.setdefault(key, value)
+            future = cache.get(key)
+            owner = future is None
+            if owner:
+                future = cache[key] = concurrent.futures.Future()
+        if owner:
+            try:
+                future.set_result(build())
+            except BaseException as exc:
+                with self._lock:
+                    if cache.get(key) is future:
+                        del cache[key]
+                future.set_exception(exc)
+        return future.result(), owner
 
     def logits(
         self, graph: str, task: str, architecture: str, kg, epoch: int = 0
@@ -173,7 +183,7 @@ class ModelRegistry:
         return self._built(
             self._logits, (graph, task, architecture, int(epoch)),
             lambda: self.model(graph, task, architecture, kg, epoch).predict_logits(),
-        )
+        )[0]
 
     def target_positions(
         self, graph: str, task: str, architecture: str, kg, epoch: int = 0
@@ -184,7 +194,7 @@ class ModelRegistry:
             targets = self.model(graph, task, architecture, kg, epoch).task.target_nodes
             return {int(node): index for index, node in enumerate(targets)}
 
-        return self._built(self._positions, (graph, task, architecture, int(epoch)), build)
+        return self._built(self._positions, (graph, task, architecture, int(epoch)), build)[0]
 
     def invalidate_graph(self, graph: str, keep_epoch: Optional[int] = None) -> int:
         """Drop ``graph``'s built state (models, logits, positions).
@@ -215,6 +225,7 @@ class ModelRegistry:
     def snapshot(self) -> dict:
         """Registry state for ``/metrics``: per-checkpoint meta + counters."""
         with self._lock:
+            loaded = {built[:3] for built, future in self._models.items() if future.done()}
             checkpoints = [
                 {
                     "graph": key[0],
@@ -223,14 +234,14 @@ class ModelRegistry:
                     "task_type": self._meta[key]["task_type"],
                     "num_parameters": self._meta[key]["num_parameters"],
                     "metrics": self._meta[key]["metrics"],
-                    "loaded": any(built[:3] == key for built in self._models),
+                    "loaded": key in loaded,
                     "path": self._paths[key],
                 }
                 for key in sorted(self._meta)
             ]
             return {
                 "checkpoints": checkpoints,
-                "loaded": len({built[:3] for built in self._models}),
+                "loaded": len(loaded),
                 "hits": self.hits,
                 "loads": self.loads,
             }

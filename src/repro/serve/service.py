@@ -209,17 +209,16 @@ class ExtractionService:
         Warming at registration keeps the first request's latency in line
         with steady state — artifact construction is the one cost that is
         *not* graph-size independent.  In pool mode the graph is also
-        shipped (once per owning worker) to the pool, and warming happens
-        worker-side — the parent never builds kernel artifacts, not even
-        across ingests: a new epoch's artifacts are merged only on first
-        use (``repro/kg/epoch.py``), and the parent uses none.
+        registered with the pool, and warming happens worker-side — the
+        parent never builds kernel artifacts, not even across ingests: a
+        new epoch's artifacts are merged only on first use
+        (``repro/kg/epoch.py``), and the parent uses none.
 
-        ``mmap_dir`` (pool mode) makes registration ship the saved
-        artifact-store *path* instead of a pickled graph; owning workers
-        memory-map the same file (see ``repro/kg/store.py``).  ``kg``
-        should then be ``open_artifacts(mmap_dir).kg``.  Without a pool the
-        argument is ignored — an ``open_artifacts`` graph already carries
-        its mapped artifacts.
+        ``mmap_dir`` (pool mode) names the saved artifact store the owning
+        workers memory-map (see ``repro/kg/store.py``); ``kg`` should then
+        be ``open_artifacts(mmap_dir).kg``.  Without it the pool saves the
+        graph to a private store.  Without a pool the argument is ignored —
+        an ``open_artifacts`` graph already carries its mapped artifacts.
         """
         if name in self._graphs:
             raise ValueError(f"graph {name!r} already registered")
@@ -629,15 +628,15 @@ class ExtractionService:
         """Service + per-graph metrics as one JSON-serializable dict.
 
         In pool mode the per-graph artifact-cache and endpoint counters
-        come from the owning workers (piggybacked on responses, summed
-        across replicas — eventually consistent), and the snapshot gains
-        a ``config.pool`` section with worker health and graph owners.
+        come from the owning workers (asked now, summed across replicas),
+        and the snapshot gains a ``config.pool`` section with worker
+        health and graph owners.
         """
         snapshot = self.metrics.snapshot()
         graphs = {}
         for name, entry in self._graphs.items():
-            # The executor's counters: the owning workers' (piggybacked on
-            # their responses), or this process's shard's, read only here.
+            # The executor's counters: the owning workers', or this
+            # process's shard's.
             stats = self.pool.graph_stats(name) if self.pool is not None else entry.stats()
             # Fold in the streamed-/sparql pages cut here (invisible to the
             # executor's EndpointStats); the ratio is computed over the

@@ -7,38 +7,35 @@ lifecycle; this module is the wire beneath it:
   per graph): every worker, pool child or standalone, answers ops
   through it one at a time; the in-process service runs the same
   :meth:`GraphShard.execute` on its own shards.
-* **:class:`WorkerTransport`** — the parent-side interface the pool's
-  lifecycle layer orchestrates: ``start()`` / ``request()`` (future per
-  op) / ``close()``, plus a disconnect callback so a dead peer surfaces
-  as structured :class:`WorkerCrashed` failures and a respawn/reconnect
-  decision in the pool, identically for both implementations.
-* **:class:`LocalProcessTransport`** — the classic same-machine worker:
-  a ``multiprocessing`` child connected by a pipe, python objects
-  (parameters out, numpy buffers back) crossing via pickle.
-* **:class:`RemoteTcpTransport`** — the distributed tier: the same ops
-  as newline-delimited JSON frames over TCP to a standalone
-  ``repro serve-worker`` process (possibly on another machine), reusing
-  the framing/pipelining core in ``serve/wire.py`` on the server side.
-  Results cross as the front ends' own JSON and are rebuilt by each
-  op's declared decoder; JSON floats round-trip exactly, so remote
-  answers stay **bit-exact** with local ones.
-
-Remote registration ships *paths*, never graphs: a remote worker maps
-``--mmap-dir`` artifacts (``repro build-artifacts``) from its own
-filesystem, so registration and respawn replay cost O(header) on any
-machine and a pickled multi-GiB graph never crosses the network.
+* **One wire.** Every hop is length-prefixed JSON frames over a
+  :class:`multiprocessing.connection.Connection`: requests
+  ``{"id", "op", "payload"}`` out, responses ``{"id", "status",
+  "result"}`` back.  Results cross as the front ends' own JSON and are
+  rebuilt by each op's declared decoder; JSON floats round-trip exactly,
+  so pooled answers stay **bit-exact** with in-process ones.
+* **One parent side** (:class:`WorkerTransport`): ``start()`` /
+  ``request()`` (future per op) / ``close()`` and a reader thread, the
+  same code for a local ``multiprocessing`` child (a ``Pipe``, on Linux
+  an AF_UNIX socket pair) and a standalone ``repro serve-worker`` (a TCP
+  socket, possibly on another machine).
+* **One worker loop** (:func:`_serve_connection`): a pool child runs it
+  on its pipe; ``repro serve-worker`` (:class:`WorkerListener`) runs it
+  on one thread per accepted connection.  Registration ships an
+  artifact-store *path* the worker maps, so registration and respawn
+  replay cost O(header) on any machine.
 """
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import itertools
 import json
+import os
 import socket
+import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,33 +50,32 @@ from repro.sparql.executor import ResultSet
 
 __all__ = [
     "GraphShard",
-    "LocalProcessTransport",
-    "RemoteTcpTransport",
     "WorkerCrashed",
     "WorkerError",
+    "WorkerListener",
     "WorkerServer",
     "WorkerTransport",
-    "serve_worker",
 ]
 
-#: Seconds a remote transport waits for the TCP connect + liveness probe.
+# One request frame is bounded on every wire surface (queries are short);
+# a huge line/header/frame is a client bug, not a reason to buffer
+# without limit.
+MAX_LINE_BYTES = 1 << 20
+
+#: Seconds a transport waits for the TCP connect + liveness probe.
 CONNECT_TIMEOUT_SECONDS = 10.0
 
-
-def _max_line_bytes() -> int:
-    # Same frame bound as every other wire surface.  Imported lazily:
-    # ``serve/wire.py`` imports the service (which imports the pool, which
-    # imports this module), so a module-level import would be circular.
-    from repro.serve.wire import MAX_LINE_BYTES
-
-    return MAX_LINE_BYTES
-
-#: Seconds ``close()`` gives a local worker to exit cleanly before
-#: terminating it.
+#: Seconds ``close()`` gives a worker to answer its goodbye (and a local
+#: worker to exit) before the link is torn down regardless.
 SHUTDOWN_GRACE_SECONDS = 5.0
 
 #: Seconds a crashed local worker's reader waits to learn its exit code.
 CRASH_JOIN_SECONDS = 1.0
+
+#: Seconds a standalone worker keeps the shards of a parent whose
+#: connections all closed without a goodbye; the next registration after
+#: that drops them.
+PARENT_IDLE_SECONDS = 600.0
 
 
 # -- errors -------------------------------------------------------------------
@@ -162,6 +158,8 @@ class GraphShard:
             return self.ingest(payload)
         if op in QUERY_OPS:
             return getattr(self.endpoint, QUERY_OPS[op])(payload["query"])
+        if op == "stats":
+            return self.stats()
         raise ValueError(f"unknown pool op {op!r}")
 
     def ingest(self, payload: dict) -> dict:
@@ -215,15 +213,13 @@ class GraphShard:
         }
 
 
-def _register(shards: Dict[str, GraphShard], payload: dict) -> List[str]:
+def _register(shards: Dict[str, GraphShard], payload: dict, kg=None) -> List[str]:
     name = payload["name"]
     shard = shards.get(name)
     if shard is None:
-        kg = payload.get("kg")
         if kg is None:
-            # Zero-copy startup: map the saved artifact store instead of
-            # unpickling a shipped graph + rebuilding indices.  Every
-            # worker mapping the same file shares its physical pages.
+            # Map the saved artifact store: every worker mapping the same
+            # file shares its physical pages, and nothing is rebuilt.
             from repro.kg.store import open_artifacts
 
             kg = open_artifacts(payload["mmap_dir"]).kg
@@ -241,21 +237,26 @@ def _register(shards: Dict[str, GraphShard], payload: dict) -> List[str]:
 class WorkerServer:
     """One worker's executor: its shards, one set per parent.
 
-    Pool children (:func:`_worker_main`) and standalone ``repro
-    serve-worker`` processes (:func:`serve_worker`) answer through it one
-    request at a time: a worker is a shard, and the lockstep-ingest
-    contract (no request interleaves with a half-applied delta) depends
-    on serial execution.  Each registration names its parent (the pool's
-    ``parent_id``) and its connection then runs against that parent's
-    shards, so a parent only ever sees the epoch chain its own deltas
-    built, and finds it again when it reconnects.  A graph pre-registered
-    from the CLI is mapped once; each parent registering that name starts
-    its own chain on it at O(1) cost.
+    Every worker answers through it one request at a time: a worker is a
+    shard, and the lockstep-ingest contract (no request interleaves with
+    a half-applied delta) depends on serial execution.  Each registration
+    names its parent (the pool's ``parent_id``) and its connection then
+    runs against that parent's shards, so a parent only ever sees the
+    epoch chain its own deltas built, and finds it again when it
+    reconnects.  A ``goodbye`` drops the parent's shards; the shards of a
+    parent whose connections all closed without one are dropped at the
+    first registration after :data:`PARENT_IDLE_SECONDS`.  A graph
+    pre-registered from the CLI is mapped once; each parent registering
+    that name starts its own chain on it at O(1) cost.
     """
 
     def __init__(self) -> None:
         self._shards: Dict[Optional[str], Dict[str, GraphShard]] = {}
-        self._preloaded: Dict[str, dict] = {}
+        self._preloaded: Dict[str, Tuple[dict, Any]] = {}
+        # Open connections per parent, and when each idle parent's last
+        # connection closed.
+        self._links: Dict[str, int] = {}
+        self._idle_since: Dict[str, float] = {}
         self._execute_lock = threading.Lock()
 
     def register_local(self, payload: dict) -> List[str]:
@@ -264,7 +265,7 @@ class WorkerServer:
             scratch: Dict[str, GraphShard] = {}
             _register(scratch, payload)  # maps, warms, reads checkpoint headers
             name = payload["name"]
-            self._preloaded[name] = dict(payload, kg=scratch[name].kg)
+            self._preloaded[name] = (payload, scratch[name].kg)
             return sorted(self._preloaded)
 
     def graphs(self) -> List[str]:
@@ -273,63 +274,66 @@ class WorkerServer:
 
     def execute(
         self, op: str, payload: dict, parent: Optional[str] = None
-    ) -> Tuple[Any, Optional[dict]]:
-        """One op of ``parent`` → (result, the stats of the graph it names)."""
+    ) -> Tuple[Any, Optional[str]]:
+        """One op on a connection serving ``parent`` → (result, the parent
+        the connection serves from now on: a registration names it, a
+        goodbye ends it)."""
         with self._execute_lock:
-            shards = self._shards.setdefault(parent, {})
             name = payload.get("graph") or payload.get("name")
+            if op == "register":
+                parent = self._attach(parent, payload.get("parent"))
+                shards = self._shards.setdefault(parent, {})
+                if name not in shards and name in self._preloaded:
+                    _register(shards, *self._preloaded[name])
+                return _register(shards, payload), parent
+            if op == "goodbye":
+                gone = payload.get("parent", parent)
+                self._shards.pop(gone, None)
+                self._links.pop(gone, None)
+                self._idle_since.pop(gone, None)
+                return None, None
+            shards = self._shards.get(parent, {})
             if op == "ping":
                 result = "pong"
             elif op == "sleep":  # diagnostics/tests: hold the worker busy
                 time.sleep(float(payload["seconds"]))
                 result = None
-            elif op == "register":
-                if name not in shards and name in self._preloaded:
-                    _register(shards, self._preloaded[name])
-                result = _register(shards, payload)
             elif name in shards:
                 result = shards[name].execute(op, payload)
             else:
                 raise KeyError(f"graph {name!r} is not registered on this worker")
-            shard = shards.get(name)
-            return result, None if shard is None else {"graph": name, **shard.stats()}
+            return result, parent
+
+    def detach(self, parent: Optional[str]) -> None:
+        """A connection serving ``parent`` closed."""
+        with self._execute_lock:
+            self._release(parent)
+
+    def _attach(self, parent: Optional[str], new: Optional[str]) -> Optional[str]:
+        """Move a connection from ``parent`` to ``new`` (lock held), first
+        dropping the shards of parents idle past the limit."""
+        cutoff = time.monotonic() - PARENT_IDLE_SECONDS
+        for idle, since in list(self._idle_since.items()):
+            if since <= cutoff:
+                del self._idle_since[idle]
+                self._shards.pop(idle, None)
+        if new != parent:
+            self._release(parent)
+            if new is not None:
+                self._links[new] = self._links.get(new, 0) + 1
+                self._idle_since.pop(new, None)
+        return new
+
+    def _release(self, parent: Optional[str]) -> None:
+        if parent is None or parent not in self._links:
+            return
+        self._links[parent] -= 1
+        if not self._links[parent]:
+            del self._links[parent]
+            self._idle_since[parent] = time.monotonic()
 
 
-def _worker_main(conn, worker_index: int) -> None:
-    """Entry point of one local worker process: serial recv/execute/send.
-
-    Parallelism comes from the number of workers, each one
-    :class:`WorkerServer`.
-    """
-    server = WorkerServer()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break  # parent is gone; daemonic exit
-        request_id, op, payload = message
-        if op == "shutdown":
-            try:
-                conn.send((request_id, "ok", None, None))
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-            break
-        try:
-            response = (request_id, "ok", *server.execute(op, payload))
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            response = (request_id, "error", (type(exc).__name__, str(exc)), None)
-        try:
-            conn.send(response)
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-            break
-    conn.close()
-
-
-# -- JSON codec for the remote wire -------------------------------------------
-#
-# The remote protocol is newline-delimited JSON: requests
-# ``{"id", "op", "payload"}`` out, responses ``{"id", "status", "result",
-# "stats"}`` back.
+# -- the JSON codec -----------------------------------------------------------
 
 
 def _json_default(value: Any) -> Any:
@@ -343,36 +347,13 @@ def _json_default(value: Any) -> Any:
 
 
 def encode_frame(message: dict) -> bytes:
-    """One wire frame: compact JSON + newline, bounded by the line limit."""
-    data = (
-        json.dumps(message, separators=(",", ":"), default=_json_default) + "\n"
-    ).encode("utf-8")
-    limit = _max_line_bytes()
-    if len(data) > limit:
-        raise ValueError(f"wire frame of {len(data)} bytes exceeds {limit}")
-    return data
-
-
-def check_remote_payload(op: str, payload: dict) -> None:
-    """Reject payloads that must never cross the remote wire."""
-    if op == "register" and "kg" in payload:
-        raise ValueError(
-            "remote workers register graphs by artifact path, not by pickled "
-            "graph; save the store with `repro build-artifacts` and register "
-            "with mmap_dir (serve --mmap-dir)"
-        )
-    if op in QUERY_OPS and not isinstance(
-        payload.get("query"), str
-    ):
-        raise TypeError(
-            f"op {op!r} over the remote transport requires the query as a "
-            "string (parsed ASTs do not cross the wire)"
-        )
+    """One frame body: compact JSON (numpy scalars and arrays as lists)."""
+    return json.dumps(message, separators=(",", ":"), default=_json_default).encode()
 
 
 def result_payload(result: Any) -> Any:
     """JSON-encode one op's result, or one answer of a window op: the one
-    encoding both front ends answer with and remote workers ship."""
+    encoding both front ends answer with and workers ship."""
     if type(result) is ResultSet:
         return {
             "variables": list(result.variables),
@@ -418,448 +399,316 @@ def decode_result(op: str, result: Any) -> Any:
     return result
 
 
-# -- parent-side transports ---------------------------------------------------
+# -- the worker loop ----------------------------------------------------------
 
-#: ``on_stats(worker_index, stats)`` records a piggybacked stats snapshot.
-StatsSink = Callable[[int, dict], None]
+#: A frame's length prefix, as ``Connection.send_bytes`` writes it.  Read
+#: unsigned: the prefix of a frame past 2 GiB (-1) reads as oversized.
+_HEADER = struct.Struct("!I")
+#: Bytes per read of a frame body.
+_CHUNK_BYTES = 1 << 16
+
+
+class _FrameError(ValueError):
+    """A request frame that is answered with one error, then the link closes."""
+
+
+def _read_exact(fd: int, size: int, keep: bool = True) -> bytes:
+    """``size`` bytes from ``fd`` (dropped unless ``keep``); EOFError at EOF."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, min(size, _CHUNK_BYTES))
+        if not chunk:
+            raise EOFError
+        size -= len(chunk)
+        if keep:
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _read_request(conn: Connection) -> Tuple[Any, str, dict]:
+    """The next request frame as ``(id, op, payload)``.
+
+    A partial frame at EOF raises EOFError: half a request never runs.  An
+    oversized frame's body is read off before :class:`_FrameError` is
+    raised: closing on unread bytes would reset the link, and the sender
+    would never read the error.
+    """
+    fd = conn.fileno()
+    (size,) = _HEADER.unpack(_read_exact(fd, _HEADER.size))
+    if size > MAX_LINE_BYTES:
+        _read_exact(fd, size, keep=False)
+        raise _FrameError(f"frame exceeds {MAX_LINE_BYTES} bytes")
+    try:
+        message = json.loads(_read_exact(fd, size))
+    except ValueError:
+        raise _FrameError("invalid JSON frame") from None
+    if not isinstance(message, dict) or not isinstance(message.get("op"), str):
+        raise _FrameError("frame must be a JSON object with a string 'op'")
+    payload = message.get("payload", {})
+    if not isinstance(payload, dict):
+        raise _FrameError("'payload' must be a JSON object")
+    return message.get("id"), message["op"], payload
+
+
+def _serve_connection(server: WorkerServer, conn: Connection) -> None:
+    """Answer ``conn``'s requests in order until it closes or says goodbye.
+
+    Every worker runs this loop.  A malformed frame gets one error
+    response and closes the link: resynchronizing inside a corrupt byte
+    stream is guesswork.
+    """
+    parent = None
+    try:
+        while True:
+            op = None
+            try:
+                request_id, op, payload = _read_request(conn)
+            except (EOFError, OSError):
+                break
+            except _FrameError as exc:
+                response = {"id": None, "status": "error", "result": ["BadRequest", str(exc)]}
+            else:
+                try:
+                    result, parent = server.execute(op, payload, parent)
+                    response = {
+                        "id": request_id, "status": "ok", "result": encode_result(op, result),
+                    }
+                except BaseException as exc:  # noqa: BLE001 - shipped to the parent
+                    response = {
+                        "id": request_id, "status": "error",
+                        "result": [type(exc).__name__, str(exc)],
+                    }
+            try:
+                conn.send_bytes(encode_frame(response))
+            except OSError:
+                break
+            if op is None or op == "goodbye":
+                break
+    finally:
+        server.detach(parent)
+        conn.close()
+
+
+def _child_main(conn: Connection) -> None:
+    """A local pool worker: one :class:`WorkerServer` on its pipe.
+
+    After a goodbye the loop returns and the process exits through
+    multiprocessing's normal exit path (running its finalizers).
+    """
+    _serve_connection(WorkerServer(), conn)
+
+
+class WorkerListener:
+    """``repro serve-worker``'s socket: one :func:`_serve_connection`
+    thread per accepted connection, sharing one :class:`WorkerServer`
+    (whose lock keeps execution serial)."""
+
+    def __init__(self, server: WorkerServer, host: str = "127.0.0.1", port: int = 0):
+        self.server = server
+        self._sock = socket.create_server((host, port))
+        self.port = self._sock.getsockname()[1]
+
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`close`."""
+        while True:
+            try:
+                sock, _ = self._sock.accept()
+            except OSError:
+                return
+            threading.Thread(
+                target=_serve_connection,
+                args=(self.server, Connection(sock.detach())),
+                name="serve-worker-connection",
+                daemon=True,
+            ).start()
+
+    def close(self) -> None:
+        """Stop accepting, then let the op in progress finish."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
+        except OSError:
+            pass
+        self._sock.close()
+        with self.server._execute_lock:
+            pass
+
+
+# -- the parent side ----------------------------------------------------------
+
 #: ``on_disconnect(transport)`` tells the lifecycle layer the peer is gone.
 DisconnectSink = Callable[["WorkerTransport"], None]
+
+
+def _host_port(address: str) -> Tuple[str, int]:
+    host, _, port_text = address.rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = -1
+    if not host or not (0 < port < 65536):
+        raise ValueError(f"remote worker address must be HOST:PORT, got {address!r}")
+    return host, port
 
 
 class WorkerTransport:
     """Parent-side channel to one worker (one incarnation of one slot).
 
-    A transport is single-incarnation: ``start()`` once, ``request()``
-    until the peer dies or ``close()``; the pool's lifecycle layer builds
-    a *new* transport to respawn/reconnect a slot, so "is this disconnect
-    stale?" is an identity check, never a state machine.  All methods are
-    thread-safe; ``request`` returns a future resolved off-thread by the
-    transport's reader.
+    ``address`` (``HOST:PORT``) names a standalone ``repro serve-worker``;
+    without it, ``start()`` forks a local worker from ``ctx``.  Above the
+    connect step both run the same code: frames out under a send lock, a
+    reader thread resolving each request's future, ``close()`` saying
+    goodbye.  A transport is single-incarnation: the pool builds a *new*
+    one to respawn/reconnect a slot, so "is this disconnect stale?" is an
+    identity check, never a state machine.  All methods are thread-safe.
     """
-
-    kind = "?"
-
-    def __init__(self, index: int, on_stats: StatsSink, on_disconnect: DisconnectSink):
-        self.index = index
-        self.closed = False
-        self._on_stats = on_stats
-        self._on_disconnect = on_disconnect
-        self._lock = threading.Lock()
-        self._inflight: Dict[int, Tuple[str, concurrent.futures.Future]] = {}
-        self._request_ids = itertools.count()
-
-    # -- interface --
-
-    def start(self) -> None:
-        """Spawn/connect the worker; blocking until it answers."""
-        raise NotImplementedError
-
-    def request(self, op: str, payload: dict) -> concurrent.futures.Future:
-        """Send one op; the returned future resolves off-thread."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Tear down the channel (and, for local workers, the process)."""
-        raise NotImplementedError
-
-    def alive(self) -> bool:
-        raise NotImplementedError
-
-    def pid(self) -> Optional[int]:
-        """Worker process id when it runs on this machine (else None)."""
-        return None
-
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
-    # -- shared bookkeeping --
-
-    def _track(self, op: str) -> Tuple[int, concurrent.futures.Future]:
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        with self._lock:
-            request_id = next(self._request_ids)
-            self._inflight[request_id] = (op, future)
-        return request_id, future
-
-    def _untrack(self, request_id: int) -> Optional[Tuple[str, concurrent.futures.Future]]:
-        with self._lock:
-            return self._inflight.pop(request_id, None)
-
-    def _deliver(self, request_id, ok: bool, result, stats, decode=None) -> None:
-        """Resolve one response's future; ``result`` is ``(type, message)``
-        for an error.  Piggybacked ``stats`` are recorded either way."""
-        if stats is not None:
-            self._on_stats(self.index, stats)
-        entry = self._untrack(request_id)
-        if entry is None:
-            return  # request already failed (e.g. during close)
-        op, future = entry
-        if not ok:
-            future.set_exception(_reraise(*result))
-            return
-        try:
-            future.set_result(result if decode is None else decode(op, result))
-        except Exception as exc:  # malformed result payload
-            future.set_exception(WorkerError(f"undecodable {op!r} result: {exc}"))
-
-    def _fail_inflight(self, reason: str = "") -> None:
-        with self._lock:
-            stale = list(self._inflight.values())
-            self._inflight = {}
-        for _op, future in stale:
-            if not future.done():
-                future.set_exception(
-                    WorkerCrashed(
-                        f"pool worker {self.index} died with this request in "
-                        f"flight{reason}"
-                    )
-                )
-
-
-class LocalProcessTransport(WorkerTransport):
-    """The classic same-machine worker: mp child + pipe + reader thread.
-
-    Python objects cross via pickle (parameters out, numpy buffers back);
-    a dedicated reader thread blocks on the pipe and resolves futures, so
-    the pool works from plain threads (``asyncio.to_thread``) and from
-    synchronous code without an event loop.
-    """
-
-    kind = "local"
 
     def __init__(
         self,
-        ctx,
         index: int,
-        on_stats: StatsSink,
         on_disconnect: DisconnectSink,
+        address: Optional[str] = None,
+        ctx=None,
     ):
-        super().__init__(index, on_stats, on_disconnect)
+        self.index = index
+        self.address = address
+        self._endpoint = None if address is None else _host_port(address)
         self._ctx = ctx
+        self.closed = False
         self.process = None
-        self.conn = None
         self.reader: Optional[threading.Thread] = None
+        self._conn: Optional[Connection] = None
+        self._sock: Optional[socket.socket] = None
+        self._on_disconnect = on_disconnect
+        self._lock = threading.Lock()  # guards _inflight
+        self._send_lock = threading.Lock()  # one frame at a time; guards the close
+        self._inflight: Dict[int, Tuple[str, concurrent.futures.Future]] = {}
+        self._request_ids = itertools.count()
 
     def start(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.index),
-            name=f"tosg-pool-worker-{self.index}",
-            daemon=True,
+        """Spawn/connect the worker; blocking until it answers a ping."""
+        if self._endpoint is None:
+            conn, child_conn = self._ctx.Pipe()
+            self.process = self._ctx.Process(
+                target=_child_main,
+                args=(child_conn,),
+                name=f"tosg-pool-worker-{self.index}",
+                daemon=True,
+            )
+            self.process.start()
+            child_conn.close()
+        else:
+            sock = socket.create_connection(self._endpoint, timeout=CONNECT_TIMEOUT_SECONDS)
+            sock.settimeout(None)
+            conn = Connection(sock.detach())
+        self._conn = conn
+        # A socket view of the link: shutting it down wakes the reader.
+        self._sock = socket.socket(fileno=os.dup(conn.fileno()))
+        self.reader = threading.Thread(
+            target=self._read_loop, name=f"tosg-pool-reader-{self.index}", daemon=True
         )
-        process.start()
-        child_conn.close()
-        self.process = process
-        self.conn = parent_conn
-        reader = threading.Thread(
-            target=self._read_loop,
-            args=(parent_conn,),
-            name=f"tosg-pool-reader-{self.index}",
-            daemon=True,
-        )
-        self.reader = reader
-        reader.start()
+        self.reader.start()
+        try:
+            self.request("ping", {}).result(timeout=CONNECT_TIMEOUT_SECONDS)
+        except BaseException:
+            self.close()
+            raise
 
-    def _read_loop(self, conn) -> None:
+    def request(self, op: str, payload: dict) -> concurrent.futures.Future:
+        """Send one op; the returned future resolves off-thread."""
+        if self.closed:
+            raise WorkerCrashed(f"pool worker {self.index} is shut down")
+        return self._send(op, payload)
+
+    def _send(self, op: str, payload: dict) -> concurrent.futures.Future:
+        request_id = next(self._request_ids)
+        data = encode_frame({"id": request_id, "op": op, "payload": payload})
+        if len(data) > MAX_LINE_BYTES:
+            raise ValueError(f"wire frame of {len(data)} bytes exceeds {MAX_LINE_BYTES}")
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        with self._lock:
+            self._inflight[request_id] = (op, future)
+        try:
+            with self._send_lock:
+                self._conn.send_bytes(data)
+        except (OSError, ValueError):
+            with self._lock:
+                self._inflight.pop(request_id, None)
+            raise WorkerCrashed(f"pool worker {self.index} link is closed") from None
+        return future
+
+    def _read_loop(self) -> None:
+        conn = self._conn
         while True:
             try:
-                message = conn.recv()
-            except (EOFError, OSError, ValueError, TypeError):
-                # EOF/OSError: the worker died or the pipe closed.
-                # ValueError/TypeError: close() invalidated the connection
-                # object while this thread was blocked inside recv().
-                break
-            request_id, status, result, stats = message
-            self._deliver(request_id, status == "ok", result, stats)
+                message = json.loads(conn.recv_bytes())
+                request_id, ok, result = message["id"], message["status"] == "ok", message["result"]
+            except (EOFError, OSError, ValueError, TypeError, KeyError):
+                break  # the worker is gone (or spoke garbage: treated as gone)
+            with self._lock:
+                entry = self._inflight.pop(request_id, None)
+            if entry is None:
+                continue  # request already failed (e.g. during close)
+            op, future = entry
+            if not ok:
+                future.set_exception(_reraise(str(result[0]), str(result[1])))
+                continue
+            try:
+                future.set_result(decode_result(op, result))
+            except Exception as exc:  # malformed result payload
+                future.set_exception(WorkerError(f"undecodable {op!r} result: {exc}"))
         reason = ""
-        if not self.closed:
+        if self.process is not None and not self.closed:
             # The pipe closes when the child exits; name how it exited
             # (e.g. -9: SIGKILL, as from the kernel's OOM killer).
             self.process.join(timeout=CRASH_JOIN_SECONDS)
             reason = f" (exitcode {self.process.exitcode})"
-        self._fail_inflight(reason)
-        self._on_disconnect(self)
-
-    def request(self, op: str, payload: dict) -> concurrent.futures.Future:
         with self._lock:
-            if self.closed:
-                raise WorkerCrashed(f"pool worker {self.index} is shut down")
-            conn = self.conn
-            request_id = next(self._request_ids)
-            future: concurrent.futures.Future = concurrent.futures.Future()
-            self._inflight[request_id] = (op, future)
-            try:
-                conn.send((request_id, op, payload))
-            except (BrokenPipeError, OSError, ValueError):
-                self._inflight.pop(request_id, None)
-                raise WorkerCrashed(
-                    f"pool worker {self.index} pipe is closed"
-                ) from None
-        return future
+            stale, self._inflight = list(self._inflight.values()), {}
+        for _op, future in stale:
+            future.set_exception(
+                WorkerCrashed(
+                    f"pool worker {self.index} died with this request in flight{reason}"
+                )
+            )
+        self._on_disconnect(self)
+        with self._send_lock:
+            conn.close()
+            self._sock.close()
 
     def alive(self) -> bool:
-        return (
-            not self.closed
-            and self.process is not None
-            and self.process.is_alive()
-        )
+        """The link is up: its reader runs until the worker is gone."""
+        return not self.closed and self.reader is not None and self.reader.is_alive()
 
     def pid(self) -> Optional[int]:
+        """Worker process id when it runs on this machine (else None)."""
         return self.process.pid if self.process is not None else None
 
-    def close(self) -> None:
+    def close(self, parent: Optional[str] = None) -> None:
+        """Say goodbye for ``parent``, then drop the link.
+
+        A local worker exits on its goodbye (and is terminated if it has
+        not within the grace period); a standalone worker drops
+        ``parent``'s shards and keeps serving its other parents.
+        """
         with self._lock:
+            if self.closed:
+                return
             self.closed = True
-            conn, process = self.conn, self.process
-        if conn is not None:
-            try:
-                conn.send((next(self._request_ids), "shutdown", {}))
-            except (BrokenPipeError, OSError, ValueError):
-                pass
-        if process is not None:
-            process.join(timeout=SHUTDOWN_GRACE_SECONDS)
-            if process.is_alive():  # pragma: no cover - unresponsive worker
-                process.terminate()
-                process.join(timeout=SHUTDOWN_GRACE_SECONDS)
-        if conn is not None:
-            conn.close()
-
-
-class RemoteTcpTransport(WorkerTransport):
-    """A standalone ``repro serve-worker`` over newline-delimited JSON/TCP.
-
-    Requests ship as ``{"id", "op", "payload"}`` lines; the worker answers
-    ``{"id", "status", "result", "stats"}`` in any order (the id pairs
-    them), and a reader thread resolves futures exactly like the local
-    pipe transport — the pool cannot tell the two apart above this layer.
-
-    ``close()`` drops only the connection: a remote worker is its own
-    process with its own lifecycle (it may serve other parents), so the
-    pool never stops it — reconnecting is the respawn path.
-    """
-
-    kind = "remote"
-
-    def __init__(
-        self,
-        address: str,
-        index: int,
-        on_stats: StatsSink,
-        on_disconnect: DisconnectSink,
-    ):
-        super().__init__(index, on_stats, on_disconnect)
-        host, _, port_text = address.rpartition(":")
+        if self.reader is None:
+            return  # never connected
         try:
-            port = int(port_text)
-        except ValueError:
-            port = -1
-        if not host or not (0 < port < 65536):
-            raise ValueError(
-                f"remote worker address must be HOST:PORT, got {address!r}"
-            )
-        self.address = address
-        self._host = host
-        self._port = port
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._send_lock = threading.Lock()
-        self.reader: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        sock = socket.create_connection(
-            (self._host, self._port), timeout=CONNECT_TIMEOUT_SECONDS
-        )
-        sock.settimeout(None)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-        reader = threading.Thread(
-            target=self._read_loop,
-            args=(self._rfile,),
-            name=f"tosg-remote-reader-{self.index}",
-            daemon=True,
-        )
-        self.reader = reader
-        reader.start()
-        # Liveness probe: a refused/ dead endpoint fails here, inside the
-        # caller's spawn path, instead of on the first routed request.
-        self.request("ping", {}).result(timeout=CONNECT_TIMEOUT_SECONDS)
-
-    def request(self, op: str, payload: dict) -> concurrent.futures.Future:
-        if self.closed:
-            raise WorkerCrashed(f"pool worker {self.index} is shut down")
-        check_remote_payload(op, payload)
-        request_id, future = self._track(op)
-        try:
-            data = encode_frame({"id": request_id, "op": op, "payload": payload})
-        except (TypeError, ValueError):
-            self._untrack(request_id)
-            raise
-        try:
-            with self._send_lock:
-                self._sock.sendall(data)
-        except (OSError, AttributeError):
-            self._untrack(request_id)
-            raise WorkerCrashed(
-                f"pool worker {self.index} connection to "
-                f"{self.address} is closed"
-            ) from None
-        return future
-
-    def _read_loop(self, rfile) -> None:
-        while True:
+            self._send("goodbye", {"parent": parent}).result(timeout=SHUTDOWN_GRACE_SECONDS)
+        except Exception:  # gone or unresponsive: tear down regardless
+            pass
+        if self.process is not None:
+            self.process.join(timeout=SHUTDOWN_GRACE_SECONDS)
+            if self.process.is_alive():  # pragma: no cover - unresponsive worker
+                self.process.terminate()
+                self.process.join(timeout=SHUTDOWN_GRACE_SECONDS)
+        with self._send_lock:
             try:
-                line = rfile.readline(_max_line_bytes() + 1)
-            except (OSError, ValueError):
-                break
-            if not line or not line.endswith(b"\n"):
-                break  # EOF, peer reset, or an over-long/truncated frame
-            try:
-                message = json.loads(line)
-            except ValueError:
-                break  # protocol corruption: treat the peer as gone
-            if not isinstance(message, dict):
-                break
-            ok, result = message.get("status") == "ok", message.get("result")
-            if not ok:
-                error = result or ["WorkerError", "unspecified"]
-                result = (str(error[0]), str(error[1]))
-            self._deliver(message.get("id"), ok, result, message.get("stats"), decode_result)
-        self._fail_inflight()
-        self._on_disconnect(self)
-
-    def alive(self) -> bool:
-        return (
-            not self.closed and self.reader is not None and self.reader.is_alive()
-        )
-
-    def close(self) -> None:
-        # Drop the link only — the standalone worker keeps running.
-        with self._lock:
-            self.closed = True
-        sock = self._sock
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
+                self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def describe(self) -> dict:
-        return {"kind": "remote", "address": self.address}
-
-
-# -- the standalone worker server (`repro serve-worker`) ----------------------
-
-
-@dataclass
-class _WireFrame:
-    """One parsed request line (or a framing error that closes the link)."""
-
-    request_id: Any = None
-    op: Optional[str] = None
-    payload: dict = field(default_factory=dict)
-    error: Optional[str] = None
-    last: bool = False
-
-
-async def _read_wire_frame(reader: asyncio.StreamReader) -> Optional[_WireFrame]:
-    """Read one ndjson frame; None at EOF; error frames answer + close.
-
-    Wire hardening, mirroring the front ends: an over-long line and
-    unparseable bytes each produce one structured error response and then
-    close the connection (resynchronizing inside a corrupt byte stream is
-    guesswork); a partial frame at EOF is dropped without dispatching —
-    half a request must never execute.
-    """
-    try:
-        line = await reader.readline()
-    except ValueError:
-        return _WireFrame(
-            error=f"frame exceeds {_max_line_bytes()} bytes", last=True
-        )
-    if not line:
-        return None
-    if not line.endswith(b"\n"):
-        return None  # partial frame at EOF: drop, never dispatch
-    try:
-        message = json.loads(line)
-    except ValueError:
-        return _WireFrame(error="invalid JSON frame", last=True)
-    if not isinstance(message, dict) or not isinstance(message.get("op"), str):
-        return _WireFrame(
-            error="frame must be a JSON object with a string 'op'", last=True
-        )
-    payload = message.get("payload", {})
-    if not isinstance(payload, dict):
-        return _WireFrame(error="'payload' must be a JSON object", last=True)
-    return _WireFrame(
-        request_id=message.get("id"), op=message["op"], payload=payload
-    )
-
-
-async def _write_wire_response(writer: asyncio.StreamWriter, response: dict) -> None:
-    writer.write(encode_frame(response))
-    await writer.drain()
-
-
-async def serve_worker(
-    server: WorkerServer,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> asyncio.AbstractServer:
-    """Serve ``server`` over ndjson TCP; ``port=0`` picks a free port.
-
-    Reuses :func:`~repro.serve.wire.serve_pipelined`: pipelined frames on
-    one connection are parsed concurrently and answered strictly in
-    order, while execution itself stays serial in :class:`WorkerServer`.
-    """
-
-    async def handler(reader, writer):
-        from repro.serve.wire import serve_pipelined
-
-        parent = None  # named by this connection's registrations
-
-        async def respond(frame: _WireFrame) -> dict:
-            nonlocal parent
-            if frame.error is not None:
-                return {
-                    "id": frame.request_id,
-                    "status": "error",
-                    "result": ["BadRequest", frame.error],
-                }
-            if frame.op == "register":
-                parent = frame.payload.get("parent")
-            try:
-                result, stats = await asyncio.to_thread(
-                    server.execute, frame.op, frame.payload, parent
-                )
-                response = {
-                    "id": frame.request_id,
-                    "status": "ok",
-                    "result": encode_result(frame.op, result),
-                }
-                if stats is not None:
-                    response["stats"] = stats
-                return response
-            except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-                return {
-                    "id": frame.request_id,
-                    "status": "error",
-                    "result": [type(exc).__name__, str(exc)],
-                }
-
-        await serve_pipelined(
-            reader,
-            writer,
-            read_frame=_read_wire_frame,
-            respond=respond,
-            write_response=_write_wire_response,
-        )
-
-    return await asyncio.start_server(
-        handler, host, port, limit=_max_line_bytes()
-    )
+                pass  # the reader already closed the link
+        if threading.current_thread() is not self.reader:
+            self.reader.join(timeout=SHUTDOWN_GRACE_SECONDS)

@@ -13,7 +13,7 @@ that used to live inside the TCP module:
   opaque ``KeyError`` server error; an unregistered graph raises
   :class:`UnknownGraph` (→ ``unknown_graph`` / ``404``).
 * **Result encoding** (:func:`result_payload`, defined beside the
-  remote workers' codec in ``serve/transport.py``): kernel results
+  pool workers' codec in ``serve/transport.py``): kernel results
   (ResultSet / ego graph / PPR top-k) to JSON-serializable payloads.
 * **The pipelined connection loop** (:func:`serve_pipelined`): the reader
   spawns one handler task per frame so pipelined requests are handled
@@ -30,11 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.serve.service import ExtractionService
-from repro.serve.transport import result_payload
-
-# One request frame is bounded (queries are short); a huge line/header is a
-# client bug, not a reason to buffer without limit.
-MAX_LINE_BYTES = 1 << 20
+from repro.serve.transport import MAX_LINE_BYTES, result_payload
 
 # Requests a single connection may have in flight at once.  Pipelined
 # requests are handled concurrently — so they can share coalescing windows
@@ -113,7 +109,8 @@ class Op:
     graph ops await it with the registered graph name first and each of
     ``fields`` — ``(name, cast, default)``, a :data:`REQUIRED` default
     meaning the field must be present — as a keyword argument; the
-    observability ops (``graph=False``) call it with no arguments.
+    observability ops (``graph=False``) call it with no arguments, off
+    the event loop (in pool mode ``metrics`` asks the workers).
     ``http`` lists the methods of its ``/<name>`` route (empty: no route).
     """
 
@@ -195,7 +192,7 @@ async def perform_op(service: ExtractionService, request: Any) -> Any:
         raise BadRequest(f"unknown op {name!r}")
     method = getattr(service, op.method)
     if not op.graph:
-        return method()
+        return await asyncio.to_thread(method)
     graph = _field(request, "graph", name, text)
     if not service.has_graph(graph):
         raise UnknownGraph(

@@ -36,7 +36,7 @@ from repro.serve import (
     serve_tcp,
 )
 from repro.serve.loadgen import read_http_response
-from repro.serve.transport import WorkerServer, serve_worker
+from repro.serve.transport import WorkerListener, WorkerServer
 
 
 def run(coroutine):
@@ -70,31 +70,22 @@ def toy_store(toy_kg, tmp_path):
 
 
 class _WorkerThread:
-    """One ndjson worker server on a background event loop."""
+    """One standalone worker server accepting on a background thread."""
 
     def __init__(self):
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
-        self.thread.start()
         self.server = WorkerServer()
-        self.tcp = asyncio.run_coroutine_threadsafe(
-            serve_worker(self.server), self.loop
-        ).result(timeout=30)
-        self.port = bound_port(self.tcp)
+        self.listener = WorkerListener(self.server)
+        self.port = self.listener.port
+        self.thread = threading.Thread(target=self.listener.serve_forever, daemon=True)
+        self.thread.start()
 
     @property
     def address(self) -> str:
         return f"127.0.0.1:{self.port}"
 
     def stop(self):
-        async def _close():
-            self.tcp.close()
-            await self.tcp.wait_closed()
-
-        asyncio.run_coroutine_threadsafe(_close(), self.loop).result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.listener.close()
         self.thread.join(timeout=30)
-        self.loop.close()
 
 
 @pytest.fixture

@@ -205,7 +205,9 @@ def test_parent_process_builds_no_kernel_artifacts(toy_kg):
         run(service.ppr_top_k("toy", 0, k=4))
         assert artifacts_for(toy_kg).builds == 0
         snapshot = service.metrics_snapshot()
-        assert snapshot["graphs"]["toy"]["artifact_cache"]["builds"] >= 1
+        # The worker serves off the private store the pool saved.
+        assert snapshot["graphs"]["toy"]["artifact_cache"]["mapped_nbytes"] > 0
+        assert snapshot["graphs"]["toy"]["artifact_cache"]["hits"] >= 1
         assert snapshot["graphs"]["toy"]["shards"] == pool.shards_of("toy")
         assert snapshot["config"]["pool"]["workers"] == 1
 
@@ -348,10 +350,26 @@ def test_mmap_registration_ships_a_path_not_a_graph(toy_kg, toy_store):
         (payload,) = pool._registrations_for(0)
         assert payload["mmap_dir"] == toy_store
         assert "kg" not in payload
-        # Plain registrations still ship the graph itself.
+        # In-memory registrations ship the path of a private store.
         pool.register("plain", toy_kg)
         payloads = {p["name"]: p for p in pool._registrations_for(0)}
-        assert "kg" in payloads["plain"] and "mmap_dir" not in payloads["plain"]
+        assert "kg" not in payloads["plain"]
+        assert payloads["plain"]["mmap_dir"] not in (None, toy_store)
+
+
+def test_in_memory_registration_gets_a_private_store_that_close_removes(toy_kg):
+    from repro.kg.store import ARTIFACT_FILENAME
+
+    with WorkerPool(workers=1) as pool:
+        pool.register("toy", toy_kg, warm=False)
+        (payload,) = pool._registrations_for(0)
+        store = payload["mmap_dir"]
+        assert os.path.isfile(os.path.join(store, ARTIFACT_FILENAME))
+        assert pool.call("ppr", {"graph": "toy", "targets": [0], "k": 4,
+                                 "alpha": 0.25, "eps": 2e-4}) == [
+            ppr_top_k(artifacts_for(toy_kg).csr("both"), 0, 4)
+        ]
+    assert not os.path.exists(store)
 
 
 def test_mmap_pooled_extraction_bit_identical_on_mag_small(

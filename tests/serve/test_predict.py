@@ -12,6 +12,9 @@ import asyncio
 import json
 import os
 import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlencode
 
 import numpy as np
@@ -334,6 +337,55 @@ def test_registry_rejects_skew_and_conflicts(toy_kg, toy_task, nc_checkpoint, tm
     save_checkpoint(RGCNNodeClassifier(toy_kg, toy_task, CONFIG), other)
     with pytest.raises(ValueError, match="already serves task 'PV'"):
         registry.add("toy", other)
+
+
+def test_registry_builds_logits_once_for_concurrent_callers(
+    toy_kg, nc_checkpoint, monkeypatch
+):
+    """Windows that arrive during a first build wait for it: one pass."""
+    from repro.nn.checkpoint import load_checkpoint
+
+    expected = load_checkpoint(nc_checkpoint).build_model(toy_kg).predict_logits()
+    original, passes = RGCNNodeClassifier.predict_logits, []
+
+    def slow_pass(model):
+        passes.append(model)
+        time.sleep(0.2)  # every caller arrives while the first pass runs
+        return original(model)
+
+    monkeypatch.setattr(RGCNNodeClassifier, "predict_logits", slow_pass)
+    registry = ModelRegistry()
+    registry.add("toy", nc_checkpoint, expected_graph="toy")
+    barrier = threading.Barrier(8)
+
+    def call():
+        barrier.wait()
+        return registry.logits("toy", "PV", "RGCN", toy_kg)
+
+    with ThreadPoolExecutor(8) as executor:
+        answers = list(executor.map(lambda _: call(), range(8)))
+    assert len(passes) == 1
+    assert all(np.array_equal(answer, expected) for answer in answers)
+    assert registry.snapshot()["loads"] == 1
+
+
+def test_registry_retries_a_build_that_raised(toy_kg, nc_checkpoint, monkeypatch):
+    original, passes = RGCNNodeClassifier.predict_logits, []
+
+    def failing_once(model):
+        passes.append(model)
+        if len(passes) == 1:
+            raise RuntimeError("transient")
+        return original(model)
+
+    monkeypatch.setattr(RGCNNodeClassifier, "predict_logits", failing_once)
+    registry = ModelRegistry()
+    registry.add("toy", nc_checkpoint, expected_graph="toy")
+    with pytest.raises(RuntimeError, match="transient"):
+        registry.logits("toy", "PV", "RGCN", toy_kg)
+    logits = registry.logits("toy", "PV", "RGCN", toy_kg)
+    assert len(passes) == 2
+    assert registry.logits("toy", "PV", "RGCN", toy_kg) is logits
 
 
 # -- front ends ----------------------------------------------------------------

@@ -1,49 +1,53 @@
-"""Remote TCP transport: bit-identity, crash/reconnect, wire hardening.
+"""The worker wire over TCP: bit-identity, crash/reconnect, hardening.
 
 The distributed tier's contract (``repro/serve/transport.py``) in test
 form:
 
-* pooled serving over :class:`RemoteTcpTransport` is **bit-identical**
-  to in-process serving for every pool op — JSON floats round-trip via
-  repr (shortest round-trip), and the codec reconstructs the exact
-  container types (ppr tuples, ego int64 arrays, sparql columns);
+* pooled serving over a remote :class:`WorkerTransport` is
+  **bit-identical** to in-process serving for every pool op — JSON
+  floats round-trip via repr (shortest round-trip), and the codec
+  reconstructs the exact container types (ppr tuples, ego int64 arrays,
+  sparql columns);
 * a remote worker killed mid-request fails only its in-flight requests,
   each with a structured :class:`WorkerCrashed`; when the worker comes
   back, the slot reconnects on demand and replays registrations **and**
   the recorded ingest deltas, so answers stay bit-identical across the
   outage;
-* payloads that must never cross the wire (pickled graphs, parsed query
-  ASTs) are rejected parent-side with actionable errors;
-* the standalone worker server survives garbage bytes, oversized lines
-  and partial frames: one structured error response (or a silent drop
-  for a half-frame), never a dispatched half-request.
+* what cannot cross the wire (an in-memory graph for a remote owner, a
+  parsed query AST) fails parent-side with an actionable error;
+* a worker keeps a parent's shards until the parent says goodbye, or
+  until the parent has been gone for ``PARENT_IDLE_SECONDS``;
+* the standalone worker server survives garbage frames, oversized
+  frames and partial frames: one structured error response (or a silent
+  drop for a half-frame), never a dispatched half-request.
 """
 
 import asyncio
 import dataclasses
 import json
 import os
-import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
 
 from repro.kg.store import open_artifacts, save_artifacts
-from repro.serve import ExtractionService, WorkerCrashed, WorkerPool, bound_port
+from repro.serve import ExtractionService, WorkerCrashed, WorkerPool
+from repro.serve import transport
 from repro.serve.kernels import WINDOWS
 from repro.serve.transport import (
     GraphShard,
+    WorkerListener,
     WorkerServer,
-    check_remote_payload,
     decode_result,
     encode_frame,
     encode_result,
-    serve_worker,
 )
 
 
@@ -66,31 +70,22 @@ def _ids(kg, s, p, o):
 
 
 class _WorkerThread:
-    """One ndjson worker server on a background event loop."""
+    """One standalone worker server accepting on a background thread."""
 
     def __init__(self):
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
-        self.thread.start()
         self.server = WorkerServer()
-        self.tcp = asyncio.run_coroutine_threadsafe(
-            serve_worker(self.server), self.loop
-        ).result(timeout=30)
-        self.port = bound_port(self.tcp)
+        self.listener = WorkerListener(self.server)
+        self.port = self.listener.port
+        self.thread = threading.Thread(target=self.listener.serve_forever, daemon=True)
+        self.thread.start()
 
     @property
     def address(self) -> str:
         return f"127.0.0.1:{self.port}"
 
     def stop(self):
-        async def _close():
-            self.tcp.close()
-            await self.tcp.wait_closed()
-
-        asyncio.run_coroutine_threadsafe(_close(), self.loop).result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.listener.close()
         self.thread.join(timeout=30)
-        self.loop.close()
 
 
 @pytest.fixture
@@ -173,7 +168,7 @@ def test_remote_pool_bit_identical_for_every_op(toy_kg, toy_store, worker_thread
         np.testing.assert_array_equal(
             r_after.columns[variable], l_after.columns[variable]
         )
-    # The transport reported itself, and stats piggybacked over the wire.
+    # The transport reported itself, and stats were pulled over the wire.
     assert description["transports"] == ["remote"]
     assert pool.graph_stats("toy")["artifact_cache"]["mapped_nbytes"] > 0
 
@@ -210,7 +205,7 @@ def test_remote_predict_bit_identical(toy_kg, toy_task, toy_store, worker_thread
     assert remote_payloads == run(drive(local))
 
 
-# -- payloads that must never cross the wire -----------------------------------
+# -- what cannot cross the wire ------------------------------------------------
 
 
 def test_remote_pool_rejects_pickled_graph_registration(toy_kg, worker_thread):
@@ -219,12 +214,16 @@ def test_remote_pool_rejects_pickled_graph_registration(toy_kg, worker_thread):
             pool.register("toy", toy_kg, warm=False)
 
 
-def test_check_remote_payload_rejects_ast_queries():
-    check_remote_payload("sparql", {"query": "select ?s where { ?s ?p ?o }"})
-    with pytest.raises(TypeError, match="query as a string"):
-        check_remote_payload("sparql", {"query": object()})
-    with pytest.raises(TypeError, match="query as a string"):
-        check_remote_payload("count", {"query": None})
+def test_pooled_sparql_with_a_parsed_query_fails_with_type_error(toy_kg):
+    from repro.sparql.parser import parse_query
+
+    query = parse_query("select ?s where { ?s ?p ?o }")
+    with WorkerPool(workers=1) as pool:
+        pool.register("toy", toy_kg, warm=False)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            pool.call("sparql", {"graph": "toy", "query": query}, timeout=30)
+        # Nothing was sent: the worker still answers.
+        assert pool.ping(0) == "pong"
 
 
 def _assert_same(decoded, answer):
@@ -293,16 +292,12 @@ def test_codec_round_trips_every_op(op, toy_kg, toy_task, tmp_path):
 
 
 _WORKER_SCRIPT = """
-import asyncio, sys
-from repro.serve.transport import WorkerServer, serve_worker
+import sys
+from repro.serve.transport import WorkerListener, WorkerServer
 
-async def main():
-    server = await serve_worker(WorkerServer(), port=int(sys.argv[1]))
-    async with server:
-        print("ready", flush=True)
-        await asyncio.Event().wait()
-
-asyncio.run(main())
+listener = WorkerListener(WorkerServer(), port=int(sys.argv[1]))
+print("ready", flush=True)
+listener.serve_forever()
 """
 
 
@@ -512,40 +507,79 @@ def test_remote_address_must_be_host_port():
         WorkerPool(workers=0, remote_workers=["localhost:not-a-port"])
 
 
+# -- per-parent state on a standalone worker ----------------------------------
+
+
+def test_a_closed_pool_leaves_no_shards_on_the_worker(toy_kg, toy_store, worker_thread):
+    with WorkerPool(workers=0, remote_workers=[worker_thread.address]) as pool:
+        service = ExtractionService(pool=pool)
+        service.register("toy", open_artifacts(toy_store).kg, mmap_dir=toy_store)
+        run(service.ingest_triples("toy", [_ids(toy_kg, "p5", "cites", "p0")]))
+        assert pool.parent_id in worker_thread.server._shards
+    # The goodbye is answered before close returns.
+    assert pool.parent_id not in worker_thread.server._shards
+    assert worker_thread.server.graphs() == []
+
+
+def test_a_parent_gone_without_goodbye_is_swept_at_the_next_registration(
+    toy_store, monkeypatch
+):
+    server = WorkerServer()
+    registration = {"name": "toy", "mmap_dir": toy_store, "compression": True}
+    # A connection registers parent "a", then closes without a goodbye.
+    _, parent = server.execute("register", dict(registration, parent="a"))
+    assert parent == "a"
+    server.detach(parent)
+    server.execute("register", dict(registration, parent="b"))
+    assert sorted(server._shards) == ["a", "b"]  # not idle long enough yet
+    monkeypatch.setattr(transport, "PARENT_IDLE_SECONDS", 0.0)
+    server.execute("register", dict(registration, parent="c"))
+    # "b" still has its connection open; "a" is gone.
+    assert sorted(server._shards) == ["b", "c"]
+
+
 # -- wire hardening on the standalone worker server ----------------------------
 
 
-def _raw_exchange(port: int, data: bytes, expect_reply: bool = True, lines: int = 1):
-    """Send raw bytes, return ``lines`` response lines (b"" on close)."""
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(data)
-        sock.shutdown(socket.SHUT_WR)
-        reader = sock.makefile("rb")
-        received = [reader.readline() for _ in range(lines)]
-        rest = reader.read()
-    if lines > 1:
-        return received, rest
-    if expect_reply:
-        return json.loads(received[0]), rest
-    return received[0], rest
+def _frame(body: bytes) -> bytes:
+    """One length-prefixed frame, as ``Connection.send_bytes`` writes it."""
+    return struct.pack("!i", len(body)) + body
+
+
+def _request(request_id, op, **payload) -> bytes:
+    return _frame(json.dumps({"id": request_id, "op": op, "payload": payload}).encode())
+
+
+def _raw_exchange(port: int, data: bytes) -> list:
+    """Send raw bytes, then read every response frame until the server
+    closes (a single response to an error frame: it closes after it)."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(data)
+    sock.shutdown(socket.SHUT_WR)
+    sock.settimeout(None)
+    responses = []
+    with Connection(sock.detach()) as conn:
+        while True:
+            assert conn.poll(10), "the server neither answered nor closed"
+            try:
+                responses.append(json.loads(conn.recv_bytes()))
+            except EOFError:
+                return responses
 
 
 def test_worker_server_answers_garbage_bytes_with_one_error(worker_thread):
-    response, rest = _raw_exchange(
-        worker_thread.port, b"\x00\xff this is not json\n"
-    )
+    (response,) = _raw_exchange(worker_thread.port, _frame(b"\x00\xff this is not json"))
     assert response["status"] == "error"
     assert response["result"][0] == "BadRequest"
     assert "invalid JSON" in response["result"][1]
-    assert rest == b""  # the connection closed after the error frame
 
 
 def test_worker_server_rejects_non_object_and_bad_payload_frames(worker_thread):
-    response, _ = _raw_exchange(worker_thread.port, b"[1,2,3]\n")
+    (response,) = _raw_exchange(worker_thread.port, _frame(b"[1,2,3]"))
     assert response["status"] == "error"
     assert "JSON object with a string 'op'" in response["result"][1]
-    response, _ = _raw_exchange(
-        worker_thread.port, b'{"id":1,"op":"ping","payload":[]}\n'
+    (response,) = _raw_exchange(
+        worker_thread.port, _frame(b'{"id":1,"op":"ping","payload":[]}')
     )
     assert response["status"] == "error"
     assert "'payload' must be a JSON object" in response["result"][1]
@@ -554,47 +588,35 @@ def test_worker_server_rejects_non_object_and_bad_payload_frames(worker_thread):
 def test_worker_server_rejects_oversized_frames(worker_thread):
     from repro.serve.wire import MAX_LINE_BYTES
 
-    blob = b'{"id":1,"op":"ping","payload":{"x":"' + b"a" * MAX_LINE_BYTES + b'"}}\n'
-    response, rest = _raw_exchange(worker_thread.port, blob)
+    blob = b'{"id":1,"op":"ping","payload":{"x":"' + b"a" * MAX_LINE_BYTES + b'"}}'
+    (response,) = _raw_exchange(worker_thread.port, _frame(blob))
     assert response["status"] == "error"
     assert "exceeds" in response["result"][1]
-    assert rest == b""
 
 
 def test_worker_server_drops_partial_frames_without_dispatch(worker_thread):
-    # Half a request (no trailing newline) at EOF must never execute —
-    # the server closes without a response.
-    line, rest = _raw_exchange(
-        worker_thread.port, b'{"id":1,"op":"ping"', expect_reply=False
-    )
-    assert line == b"" and rest == b""
+    # Half a request at EOF must never execute — the server closes
+    # without a response.
+    assert _raw_exchange(worker_thread.port, _request(1, "ping")[:-3]) == []
     # And the server is still healthy for well-formed traffic afterwards.
-    response, _ = _raw_exchange(
-        worker_thread.port, b'{"id":2,"op":"ping","payload":{}}\n'
-    )
-    assert response == {"id": 2, "status": "ok", "result": "pong"}
+    assert _raw_exchange(worker_thread.port, _request(2, "ping")) == [
+        {"id": 2, "status": "ok", "result": "pong"}
+    ]
 
 
 def test_worker_server_maps_op_errors_to_structured_responses(
     worker_thread, toy_store
 ):
-    register = json.dumps({
-        "id": 1, "op": "register",
-        "payload": {"name": "toy", "mmap_dir": toy_store, "compression": True},
-    }).encode() + b"\n"
-    unknown = b'{"id":3,"op":"nope","payload":{"graph":"toy"}}\n'
-    (registered, response), _ = _raw_exchange(
-        worker_thread.port, register + unknown, expect_reply=False, lines=2
-    )
-    assert json.loads(registered)["status"] == "ok"
-    response = json.loads(response)
+    register = _request(1, "register", name="toy", mmap_dir=toy_store, compression=True)
+    unknown = _request(3, "nope", graph="toy")
+    registered, response = _raw_exchange(worker_thread.port, register + unknown)
+    assert registered["status"] == "ok"
     assert response["status"] == "error"
     assert response["result"][0] == "ValueError"
     assert "unknown pool op" in response["result"][1]
-    response, _ = _raw_exchange(
+    (response,) = _raw_exchange(
         worker_thread.port,
-        b'{"id":4,"op":"ppr","payload":{"graph":"missing","targets":[0],'
-        b'"k":4,"alpha":0.25,"eps":0.0002}}\n'
+        _request(4, "ppr", graph="missing", targets=[0], k=4, alpha=0.25, eps=0.0002),
     )
     assert response["status"] == "error"
     assert response["result"][0] == "KeyError"
@@ -604,14 +626,8 @@ def test_worker_server_maps_op_errors_to_structured_responses(
 
 
 def test_worker_server_answers_pipelined_frames_in_order(worker_thread):
-    frames = b"".join(
-        json.dumps({"id": i, "op": "ping", "payload": {}}).encode() + b"\n"
-        for i in range(8)
-    )
-    with socket.create_connection(("127.0.0.1", worker_thread.port), timeout=10) as sock:
-        sock.sendall(frames)
-        reader = sock.makefile("rb")
-        responses = [json.loads(reader.readline()) for _ in range(8)]
+    frames = b"".join(_request(i, "ping") for i in range(8))
+    responses = _raw_exchange(worker_thread.port, frames)
     assert [r["id"] for r in responses] == list(range(8))
     assert all(r["status"] == "ok" for r in responses)
 
