@@ -31,7 +31,8 @@ resident bytes).  Guarded reports:
   after a localized ingest vs recomputing every retained target.
 * ``BENCH_training.json`` (``test_perf_training.py``): the backward pass
   and Adam step of GraphSAINT on MAG-large KG′ with row-sparse embedding
-  gradients and in-place Adam vs the dense oracle they replaced.
+  gradients and in-place Adam vs the dense oracle they replaced, and the
+  SPARQL d1h1 KG′ extraction vs the per-item forms it replaced.
 
 Run after the perf benchmarks::
 
@@ -45,7 +46,7 @@ Bounds are maintained next to each benchmark (``FLOORS`` in
 ``test_perf_sampling.py``, ``FLOOR`` in ``test_perf_serving.py``,
 ``WARM_FLOOR``/``RESIDENT_CEILING`` in ``test_perf_artifacts.py``,
 ``EXTEND_FLOOR``/``REFRESH_FLOOR`` in ``test_perf_live.py``,
-``ROW_SPARSE_FLOOR`` in ``test_perf_training.py``) — see
+``ROW_SPARSE_FLOOR``/``EXTRACT_FLOOR`` in ``test_perf_training.py``) — see
 ``docs/ci.md`` for the update policy.
 """
 
@@ -77,7 +78,7 @@ REPORTS = {
         "live_epoch_extend",
         "live_ppr_refresh",
     ),
-    "BENCH_training.json": ("train_step_row_sparse",),
+    "BENCH_training.json": ("train_step_row_sparse", "sparql_tosg_extract"),
 }
 
 # Where the perf benchmarks write (benchmarks/conftest.py::REPORT_DIR); the

@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph, SubgraphMapping
-from repro.core.tasks import Split
+from repro.core.tasks import Split, surviving_targets
 
 
 @dataclass
@@ -65,18 +65,11 @@ def remap_multilabel_task(
     mapping: SubgraphMapping,
 ) -> MultiLabelNodeClassificationTask:
     """Re-express a multi-label task in a subgraph's id space."""
-    keep_positions: List[int] = []
-    new_nodes: List[int] = []
-    for position, node in enumerate(task.target_nodes):
-        new_id = mapping.node_old_to_new.get(int(node))
-        if new_id is not None:
-            keep_positions.append(position)
-            new_nodes.append(new_id)
-    keep = np.asarray(keep_positions, dtype=np.int64)
+    keep, new_nodes = surviving_targets(task.target_nodes, mapping)
     return MultiLabelNodeClassificationTask(
         name=task.name,
         target_class=mapping.class_old_to_new.get(int(task.target_class), -1),
-        target_nodes=np.asarray(new_nodes, dtype=np.int64),
+        target_nodes=new_nodes,
         labels=task.labels[keep] if len(keep) else np.empty((0, task.num_labels), dtype=np.int64),
         split=task.split.select(keep),
         metric=task.metric,

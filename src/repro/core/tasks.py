@@ -15,6 +15,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph, SubgraphMapping
+from repro.nputil import positions_in
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,10 @@ class Split:
         ``keep_positions`` are old example positions that survive (sorted);
         each split part keeps its members and maps them to new positions.
         """
-        keep_positions = np.asarray(keep_positions, dtype=np.int64)
-        new_position = {int(old): new for new, old in enumerate(keep_positions)}
 
         def translate(part: np.ndarray) -> np.ndarray:
-            return np.asarray(
-                [new_position[int(i)] for i in part if int(i) in new_position],
-                dtype=np.int64,
-            )
+            moved = positions_in(keep_positions, part)
+            return moved[moved >= 0]
 
         return Split(
             train=translate(self.train),
@@ -177,19 +174,12 @@ def remap_nc_task(
     split entries); the target class id is translated through the mapping's
     class compaction.
     """
-    keep_positions: List[int] = []
-    new_nodes: List[int] = []
-    for position, node in enumerate(task.target_nodes):
-        new_id = mapping.node_old_to_new.get(int(node))
-        if new_id is not None:
-            keep_positions.append(position)
-            new_nodes.append(new_id)
-    keep = np.asarray(keep_positions, dtype=np.int64)
+    keep, new_nodes = surviving_targets(task.target_nodes, mapping)
     new_class = mapping.class_old_to_new.get(int(task.target_class), -1)
     return NodeClassificationTask(
         name=task.name,
         target_class=new_class,
-        target_nodes=np.asarray(new_nodes, dtype=np.int64),
+        target_nodes=new_nodes,
         labels=task.labels[keep] if len(keep) else np.empty(0, dtype=np.int64),
         num_labels=task.num_labels,
         split=task.split.select(keep),
@@ -198,26 +188,24 @@ def remap_nc_task(
     )
 
 
+def surviving_targets(
+    target_nodes: np.ndarray, mapping: SubgraphMapping
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, new ids)`` of the targets that survive in a subgraph."""
+    new_ids = positions_in(mapping.node_old_ids, target_nodes)
+    keep = np.flatnonzero(new_ids >= 0)
+    return keep, new_ids[keep]
+
+
 def remap_lp_task(
     task: LinkPredictionTask,
     subgraph: KnowledgeGraph,
     mapping: SubgraphMapping,
 ) -> LinkPredictionTask:
     """Re-express an LP task in a subgraph's id space (dropping lost edges)."""
-    keep_positions: List[int] = []
-    new_edges: List[tuple[int, int]] = []
-    for position, (head, tail) in enumerate(task.edges):
-        new_head = mapping.node_old_to_new.get(int(head))
-        new_tail = mapping.node_old_to_new.get(int(tail))
-        if new_head is not None and new_tail is not None:
-            keep_positions.append(position)
-            new_edges.append((new_head, new_tail))
-    keep = np.asarray(keep_positions, dtype=np.int64)
-    edges = (
-        np.asarray(new_edges, dtype=np.int64)
-        if new_edges
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    new_ends = positions_in(mapping.node_old_ids, task.edges)
+    keep = np.flatnonzero((new_ends >= 0).all(axis=1))
+    edges = new_ends[keep]
     return LinkPredictionTask(
         name=task.name,
         predicate=mapping.relation_old_to_new.get(int(task.predicate), -1),

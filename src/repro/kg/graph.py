@@ -323,11 +323,12 @@ class KnowledgeGraph:
             literal_triples=new_lit,
             name=name,
         )
+        # Every map was built from ``tolist()`` ids: plain int keys and values.
         mapping = SubgraphMapping(
             node_old_ids=node_old_ids,
-            node_old_to_new={int(k): int(v) for k, v in node_old_to_new.items()},
-            class_old_to_new={int(k): int(v) for k, v in class_old_to_new.items()},
-            relation_old_to_new={int(k): int(v) for k, v in relation_old_to_new.items()},
+            node_old_to_new=node_old_to_new,
+            class_old_to_new=class_old_to_new,
+            relation_old_to_new=relation_old_to_new,
         )
         return subgraph, mapping
 

@@ -169,6 +169,10 @@ class _LazyVocabulary(Vocabulary):
         self._materialize()
         return super().term(term_id)
 
+    def terms(self, term_ids):
+        self._materialize()
+        return super().terms(term_ids)
+
     def __contains__(self, term):
         self._materialize()
         return super().__contains__(term)

@@ -103,12 +103,30 @@ class TripleStore:
         return TripleStore(self.s[keep], self.p[keep], self.o[keep])
 
     def deduplicated(self) -> "TripleStore":
-        """Return a copy without duplicate triples (order not preserved)."""
+        """Return a copy without duplicate triples, sorted by ``(s, p, o)``.
+
+        Each triple packs into one mixed-radix int64 key whose order is
+        the lexicographic ``(s, p, o)`` order, so one integer sort finds
+        the duplicates.  Negative ids, or id ranges whose key would
+        overflow int64, take a ``lexsort`` over the three columns instead;
+        both give what ``np.unique`` over the stacked rows gives.
+        """
         if len(self) == 0:
             return TripleStore()
-        stacked = np.stack([self.s, self.p, self.o], axis=1)
-        unique = np.unique(stacked, axis=0)
-        return TripleStore(unique[:, 0], unique[:, 1], unique[:, 2])
+        s, p, o = self.s, self.p, self.o
+        lows = min(int(s.min()), int(p.min()), int(o.min()))
+        p_radix, o_radix = int(p.max()) + 1, int(o.max()) + 1
+        if lows >= 0 and (int(s.max()) + 1) * p_radix * o_radix <= 2**63:
+            keys = (s * p_radix + p) * o_radix + o
+            keys.sort()
+            keys = keys[_first_of_runs(keys)]
+            rest, o = np.divmod(keys, o_radix)
+            s, p = np.divmod(rest, p_radix)
+            return TripleStore(s, p, o)
+        order = np.lexsort((o, p, s))
+        s, p, o = s[order], p[order], o[order]
+        first = _first_of_runs(s) | _first_of_runs(p) | _first_of_runs(o)
+        return TripleStore(s[first], p[first], o[first])
 
     def as_array(self) -> np.ndarray:
         """Return an ``(n, 3)`` int64 array view of the triples."""
@@ -131,3 +149,11 @@ class TripleStore:
     def unique_predicates(self) -> np.ndarray:
         """Sorted unique predicate ids."""
         return np.unique(self.p)
+
+
+def _first_of_runs(values: np.ndarray) -> np.ndarray:
+    """Mask of the elements that differ from their predecessor (first is True)."""
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first

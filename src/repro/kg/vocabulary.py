@@ -83,8 +83,11 @@ class Vocabulary:
         return self._id_to_term[term_id]
 
     def terms(self, term_ids: Iterable[int]) -> List[str]:
-        """Vectorised :meth:`term`."""
-        return [self.term(term_id) for term_id in term_ids]
+        """Vectorised :meth:`term` (the same ``IndexError`` on a bad id)."""
+        term_ids = list(term_ids)
+        if term_ids and min(term_ids) < 0:
+            return [self.term(term_id) for term_id in term_ids]  # raises
+        return list(map(self._id_to_term.__getitem__, term_ids))
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_to_id
@@ -110,10 +113,9 @@ class Vocabulary:
 
         Returns ``(new_vocab, old_to_new)`` where ``old_to_new`` maps the
         retained old ids to their dense ids in the new vocabulary.  Used when
-        extracting a TOSG so the subgraph gets a dense id space.
+        extracting a TOSG so the subgraph gets a dense id space.  A
+        repeated id keeps the new id of its first occurrence.
         """
-        new_vocab = Vocabulary(name=self.name)
-        old_to_new: dict[int, int] = {}
-        for old_id in keep_ids:
-            old_to_new[old_id] = new_vocab.add(self.term(old_id))
-        return new_vocab, old_to_new
+        kept = list(dict.fromkeys(keep_ids))
+        new_vocab = Vocabulary.from_terms(self.terms(kept), name=self.name)
+        return new_vocab, dict(zip(kept, range(len(kept))))

@@ -24,6 +24,25 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + offsets
 
 
+def positions_in(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of each query in ``keys``, ``-1`` where it is absent.
+
+    ``keys`` are distinct non-negative ids (a subgraph's old node ids, the
+    kept positions of a split); one dense table over ``[0, max(keys)]``
+    answers every query, in place of a dict probe per query.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    queries = np.asarray(queries, dtype=np.int64)
+    found = np.full(queries.shape, -1, dtype=np.int64)
+    if len(keys) == 0:
+        return found
+    table = np.full(int(keys.max()) + 1, -1, dtype=np.int64)
+    table[keys] = np.arange(len(keys), dtype=np.int64)
+    present = (queries >= 0) & (queries < len(table))
+    found[present] = table[queries[present]]
+    return found
+
+
 def splitmix64(values: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a ``uint64`` array (vectorized, wrapping).
 

@@ -113,6 +113,8 @@ class _WorkerSlot:
             self.index, self._on_disconnect, address=self.address, ctx=self.pool._ctx
         )
         with self.lock:
+            if self.closed or self.pool._closed:
+                raise WorkerCrashed(f"pool worker {self.index} is shut down")
             self.transport = transport
         transport.start()
         # Replay this shard's registrations before accepting requests, so
@@ -129,10 +131,12 @@ class _WorkerSlot:
         self.ready.set()
 
     def _on_disconnect(self, transport: WorkerTransport) -> None:
-        """The worker behind ``transport`` is gone: maybe respawn.
+        """The worker behind ``transport`` is gone: stop routing, respawn.
 
-        The transport has already failed its own in-flight requests with
-        :class:`WorkerCrashed` before notifying us.
+        The transport calls this before it fails its in-flight requests
+        with :class:`WorkerCrashed`, so ``ready`` is already clear when a
+        caller sees one fail; the respawn runs on its own thread, so
+        those failures are not held behind it.
         """
         with self.lock:
             if transport is not self.transport:
@@ -140,6 +144,11 @@ class _WorkerSlot:
             if self.closed or self.pool._closed:
                 return  # deliberate teardown, not a crash
             self.ready.clear()
+        threading.Thread(
+            target=self._respawn_after_crash, daemon=True, name=f"pool-respawn-{self.index}"
+        ).start()
+
+    def _respawn_after_crash(self) -> None:
         # The dead incarnation's cumulative counters must survive the
         # respawn (the fresh worker restarts its own from zero).
         self.pool._retire_worker_stats(self.index)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import threading
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
@@ -50,7 +49,7 @@ from repro.serve.pool import WorkerPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.transport import GraphShard
 from repro.sparql.ast import SelectQuery
-from repro.sparql.endpoint import EndpointStats, PageStream, account_page
+from repro.sparql.endpoint import EndpointStats, PageStream
 from repro.sparql.executor import ResultSet
 
 # Default in-flight bound: enough to keep several full coalescing windows
@@ -88,18 +87,16 @@ class _RegisteredGraph(GraphShard):
 
     The shard's epoch chain (``live``) numbers the epochs that key windows
     and result caches; without a pool, the shard also answers every op.
-    ``page_stats`` / ``page_lock`` account streamed-``/sparql`` pages,
-    which are always cut here; ``metrics_snapshot`` merges them with the
-    endpoint counters.
+    ``page_stats`` accounts streamed-``/sparql`` pages, which are always
+    cut here; ``metrics_snapshot`` merges them with the endpoint counters.
     """
 
-    __slots__ = ("ingest_lock", "page_stats", "page_lock")
+    __slots__ = ("ingest_lock", "page_stats")
 
     def __init__(self, kg, compression, registry, compact_every=0):
         super().__init__(kg, compression, registry, compact_every=compact_every)
         self.ingest_lock = asyncio.Lock()
         self.page_stats = EndpointStats()
-        self.page_lock = threading.Lock()
 
     @property
     def epoch(self) -> int:
@@ -580,9 +577,7 @@ class ExtractionService:
 
         def pages():
             for page in result.iter_pages(page_rows):
-                account_page(
-                    entry.page_stats, page, self._compression, entry.page_lock
-                )
+                entry.page_stats.record(page=page, compression=self._compression)
                 yield page
 
         return PageStream(
@@ -642,9 +637,8 @@ class ExtractionService:
             # executor's EndpointStats); the ratio is computed over the
             # merged byte counters.
             endpoint = stats["endpoint"]
-            with entry.page_lock:
-                for counter in ("rows_returned", "bytes_raw", "bytes_shipped"):
-                    endpoint[counter] += getattr(entry.page_stats, counter)
+            for counter in ("rows_returned", "bytes_raw", "bytes_shipped"):
+                endpoint[counter] += getattr(entry.page_stats, counter)
             raw, shipped = endpoint.pop("bytes_raw"), endpoint["bytes_shipped"]
             endpoint["compression_ratio"] = (raw / shipped) if shipped else 1.0
             # Epoch/delta gauges + retained-kernel cache counters of the

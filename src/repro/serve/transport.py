@@ -536,6 +536,9 @@ class WorkerListener:
 # -- the parent side ----------------------------------------------------------
 
 #: ``on_disconnect(transport)`` tells the lifecycle layer the peer is gone.
+#: The reader calls it before it fails the in-flight requests, so it must
+#: return promptly (the pool clears the slot's ``ready`` and respawns on a
+#: thread of its own).
 DisconnectSink = Callable[["WorkerTransport"], None]
 
 
@@ -582,6 +585,7 @@ class WorkerTransport:
         self._lock = threading.Lock()  # guards _inflight
         self._send_lock = threading.Lock()  # one frame at a time; guards the close
         self._inflight: Dict[int, Tuple[str, concurrent.futures.Future]] = {}
+        self._down = False  # the reader has failed _inflight: nothing may join it
         self._request_ids = itertools.count()
 
     def start(self) -> None:
@@ -626,6 +630,8 @@ class WorkerTransport:
             raise ValueError(f"wire frame of {len(data)} bytes exceeds {MAX_LINE_BYTES}")
         future: concurrent.futures.Future = concurrent.futures.Future()
         with self._lock:
+            if self._down:
+                raise WorkerCrashed(f"pool worker {self.index} link is closed")
             self._inflight[request_id] = (op, future)
         try:
             with self._send_lock:
@@ -656,6 +662,10 @@ class WorkerTransport:
                 future.set_result(decode_result(op, result))
             except Exception as exc:  # malformed result payload
                 future.set_exception(WorkerError(f"undecodable {op!r} result: {exc}"))
+        # Stop routing here before any in-flight request fails: a caller
+        # that retries on that failure must find the slot respawning, not
+        # this dead link still marked ready.
+        self._on_disconnect(self)
         reason = ""
         if self.process is not None and not self.closed:
             # The pipe closes when the child exits; name how it exited
@@ -663,6 +673,7 @@ class WorkerTransport:
             self.process.join(timeout=CRASH_JOIN_SECONDS)
             reason = f" (exitcode {self.process.exitcode})"
         with self._lock:
+            self._down = True
             stale, self._inflight = list(self._inflight.values()), {}
         for _op, future in stale:
             future.set_exception(
@@ -670,7 +681,6 @@ class WorkerTransport:
                     f"pool worker {self.index} died with this request in flight{reason}"
                 )
             )
-        self._on_disconnect(self)
         with self._send_lock:
             conn.close()
             self._sock.close()

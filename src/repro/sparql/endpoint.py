@@ -14,8 +14,10 @@ import threading
 import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Deque, Iterator, List, Optional, Union as TypingUnion
+from dataclasses import dataclass
+from typing import Deque, Iterator, List, Optional, Tuple, Union as TypingUnion
+
+import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.sparql.ast import SelectQuery
@@ -30,33 +32,124 @@ from repro.sparql.parser import parse_query
 QUERY_LOG_LIMIT = 256
 
 
-@dataclass
+#: Rows of shipped pages an :class:`EndpointStats` keeps unserialized at
+#: most (a page counts as at least one row).  A page that would queue past
+#: it settles the queue early, so memory stays bounded whether or not
+#: anyone ever reads the byte counters.
+PENDING_ROWS_LIMIT = 1 << 16
+
+#: A queued page: its variables, its columns in that order, and whether
+#: its shipped bytes are modeled compressed.
+_Page = Tuple[Tuple[str, ...], Tuple[np.ndarray, ...], bool]
+
+
 class EndpointStats:
-    """Counters accumulated across requests (thread-safe via endpoint lock).
+    """Counters accumulated across requests (thread-safe, own lock).
+
+    ``requests``, ``rows_returned`` and ``queries`` are counted as requests
+    arrive.  ``bytes_raw`` / ``bytes_shipped`` are exact as well, but
+    computed when read: each shipped page is queued and serialized and
+    compressed on the first read after it — or early, once the queue
+    would pass :data:`PENDING_ROWS_LIMIT` rows.  Stats nobody reads
+    never serialize a page.  A queued page is a private copy of its
+    columns, so it never pins a larger result, held in tuples the garbage
+    collector stops tracking, so a long queue of small pages does not
+    make collections more frequent or longer.
 
     ``queries`` is a bounded ring of the most recent query strings
     (:data:`QUERY_LOG_LIMIT` by default); construct with
     ``EndpointStats.with_query_log(None)`` to retain every query.
     """
 
-    requests: int = 0
-    rows_returned: int = 0
-    bytes_raw: int = 0
-    bytes_shipped: int = 0
-    queries: Deque[str] = field(
-        default_factory=lambda: deque(maxlen=QUERY_LOG_LIMIT)
-    )
+    def __init__(self, queries: Optional[Deque[str]] = None):
+        self.requests = 0
+        self.rows_returned = 0
+        self.queries: Deque[str] = (
+            deque(maxlen=QUERY_LOG_LIMIT) if queries is None else queries
+        )
+        self._bytes_raw = 0
+        self._bytes_shipped = 0
+        self._pending: List[_Page] = []
+        self._pending_rows = 0
+        self._settling = 0  # batches taken off the queue, not yet counted
+        self._lock = threading.Condition()
 
     @classmethod
     def with_query_log(cls, limit: Optional[int]) -> "EndpointStats":
         """Stats whose query log keeps ``limit`` entries (``None``: all)."""
-        return cls(queries=deque(maxlen=limit))
+        return cls(deque(maxlen=limit))
+
+    def record(
+        self,
+        query: Optional[str] = None,
+        page: Optional[ResultSet] = None,
+        compression: bool = True,
+    ) -> None:
+        """Count one request (``query`` is its log line) and/or one shipped
+        ``page`` (its bytes modeled zlib-compressed when ``compression``)."""
+        batch = None
+        if page is not None:
+            variables = tuple(page.variables)
+            columns = tuple(page.columns[v].copy() for v in variables)
+            rows = page.num_rows
+        with self._lock:
+            if query is not None:
+                self.requests += 1
+                self.queries.append(query)
+            if page is not None:
+                self.rows_returned += rows
+                self._pending.append((variables, columns, compression))
+                self._pending_rows += max(rows, 1)
+                if self._pending_rows > PENDING_ROWS_LIMIT:
+                    batch = self._take()
+        if batch is not None:
+            self._settle(batch)
+
+    def _take(self) -> List[_Page]:
+        """Empty the queue into a batch to settle; the caller holds the lock."""
+        batch, self._pending, self._pending_rows = self._pending, [], 0
+        self._settling += 1
+        return batch
+
+    def _settle(self, batch: List[_Page]) -> None:
+        """Serialize and compress ``batch`` (lock released), then count it."""
+        raw = shipped = 0
+        try:
+            for variables, columns, compression in batch:
+                payload = _serialize(ResultSet(list(variables), dict(zip(variables, columns))))
+                raw += len(payload)
+                shipped += len(zlib.compress(payload)) if compression else len(payload)
+        finally:
+            with self._lock:
+                self._bytes_raw += raw
+                self._bytes_shipped += shipped
+                self._settling -= 1
+                self._lock.notify_all()
+
+    def _settled(self) -> Tuple[int, int]:
+        """``(bytes_raw, bytes_shipped)`` over every page recorded so far."""
+        with self._lock:
+            batch = self._take() if self._pending else None
+        if batch is not None:
+            self._settle(batch)
+        with self._lock:
+            self._lock.wait_for(lambda: self._settling == 0)
+            return self._bytes_raw, self._bytes_shipped
+
+    @property
+    def bytes_raw(self) -> int:
+        return self._settled()[0]
+
+    @property
+    def bytes_shipped(self) -> int:
+        return self._settled()[1]
 
     def compression_ratio(self) -> float:
         """Raw/shipped byte ratio (1.0 when compression is off or no data)."""
-        if self.bytes_shipped == 0:
+        raw, shipped = self._settled()
+        if shipped == 0:
             return 1.0
-        return self.bytes_raw / self.bytes_shipped
+        return raw / shipped
 
 
 @dataclass
@@ -88,7 +181,10 @@ class SparqlEndpoint:
         The knowledge graph served by this endpoint.
     compression:
         When True (paper default), shipped bytes are modeled as the
-        zlib-compressed size of the serialized result page.
+        zlib-compressed size of the serialized result page.  The byte
+        counters are exact but computed when read (see
+        :class:`EndpointStats`): an endpoint nobody asks for them never
+        serializes a page.
     query_log:
         How many recent query strings ``stats.queries`` retains
         (default :data:`QUERY_LOG_LIMIT`); ``None`` keeps every query —
@@ -106,7 +202,6 @@ class SparqlEndpoint:
         self.executor = QueryExecutor(kg)
         self.compression = compression
         self.stats = EndpointStats.with_query_log(query_log)
-        self._lock = threading.Lock()
 
     # -- core request handling --
 
@@ -114,27 +209,14 @@ class SparqlEndpoint:
         """Execute one request (a query string or parsed AST) and account it."""
         parsed = parse_query(query) if isinstance(query, str) else query
         result = self.executor.evaluate(parsed)
-        self._account(parsed, result)
+        self.stats.record(str(parsed), result, self.compression)
         return result
 
     def count(self, query: TypingUnion[str, SelectQuery]) -> int:
         """``getGraphSize``: result cardinality ignoring pagination."""
         parsed = parse_query(query) if isinstance(query, str) else query
-        with self._lock:
-            self.stats.requests += 1
-            self.stats.queries.append(f"COUNT({parsed})")
+        self.stats.record(f"COUNT({parsed})")
         return self.executor.count(parsed)
-
-    def _account(self, parsed: SelectQuery, result: ResultSet) -> None:
-        payload = _serialize(result)
-        raw_size = len(payload)
-        shipped = len(zlib.compress(payload)) if self.compression else raw_size
-        with self._lock:
-            self.stats.requests += 1
-            self.stats.rows_returned += result.num_rows
-            self.stats.bytes_raw += raw_size
-            self.stats.bytes_shipped += shipped
-            self.stats.queries.append(str(parsed))
 
     # -- streaming pagination (the wire-facing LIMIT/OFFSET planner) --
 
@@ -150,8 +232,9 @@ class SparqlEndpoint:
         :meth:`ResultSet.page` as the consumer pulls them, so the wire
         representation of a huge SELECT is never materialized whole — only
         one page's worth of serialized rows exists at a time.  Each page
-        is accounted to :attr:`stats` (rows returned, modeled raw/shipped
-        bytes) as it is shipped; the request itself counts once.
+        is accounted to :attr:`stats` as it is shipped (rows at once,
+        modeled raw/shipped bytes when read); the request itself counts
+        once.
 
         Returns a :class:`PageStream` carrying the output variables and
         total row count up front (for response heads) plus the lazy page
@@ -162,13 +245,11 @@ class SparqlEndpoint:
             raise ValueError(f"page_rows must be positive, got {page_rows}")
         parsed = parse_query(query) if isinstance(query, str) else query
         result = self.executor.evaluate(parsed)
-        with self._lock:
-            self.stats.requests += 1
-            self.stats.queries.append(f"STREAM({parsed})")
+        self.stats.record(f"STREAM({parsed})")
 
         def pages() -> Iterator[ResultSet]:
             for page in result.iter_pages(page_rows):
-                self._account_page(page)
+                self.stats.record(page=page, compression=self.compression)
                 yield page
 
         return PageStream(
@@ -178,25 +259,19 @@ class SparqlEndpoint:
             pages=pages(),
         )
 
-    def _account_page(self, page: ResultSet) -> None:
-        """Account one shipped page's rows/bytes (request already counted)."""
-        account_page(self.stats, page, self.compression, self._lock)
-
     def evaluate_stream(self, query: TypingUnion[str, SelectQuery]) -> ResultSet:
         """Evaluate for *remote* paging: account the request, not the pages.
 
         The pool's parent process cuts streamed-``/sparql`` pages on its
         side of the pipe; the owning worker calls this so the query counts
         as one request here while every shipped page is accounted
-        parent-side with :func:`account_page` — summed in
+        parent-side with :meth:`EndpointStats.record` — summed in
         ``metrics_snapshot``, pooled counters match in-process serving
         page for page.
         """
         parsed = parse_query(query) if isinstance(query, str) else query
         result = self.executor.evaluate(parsed)
-        with self._lock:
-            self.stats.requests += 1
-            self.stats.queries.append(f"STREAM({parsed})")
+        self.stats.record(f"STREAM({parsed})")
         return result
 
     # -- paginated parallel fetch (the request-handler workers of Alg. 3) --
@@ -243,30 +318,6 @@ class SparqlEndpoint:
         for page in pages[1:]:
             merged = merged.concat(page)
         return merged
-
-
-def account_page(
-    stats: EndpointStats,
-    page: ResultSet,
-    compression: bool,
-    lock: Optional[threading.Lock] = None,
-) -> None:
-    """Account one shipped page (rows + modeled raw/shipped bytes) to ``stats``.
-
-    The single definition of page accounting: the in-process endpoint uses
-    it for :meth:`SparqlEndpoint.stream_pages`, and the pool's parent uses
-    it for pages cut from a worker-evaluated result — so both serving
-    modes count streamed traffic identically.
-    """
-    payload = _serialize(page)
-    raw_size = len(payload)
-    shipped = len(zlib.compress(payload)) if compression else raw_size
-    if lock is None:
-        lock = threading.Lock()
-    with lock:
-        stats.rows_returned += page.num_rows
-        stats.bytes_raw += raw_size
-        stats.bytes_shipped += shipped
 
 
 def _serialize(result: ResultSet) -> bytes:

@@ -262,6 +262,35 @@ def test_worker_crash_is_a_structured_error_and_the_slot_respawns(toy_kg):
         assert ppr_cache["hits"] + ppr_cache["misses"] == 3
 
 
+def test_a_request_after_an_inflight_crash_waits_for_the_respawn(toy_kg):
+    """A caller that sees its request die and asks again must not reach the
+    dead link: the slot stops routing there before the failure is delivered.
+
+    The in-flight future's done-callback runs on the transport's reader, so
+    blocking in it holds the reader right after it failed that request.
+    """
+    with WorkerPool(workers=1) as pool:
+        pool.register("toy", toy_kg, warm=False)
+        slot = pool._workers[0]
+        failed, resume = threading.Event(), threading.Event()
+
+        def hold_reader(_future):
+            failed.set()
+            resume.wait(timeout=30)
+
+        inflight = slot.request("sleep", {"seconds": 60})
+        inflight.add_done_callback(hold_reader)
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        try:
+            assert failed.wait(timeout=30)
+            with pytest.raises(WorkerCrashed, match="died with this request in flight"):
+                inflight.result(timeout=0)
+            assert pool.ping(0, timeout=30) == "pong"
+        finally:
+            resume.set()
+        assert slot.respawns == 1
+
+
 def test_requests_to_unregistered_pool_graphs_fail_fast(toy_kg):
     with WorkerPool(workers=1) as pool:
         with pytest.raises(KeyError):
