@@ -58,8 +58,8 @@ MODEL = ModelConfig(hidden_dim=24, num_layers=2, lr=0.02, seed=7)
 # Floor below, per the docs/ci.md policy.
 ROW_SPARSE_FLOOR = 1.3
 
-# Observed ~8.7x on MAG-large d1h1 (2 vCPUs): what is left is the query,
-# one packed-key dedup per pass and the array remaps.  Floor below, per
+# Observed ~4.5x on MAG-large d1h1 (2 vCPUs): what is left is the query,
+# one lexsort dedup per pass and the array remaps.  Floor below, per
 # the docs/ci.md policy.
 EXTRACT_FLOOR = 2.5
 EXTRACT_ROUNDS = 10

@@ -105,26 +105,14 @@ class TripleStore:
     def deduplicated(self) -> "TripleStore":
         """Return a copy without duplicate triples, sorted by ``(s, p, o)``.
 
-        Each triple packs into one mixed-radix int64 key whose order is
-        the lexicographic ``(s, p, o)`` order, so one integer sort finds
-        the duplicates.  Negative ids, or id ranges whose key would
-        overflow int64, take a ``lexsort`` over the three columns instead;
-        both give what ``np.unique`` over the stacked rows gives.
+        One ``lexsort`` over the three columns, then the first row of each
+        run of equal triples: what ``np.unique`` over the stacked rows
+        gives, for any int64 ids, without sorting rows as byte strings.
         """
         if len(self) == 0:
             return TripleStore()
-        s, p, o = self.s, self.p, self.o
-        lows = min(int(s.min()), int(p.min()), int(o.min()))
-        p_radix, o_radix = int(p.max()) + 1, int(o.max()) + 1
-        if lows >= 0 and (int(s.max()) + 1) * p_radix * o_radix <= 2**63:
-            keys = (s * p_radix + p) * o_radix + o
-            keys.sort()
-            keys = keys[_first_of_runs(keys)]
-            rest, o = np.divmod(keys, o_radix)
-            s, p = np.divmod(rest, p_radix)
-            return TripleStore(s, p, o)
-        order = np.lexsort((o, p, s))
-        s, p, o = s[order], p[order], o[order]
+        order = np.lexsort((self.o, self.p, self.s))
+        s, p, o = self.s[order], self.p[order], self.o[order]
         first = _first_of_runs(s) | _first_of_runs(p) | _first_of_runs(o)
         return TripleStore(s[first], p[first], o[first])
 

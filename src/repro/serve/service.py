@@ -636,9 +636,9 @@ class ExtractionService:
             # Fold in the streamed-/sparql pages cut here (invisible to the
             # executor's EndpointStats); the ratio is computed over the
             # merged byte counters.
-            endpoint = stats["endpoint"]
+            endpoint, pages = stats["endpoint"], entry.page_stats.snapshot()
             for counter in ("rows_returned", "bytes_raw", "bytes_shipped"):
-                endpoint[counter] += getattr(entry.page_stats, counter)
+                endpoint[counter] += getattr(pages, counter)
             raw, shipped = endpoint.pop("bytes_raw"), endpoint["bytes_shipped"]
             endpoint["compression_ratio"] = (raw / shipped) if shipped else 1.0
             # Epoch/delta gauges + retained-kernel cache counters of the

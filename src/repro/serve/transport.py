@@ -205,10 +205,7 @@ class GraphShard:
                 "nbytes": artifacts.nbytes(),
                 "mapped_nbytes": artifacts.mapped_nbytes(),
             },
-            "endpoint": {
-                counter: getattr(self.endpoint.stats, counter)
-                for counter in ("requests", "rows_returned", "bytes_raw", "bytes_shipped")
-            },
+            "endpoint": self.endpoint.stats.snapshot()._asdict(),
             "live": self.live.cache_stats(),
         }
 

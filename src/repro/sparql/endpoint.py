@@ -15,7 +15,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Deque, Iterator, List, Optional, Tuple, Union as TypingUnion
+from typing import Deque, Iterator, List, NamedTuple, Optional, Tuple, Union as TypingUnion
 
 import numpy as np
 
@@ -32,15 +32,31 @@ from repro.sparql.parser import parse_query
 QUERY_LOG_LIMIT = 256
 
 
-#: Rows of shipped pages an :class:`EndpointStats` keeps unserialized at
-#: most (a page counts as at least one row).  A page that would queue past
-#: it settles the queue early, so memory stays bounded whether or not
-#: anyone ever reads the byte counters.
-PENDING_ROWS_LIMIT = 1 << 16
+#: Bytes of shipped pages an :class:`EndpointStats` keeps unserialized at
+#: most, as :func:`_retained_bytes` estimates them.  A page that would
+#: carry the queue past it settles the pages queued before it first, so
+#: each settle serializes at most this much (a few ms of tiny pages), and
+#: a page larger than the bound waits alone.
+PENDING_BYTES_LIMIT = 1 << 18
+
+#: Python-object bytes a queued page holds beyond its column data: its
+#: tuples (~110 B) and each column array's header (~125 B), as measured
+#: with ``tracemalloc`` on CPython 3.11 and numpy 2.4, with ~15% to spare.
+_PAGE_OVERHEAD = 192
+_COLUMN_OVERHEAD = 144
 
 #: A queued page: its variables, its columns in that order, and whether
 #: its shipped bytes are modeled compressed.
 _Page = Tuple[Tuple[str, ...], Tuple[np.ndarray, ...], bool]
+
+
+class EndpointCounters(NamedTuple):
+    """One consistent reading of an :class:`EndpointStats`."""
+
+    requests: int
+    rows_returned: int
+    bytes_raw: int
+    bytes_shipped: int
 
 
 class EndpointStats:
@@ -49,12 +65,13 @@ class EndpointStats:
     ``requests``, ``rows_returned`` and ``queries`` are counted as requests
     arrive.  ``bytes_raw`` / ``bytes_shipped`` are exact as well, but
     computed when read: each shipped page is queued and serialized and
-    compressed on the first read after it — or early, once the queue
-    would pass :data:`PENDING_ROWS_LIMIT` rows.  Stats nobody reads
-    never serialize a page.  A queued page is a private copy of its
-    columns, so it never pins a larger result, held in tuples the garbage
-    collector stops tracking, so a long queue of small pages does not
-    make collections more frequent or longer.
+    compressed on the first read after it — or early, on the recording
+    thread, once the queue would pass :data:`PENDING_BYTES_LIMIT`.  Stats
+    nobody reads never serialize a page.  A queued page is a private copy
+    of its columns, so it never pins a larger result, held in tuples the
+    garbage collector stops tracking, so a long queue of small pages does
+    not make collections more frequent or longer.  :meth:`snapshot` reads
+    all four counters at one moment.
 
     ``queries`` is a bounded ring of the most recent query strings
     (:data:`QUERY_LOG_LIMIT` by default); construct with
@@ -70,7 +87,7 @@ class EndpointStats:
         self._bytes_raw = 0
         self._bytes_shipped = 0
         self._pending: List[_Page] = []
-        self._pending_rows = 0
+        self._pending_bytes = 0
         self._settling = 0  # batches taken off the queue, not yet counted
         self._lock = threading.Condition()
 
@@ -91,23 +108,23 @@ class EndpointStats:
         if page is not None:
             variables = tuple(page.variables)
             columns = tuple(page.columns[v].copy() for v in variables)
-            rows = page.num_rows
+            retained = _retained_bytes(columns)
         with self._lock:
             if query is not None:
                 self.requests += 1
                 self.queries.append(query)
             if page is not None:
-                self.rows_returned += rows
-                self._pending.append((variables, columns, compression))
-                self._pending_rows += max(rows, 1)
-                if self._pending_rows > PENDING_ROWS_LIMIT:
+                self.rows_returned += page.num_rows
+                if self._pending and self._pending_bytes + retained > PENDING_BYTES_LIMIT:
                     batch = self._take()
+                self._pending.append((variables, columns, compression))
+                self._pending_bytes += retained
         if batch is not None:
             self._settle(batch)
 
     def _take(self) -> List[_Page]:
         """Empty the queue into a batch to settle; the caller holds the lock."""
-        batch, self._pending, self._pending_rows = self._pending, [], 0
+        batch, self._pending, self._pending_bytes = self._pending, [], 0
         self._settling += 1
         return batch
 
@@ -126,30 +143,40 @@ class EndpointStats:
                 self._settling -= 1
                 self._lock.notify_all()
 
-    def _settled(self) -> Tuple[int, int]:
-        """``(bytes_raw, bytes_shipped)`` over every page recorded so far."""
-        with self._lock:
-            batch = self._take() if self._pending else None
-        if batch is not None:
+    def snapshot(self) -> EndpointCounters:
+        """Every counter at one moment: each page in ``rows_returned`` is
+        in the byte counters too.  Settles the queue, and waits for a
+        batch another thread is settling."""
+        while True:
+            with self._lock:
+                self._lock.wait_for(lambda: self._settling == 0)
+                if not self._pending:
+                    return EndpointCounters(
+                        self.requests, self.rows_returned,
+                        self._bytes_raw, self._bytes_shipped,
+                    )
+                batch = self._take()
             self._settle(batch)
-        with self._lock:
-            self._lock.wait_for(lambda: self._settling == 0)
-            return self._bytes_raw, self._bytes_shipped
 
     @property
     def bytes_raw(self) -> int:
-        return self._settled()[0]
+        return self.snapshot().bytes_raw
 
     @property
     def bytes_shipped(self) -> int:
-        return self._settled()[1]
+        return self.snapshot().bytes_shipped
 
     def compression_ratio(self) -> float:
         """Raw/shipped byte ratio (1.0 when compression is off or no data)."""
-        raw, shipped = self._settled()
-        if shipped == 0:
+        counters = self.snapshot()
+        if counters.bytes_shipped == 0:
             return 1.0
-        return raw / shipped
+        return counters.bytes_raw / counters.bytes_shipped
+
+
+def _retained_bytes(columns: Tuple[np.ndarray, ...]) -> int:
+    """What a queued page with these (owned) ``columns`` keeps alive."""
+    return _PAGE_OVERHEAD + sum(_COLUMN_OVERHEAD + column.nbytes for column in columns)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The per-item forms the SPARQL KG′ extraction replaced, kept as oracles.
 
-The program deduplicates triples through one packed int64 key, builds
+The program deduplicates triples with one ``lexsort``, builds
 restricted vocabularies in bulk, remaps tasks through array lookups and
 models endpoint bytes when they are read.  The functions here are the
 forms they replaced, unchanged: ``np.unique(axis=0)`` over stacked rows,

@@ -1,11 +1,11 @@
 """KG′ extraction equals its per-item oracle (``extraction_oracle``).
 
-The packed-key triple dedup, the bulk ``Vocabulary.restrict``, the array
+The lexsort triple dedup, the bulk ``Vocabulary.restrict``, the array
 remaps of NC, LP and multi-label tasks and ``Split.select`` must return
 ``==`` arrays of the same dtype as the forms they replaced, and the same
-exceptions, on stores with duplicates, negative ids and ids large enough
-to overflow a packed key, on repeated kept ids and on targets missing
-from the subgraph.  The last test runs whole ``extract_tosg`` calls both
+exceptions, on stores with duplicates, negative ids and ids up to the
+int64 extremes, on repeated kept ids and on targets missing from the
+subgraph.  The last test runs whole ``extract_tosg`` calls both
 ways.
 """
 
@@ -69,7 +69,8 @@ def assert_same_task(got, want):
 
 # -- triple dedup ---------------------------------------------------------------
 
-id_ranges = st.sampled_from([(0, 12), (-6, 6), (0, 2**62), (-(2**62), 2**62)])
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+id_ranges = st.sampled_from([(0, 12), (-6, 6), (0, 2**62), (INT64_MIN, INT64_MAX)])
 
 
 @st.composite
@@ -93,13 +94,12 @@ def test_dedup_edge_shapes():
         TripleStore(),
         TripleStore.from_triples([(5, 1, 5)] * 4),
         TripleStore.from_triples([(-1, 0, 3), (-1, 0, 3), (2, -7, 0)]),
-        # (s_max + 1) * p_radix * o_radix passes 2**63: the lexsort fallback.
         TripleStore.from_triples([(2**40, 3, 2**30), (0, 0, 0), (2**40, 3, 2**30)]),
-        # 2**63 + 2**32 keys: past int64 by less than a factor of two.
-        TripleStore.from_triples([(2**31, 0, 2**32 - 1), (0, 0, 0), (2**31, 0, 2**32 - 1)]),
-        # Exactly 2**63 keys still pack.
-        TripleStore.from_triples([(2**31 - 1, 0, 2**32 - 1), (0, 0, 0)]),
         TripleStore.from_triples([(2**62, 1, 1), (2**62, 0, 1), (2**62, 1, 0)]),
+        # The int64 extremes, alone and next to small ids.
+        TripleStore.from_triples([(0, 0, INT64_MAX), (0, 0, 0), (0, 0, INT64_MAX)]),
+        TripleStore.from_triples([(INT64_MAX, 0, 0), (INT64_MIN, INT64_MAX, 1), (0, 0, 0)]),
+        TripleStore.from_triples([(INT64_MIN, INT64_MIN, INT64_MIN)] * 2),
     ]
     for store in cases:
         assert_same_store(store.deduplicated(), oracle.deduplicated(store))

@@ -5,12 +5,14 @@ shipped pages; ``bytes_raw`` / ``bytes_shipped`` serialize and compress
 the queue when read.  These tests pin that down: unread stats never
 serialize, read stats equal per-page eager accounting on every path
 (``query``, ``stream_pages``, threaded ``fetch_paginated``, the epoch-bump
-hand-off of a serving shard), the queue stays within its bound, and a
-queued page never keeps a larger result alive.
+hand-off of a serving shard), a snapshot is consistent, the queue and each
+settle stay within the byte bound, and a queued page never keeps a larger
+result alive.
 """
 
 import gc
 import threading
+import tracemalloc
 import weakref
 import zlib
 
@@ -20,7 +22,7 @@ import pytest
 from repro.core import extract_tosg
 from repro.serve.transport import GraphShard
 from repro.sparql import endpoint as endpoint_module
-from repro.sparql.endpoint import EndpointStats, SparqlEndpoint, _serialize
+from repro.sparql.endpoint import EndpointStats, SparqlEndpoint, _retained_bytes, _serialize
 from repro.sparql.executor import ResultSet
 
 ALL = "select ?s ?p ?o where { ?s ?p ?o }"
@@ -112,26 +114,67 @@ def test_epoch_bump_hands_queued_pages_to_the_new_endpoint(toy_kg):
                         "bytes_raw": raw, "bytes_shipped": shipped}
 
 
-def test_queue_never_exceeds_its_bound(monkeypatch):
-    monkeypatch.setattr(endpoint_module, "PENDING_ROWS_LIMIT", 10)
+def test_queue_and_each_settle_stay_within_the_bound(monkeypatch):
+    monkeypatch.setattr(endpoint_module, "PENDING_BYTES_LIMIT", 1200)
+    settled = []
+    settle = EndpointStats._settle
+
+    def counted(self, batch):
+        settled.append((len(batch), sum(_retained_bytes(c) for _, c, _ in batch)))
+        return settle(self, batch)
+
+    monkeypatch.setattr(EndpointStats, "_settle", counted)
     stats = EndpointStats()
     rng = np.random.default_rng(5)
     pages = []
-    for rows in (3, 4, 0, 2, 11, 1, 5, 5, 0, 0, 7):
+    for rows in (3, 4, 0, 2, 11, 1, 5, 5, 0, 0, 90, 7, 1):
         columns = {"a": rng.integers(0, 99, rows), "b": rng.integers(0, 9, rows)}
         page = ResultSet(["a", "b"], columns)
         stats.record(page=page)
         pages.append(page)
-        assert stats._pending_rows <= 10
-        assert len(stats._pending) <= 10
+        # Within the bound, or one page larger than it waiting alone.
+        assert stats._pending_bytes <= 1200 or len(stats._pending) == 1
     assert (stats.bytes_raw, stats.bytes_shipped) == eager(pages)
-    assert stats.rows_returned == 38
+    assert stats.rows_returned == 129
+    assert len(settled) > 2 and all(size <= 1200 or n == 1 for n, size in settled)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_the_estimate_covers_what_a_tiny_page_holds(monkeypatch, width):
+    monkeypatch.setattr(endpoint_module, "PENDING_BYTES_LIMIT", 1 << 40)
+    page = ResultSet(list("abc"[:width]), {v: np.arange(1) for v in "abc"[:width]})
+    stats = EndpointStats()
+    stats.record(page=page)  # first-use allocations outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20_000):
+            stats.record(page=page)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Nothing settled, so all of ``held`` is the queue: the estimate the
+    # bound applies to covers it.
+    assert len(stats._pending) == 20_001
+    assert 0.5 * stats._pending_bytes < held <= stats._pending_bytes
+
+
+def test_many_tiny_pages_stay_within_the_bound():
+    page = ResultSet(["a", "b"], {"a": np.arange(1), "b": np.arange(1)})
+    stats = EndpointStats()
+    for _ in range(20_000):
+        stats.record(page=page)
+        assert stats._pending_bytes <= endpoint_module.PENDING_BYTES_LIMIT
+    assert len(stats._pending) < 20_000 // 10
+    assert stats.rows_returned == 20_000
+    assert stats.bytes_shipped == 20_000 * eager([page])[1]
 
 
 def test_concurrent_records_and_reads_lose_nothing(monkeypatch):
-    monkeypatch.setattr(endpoint_module, "PENDING_ROWS_LIMIT", 50)
+    monkeypatch.setattr(endpoint_module, "PENDING_BYTES_LIMIT", 2000)
     stats = EndpointStats()
     page = ResultSet(["a"], {"a": np.arange(7)})
+    raw, shipped = eager([page])
     seen = []
 
     def writer():
@@ -140,7 +183,7 @@ def test_concurrent_records_and_reads_lose_nothing(monkeypatch):
 
     def reader():
         for _ in range(50):
-            seen.append(stats.bytes_shipped)
+            seen.append(stats.snapshot())
 
     threads = [threading.Thread(target=writer) for _ in range(4)]
     threads.append(threading.Thread(target=reader))
@@ -148,14 +191,16 @@ def test_concurrent_records_and_reads_lose_nothing(monkeypatch):
         thread.start()
     for thread in threads:
         thread.join()
-    raw, shipped = eager([page])
     assert seen == sorted(seen)  # a read never steps back
+    for counters in seen:  # and every page in the rows is in the bytes
+        pages = counters.rows_returned // 7
+        assert (counters.bytes_raw, counters.bytes_shipped) == (pages * raw, pages * shipped)
     assert (stats.requests, stats.rows_returned) == (800, 800 * 7)
     assert (stats.bytes_raw, stats.bytes_shipped) == (800 * raw, 800 * shipped)
 
 
 def test_a_read_waits_for_a_batch_another_thread_is_settling(monkeypatch):
-    monkeypatch.setattr(endpoint_module, "PENDING_ROWS_LIMIT", 5)
+    monkeypatch.setattr(endpoint_module, "PENDING_BYTES_LIMIT", 400)
     entered, release = threading.Event(), threading.Event()
 
     def blocking(result):
@@ -168,7 +213,7 @@ def test_a_read_waits_for_a_batch_another_thread_is_settling(monkeypatch):
     pages = [ResultSet(["a"], {"a": np.arange(3)}), ResultSet(["a"], {"a": np.arange(4)})]
     stats.record(page=pages[0])
     writer = threading.Thread(target=stats.record, kwargs={"page": pages[1]})
-    writer.start()  # passes the bound: settles both pages on its own thread
+    writer.start()  # passes the bound: settles the first page on its own thread
     assert entered.wait(timeout=30)
     seen = []
     reader = threading.Thread(target=lambda: seen.append(stats.bytes_shipped))
