@@ -11,6 +11,7 @@ from repro.bench.harness import (
     MethodRun,
     render_table,
     render_series,
+    run_method,
     run_nc_method,
     run_lp_method,
     NC_MODELS,
@@ -22,6 +23,7 @@ __all__ = [
     "MethodRun",
     "render_table",
     "render_series",
+    "run_method",
     "run_nc_method",
     "run_lp_method",
     "NC_MODELS",

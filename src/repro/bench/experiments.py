@@ -46,9 +46,6 @@ class ExperimentResult:
     tables: Dict[str, List[List[str]]] = field(default_factory=dict)
     notes: str = ""
 
-    def all_runs(self) -> List[MethodRun]:
-        return [run for runs in self.sections.values() for run in runs]
-
 
 def _extract(kg, task, method: str, direction: int = 1, hops: int = 1, seed: int = 0, **kw):
     return extract_tosg(

@@ -1,29 +1,21 @@
 """Measurement plumbing shared by all benchmark experiments.
 
-``run_nc_method`` / ``run_lp_method`` wrap (model construction + training +
-evaluation) into a :class:`MethodRun` record carrying every quantity the
-paper reports, converting modeled-memory budget violations into the
-``oom``/``dnf`` outcomes of Figure 7.
+``run_method`` (also named ``run_nc_method`` / ``run_lp_method``) wraps
+(model construction + training + evaluation) into a :class:`MethodRun`
+record carrying every quantity the paper reports, converting
+modeled-memory budget violations into the ``oom``/``dnf`` outcomes of
+Figure 7.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.kg.graph import KnowledgeGraph
 from repro.core.tasks import LinkPredictionTask, NodeClassificationTask
-from repro.models import (
-    GraphSAINTClassifier,
-    LHGNNPredictor,
-    ModelConfig,
-    MorsEPredictor,
-    RGCNLinkPredictor,
-    RGCNNodeClassifier,
-    SeHGNNClassifier,
-    ShaDowSAINTClassifier,
-)
+from repro.models import ARCHITECTURES, ModelConfig, architectures
 from repro.training import (
     OutOfModeledMemory,
     ResourceMeter,
@@ -31,20 +23,13 @@ from repro.training import (
     train_link_predictor,
     train_node_classifier,
 )
-from repro.training.trainer import TracePoint
+from repro.training.trainer import TracePoint, metric_name
 
-NC_MODELS: Dict[str, Type] = {
-    "RGCN": RGCNNodeClassifier,
-    "GraphSAINT": GraphSAINTClassifier,
-    "ShaDowSAINT": ShaDowSAINTClassifier,
-    "SeHGNN": SeHGNNClassifier,
-}
+#: Views of :data:`repro.models.ARCHITECTURES`, one per task type.
+NC_MODELS: Dict[str, Type] = architectures("NC")
+LP_MODELS: Dict[str, Type] = architectures("LP")
 
-LP_MODELS: Dict[str, Type] = {
-    "RGCN": RGCNLinkPredictor,
-    "MorsE": MorsEPredictor,
-    "LHGNN": LHGNNPredictor,
-}
+_TRAINERS = {"NC": train_node_classifier, "LP": train_link_predictor}
 
 
 @dataclass
@@ -98,10 +83,10 @@ class MethodRun:
 RUN_HEADERS = ["method", "graph", "metric", "time", "mem(MB)", "#params", "infer"]
 
 
-def run_nc_method(
+def run_method(
     method: str,
     kg: KnowledgeGraph,
-    task: NodeClassificationTask,
+    task: Union[NodeClassificationTask, LinkPredictionTask],
     model_config: ModelConfig,
     train_config: TrainConfig,
     graph_label: str,
@@ -109,12 +94,16 @@ def run_nc_method(
     budget_bytes: Optional[int] = None,
     **model_kwargs,
 ) -> MethodRun:
-    """Construct, train and measure one NC method on one graph."""
+    """Construct, train and measure one method on one graph.
+
+    ``task``'s type (NC or LP) picks the architecture named ``method`` and
+    the training loop.
+    """
     meter = ResourceMeter(budget_bytes=budget_bytes)
-    model_cls = NC_MODELS[method]
+    model_cls = ARCHITECTURES[(task.task_type, method)]
     try:
         model = model_cls(kg, task, model_config, meter=meter, **model_kwargs)
-        result = train_node_classifier(model, task, train_config, meter)
+        result = _TRAINERS[task.task_type](model, task, train_config, meter)
     except OutOfModeledMemory as oom:
         return MethodRun(
             method=method,
@@ -122,6 +111,7 @@ def run_nc_method(
             task_name=task.name,
             preprocess_seconds=preprocess_seconds,
             memory_mb=oom.requested / 1e6,
+            metric_name=metric_name(task, train_config),
             oom=True,
         )
     return MethodRun(
@@ -141,48 +131,8 @@ def run_nc_method(
     )
 
 
-def run_lp_method(
-    method: str,
-    kg: KnowledgeGraph,
-    task: LinkPredictionTask,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    graph_label: str,
-    preprocess_seconds: float = 0.0,
-    budget_bytes: Optional[int] = None,
-    **model_kwargs,
-) -> MethodRun:
-    """Construct, train and measure one LP method on one graph."""
-    meter = ResourceMeter(budget_bytes=budget_bytes)
-    model_cls = LP_MODELS[method]
-    try:
-        model = model_cls(kg, task, model_config, meter=meter, **model_kwargs)
-        result = train_link_predictor(model, task, train_config, meter)
-    except OutOfModeledMemory as oom:
-        return MethodRun(
-            method=method,
-            graph_label=graph_label,
-            task_name=task.name,
-            preprocess_seconds=preprocess_seconds,
-            memory_mb=oom.requested / 1e6,
-            metric_name=f"hits@{train_config.hits_k}",
-            oom=True,
-        )
-    return MethodRun(
-        method=method,
-        graph_label=graph_label,
-        task_name=task.name,
-        metric=result.test_metric,
-        metric_name=result.metric_name,
-        train_seconds=result.train_seconds,
-        preprocess_seconds=preprocess_seconds,
-        inference_seconds=result.inference_seconds,
-        memory_mb=meter.peak_bytes / 1e6,
-        num_parameters=result.num_parameters,
-        epochs=result.epochs_run,
-        trace=result.trace,
-        model=model,
-    )
+#: The names callers use per task type; the task decides which it is.
+run_nc_method = run_lp_method = run_method
 
 
 # ---------------------------------------------------------------------------

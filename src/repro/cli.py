@@ -49,8 +49,6 @@ from typing import List, Optional
 import numpy as np
 
 _DATASETS = ("mag", "dblp", "yago4", "yago3_10", "wikikg2")
-_NC_MODELS = ("RGCN", "GraphSAINT", "ShaDowSAINT", "SeHGNN")
-_LP_MODELS = ("RGCN", "MorsE", "LHGNN")
 _EXPERIMENTS = (
     "fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9",
     "table1", "table2", "table3", "table4",
@@ -105,21 +103,21 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.bench.harness import RUN_HEADERS, render_table, run_lp_method, run_nc_method
+    from repro.bench.harness import RUN_HEADERS, render_table, run_method
     from repro.core import extract_tosg
-    from repro.models import ModelConfig
+    from repro.models import ModelConfig, architectures
     from repro.training import TrainConfig
 
     bundle = _load_bundle(args.dataset, args.scale, args.seed)
     task = bundle.task(args.task)
-    is_lp = task.task_type == "LP"
-    if is_lp and args.model not in _LP_MODELS:
-        raise SystemExit(f"{args.task} is a link-prediction task; choose from {_LP_MODELS}")
-    if not is_lp and args.model not in _NC_MODELS:
-        raise SystemExit(f"{args.task} is a node-classification task; choose from {_NC_MODELS}")
+    models = tuple(architectures(task.task_type))
+    if args.model not in models:
+        raise SystemExit(
+            f"{args.task} is a {task.task_type} task; --model must be one of {models}"
+        )
 
     if args.tosa:
-        direction = args.direction if args.direction else (2 if is_lp else 1)
+        direction = args.direction if args.direction else (2 if task.task_type == "LP" else 1)
         tosa = extract_tosg(bundle.kg, task, method="sparql", direction=direction, hops=args.hops)
         graph, graph_task = tosa.subgraph, tosa.task
         label, preprocess = f"KG-TOSA{tosa.params['pattern']}", tosa.extraction_seconds
@@ -130,8 +128,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         hidden_dim=args.hidden_dim, num_layers=args.layers, lr=args.lr, seed=args.seed
     )
     train_config = TrainConfig(epochs=args.epochs, eval_every=max(args.epochs // 5, 1))
-    runner = run_lp_method if is_lp else run_nc_method
-    run = runner(
+    run = run_method(
         args.model, graph, graph_task, model_config, train_config,
         graph_label=label, preprocess_seconds=preprocess,
     )

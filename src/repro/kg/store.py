@@ -16,24 +16,11 @@ it back read-only:
   into the mapping — no deserialization, no index builds, and every process
   that opens the same file shares the same physical page-cache pages.
 
-File format (version 1)
------------------------
-::
-
-    bytes 0..7    magic  b"TOSGART1"
-    bytes 8..11   format version   (<u4)
-    bytes 12..15  header length    (<u4, bytes of JSON that follow)
-    bytes 16..19  header CRC-32    (<u4, over the JSON bytes)
-    bytes 20..    JSON header      {"name", "vocab_counts", "sections"}
-    ...           zero padding to a 64-byte boundary
-    ...           sections, each starting on a 64-byte boundary
-
-Every section is a flat little-endian array described by the header's
-``sections`` table (``{name: {"dtype", "shape", "offset", "nbytes"}}``;
-offsets are relative to the 64-byte-aligned data start).  Vocabularies are
-stored as newline-joined UTF-8 blobs (``uint8`` sections).  All structural
-failure modes — missing file, wrong magic, unsupported version, corrupted
-header, truncated or inconsistent sections — raise the structured
+The byte layout, its validation and its structural errors live in
+:mod:`repro.sections` (this is its ``STORE`` kind: no per-section CRCs,
+so opening stays O(header)); this module holds only the store's section
+list and the graph wiring.  Vocabularies are stored as newline-joined
+UTF-8 blobs (``uint8`` sections).  Every failure raises the structured
 :class:`ArtifactStoreError` instead of returning garbage arrays.
 
 Because the mapping is ``ACCESS_READ``, the views are write-protected:
@@ -44,14 +31,13 @@ bit-exactness contract honest.
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
-import zlib
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
+from repro import sections
 from repro.kg.cache import GraphArtifacts
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.hexastore import _ORDERS, Hexastore
@@ -60,11 +46,6 @@ from repro.kg.vocabulary import Vocabulary
 
 #: Name of the artifact file inside the store directory.
 ARTIFACT_FILENAME = "artifacts.tosg"
-
-_MAGIC = b"TOSGART1"
-_FORMAT_VERSION = 1
-_ALIGNMENT = 64
-_PREAMBLE = len(_MAGIC) + 4 + 4 + 4  # magic + version + header length + CRC
 
 #: CSR projections persisted per graph (matches ``build_csr`` directions).
 _CSR_DIRECTIONS = ("both", "out", "in")
@@ -82,16 +63,13 @@ class ArtifactStoreError(RuntimeError):
     """A structured artifact-store failure (missing/corrupt/incompatible file)."""
 
 
-def _align(offset: int) -> int:
-    return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
-
-
-def _little_endian(array: np.ndarray) -> np.ndarray:
-    """Contiguous little-endian copy-if-needed of ``array``."""
-    array = np.ascontiguousarray(array)
-    if array.dtype.byteorder == ">":  # pragma: no cover - big-endian hosts only
-        array = array.astype(array.dtype.newbyteorder("<"))
-    return array
+STORE = sections.Kind(
+    magic=b"TOSGART1",
+    error=ArtifactStoreError,
+    noun="artifact",
+    remedy="rebuild with `repro build-artifacts`",
+    section_crc=False,
+)
 
 
 def _encode_vocab(vocab: Vocabulary) -> np.ndarray:
@@ -229,116 +207,16 @@ def save_artifacts(kg: KnowledgeGraph, directory: str) -> Dict[str, object]:
     (write-temp + rename).  Returns a small manifest dict
     (``path`` / ``nbytes`` / ``sections``).
     """
-    arrays = {name: _little_endian(array) for name, array in _collect_arrays(kg).items()}
-
-    sections: Dict[str, Dict[str, object]] = {}
-    offset = 0
-    for name, array in arrays.items():
-        offset = _align(offset)
-        sections[name] = {
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "offset": offset,
-            "nbytes": int(array.nbytes),
-        }
-        offset += array.nbytes
-
+    arrays = _collect_arrays(kg)
     header = {
         "name": kg.name,
         "vocab_counts": {
             section: len(getattr(kg, attribute)) for section, attribute in _VOCABS
         },
-        "sections": sections,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, ARTIFACT_FILENAME)
-    temp_path = path + ".tmp"
-    with open(temp_path, "wb") as handle:
-        handle.write(_MAGIC)
-        preamble_words = [_FORMAT_VERSION, len(header_bytes), zlib.crc32(header_bytes)]
-        handle.write(np.asarray(preamble_words, dtype="<u4").tobytes())
-        handle.write(header_bytes)
-        position = _PREAMBLE + len(header_bytes)
-        data_start = _align(position)
-        handle.write(b"\x00" * (data_start - position))
-        position = 0  # now relative to data_start
-        for name, array in arrays.items():
-            target = sections[name]["offset"]
-            handle.write(b"\x00" * (target - position))
-            handle.write(array.tobytes())
-            position = target + array.nbytes
-    os.replace(temp_path, path)
-    return {"path": path, "nbytes": os.path.getsize(path), "sections": len(sections)}
-
-
-def _parse_header(buffer: mmap.mmap, path: str) -> Tuple[Dict[str, object], int]:
-    """Validate preamble + header; returns ``(header, data_start)``."""
-    if len(buffer) < _PREAMBLE:
-        raise ArtifactStoreError(
-            f"{path}: file is {len(buffer)} bytes, shorter than the "
-            f"{_PREAMBLE}-byte preamble (truncated?)"
-        )
-    if buffer[: len(_MAGIC)] != _MAGIC:
-        raise ArtifactStoreError(
-            f"{path}: bad magic {bytes(buffer[:len(_MAGIC)])!r}; "
-            "not a TOSG artifact file"
-        )
-    version, header_length, header_crc = np.frombuffer(
-        buffer, dtype="<u4", count=3, offset=len(_MAGIC)
-    )
-    if int(version) != _FORMAT_VERSION:
-        raise ArtifactStoreError(
-            f"{path}: artifact format version {int(version)} is not supported "
-            f"(this build reads version {_FORMAT_VERSION}); rebuild with "
-            "`repro build-artifacts`"
-        )
-    if _PREAMBLE + int(header_length) > len(buffer):
-        raise ArtifactStoreError(
-            f"{path}: header overruns the file ({int(header_length)} header bytes "
-            f"in a {len(buffer)}-byte file); truncated artifact"
-        )
-    header_bytes = buffer[_PREAMBLE : _PREAMBLE + int(header_length)]
-    if zlib.crc32(header_bytes) != int(header_crc):
-        raise ArtifactStoreError(f"{path}: header checksum mismatch; corrupted artifact")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactStoreError(f"{path}: unreadable artifact header: {exc}") from exc
-    return header, _align(_PREAMBLE + int(header_length))
-
-
-def _map_sections(
-    buffer: mmap.mmap, header: Dict[str, object], data_start: int, path: str
-) -> Dict[str, np.ndarray]:
-    """Zero-copy ``np.frombuffer`` views for every section, bounds-checked."""
-    arrays: Dict[str, np.ndarray] = {}
-    for name, spec in header["sections"].items():
-        dtype = np.dtype(spec["dtype"])
-        if dtype.byteorder == ">":  # pragma: no cover - never written by save
-            raise ArtifactStoreError(
-                f"{path}: section {name!r} is big-endian; artifact files are "
-                "little-endian by contract"
-            )
-        count = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        expected = count * dtype.itemsize
-        if expected != int(spec["nbytes"]):
-            raise ArtifactStoreError(
-                f"{path}: section {name!r} is internally inconsistent "
-                f"({spec['nbytes']} bytes for shape {spec['shape']} {dtype})"
-            )
-        end = data_start + int(spec["offset"]) + expected
-        if end > len(buffer):
-            raise ArtifactStoreError(
-                f"{path}: section {name!r} ends at byte {end} but the file has "
-                f"only {len(buffer)}; truncated artifact"
-            )
-        view = np.frombuffer(
-            buffer, dtype=dtype, count=count, offset=data_start + int(spec["offset"])
-        )
-        arrays[name] = view.reshape(spec["shape"])
-    return arrays
+    nbytes = sections.write(path, STORE, header, arrays)
+    return {"path": path, "nbytes": nbytes, "sections": len(arrays)}
 
 
 def open_artifacts(directory: str) -> GraphArtifacts:
@@ -362,8 +240,7 @@ def open_artifacts(directory: str) -> GraphArtifacts:
         except ValueError as exc:  # zero-byte file
             raise ArtifactStoreError(f"{path}: cannot map artifact file: {exc}") from exc
 
-    header, data_start = _parse_header(buffer, path)
-    arrays = _map_sections(buffer, header, data_start, path)
+    header, arrays = sections.read(buffer, path, STORE)
     try:
         vocabs = {
             section: _decode_vocab(

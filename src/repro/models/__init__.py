@@ -19,7 +19,13 @@ Re-implementations of the six state-of-the-art methods' *mechanisms* on the
 Beyond the paper's six, :class:`~repro.models.pathscore.PathScorePredictor`
 is the KagNet-style path-reasoning LP scorer built on the ``/paths``
 extraction kernel (relation-sequence embedding + pooling).
+
+:data:`ARCHITECTURES` is the one table from (task type, architecture
+name) to model class; checkpoint loading, the bench harness and the CLI
+all read it.
 """
+
+from typing import Dict, Tuple
 
 from repro.models.base import ModelConfig, RGCNLayer, RGCNStack
 from repro.models.rgcn import RGCNNodeClassifier, RGCNLinkPredictor
@@ -31,7 +37,27 @@ from repro.models.morse import MorsEPredictor
 from repro.models.lhgnn import LHGNNPredictor
 from repro.models.pathscore import PathScorePredictor
 
+#: Every trainable, checkpointable architecture: (task type, name) -> class.
+ARCHITECTURES: Dict[Tuple[str, str], type] = {
+    ("NC", "RGCN"): RGCNNodeClassifier,
+    ("NC", "GraphSAINT"): GraphSAINTClassifier,
+    ("NC", "ShaDowSAINT"): ShaDowSAINTClassifier,
+    ("NC", "SeHGNN"): SeHGNNClassifier,
+    ("LP", "RGCN"): RGCNLinkPredictor,
+    ("LP", "MorsE"): MorsEPredictor,
+    ("LP", "LHGNN"): LHGNNPredictor,
+    ("LP", "PathScore"): PathScorePredictor,
+}
+
+
+def architectures(task_type: str) -> Dict[str, type]:
+    """The architectures of one task type, name -> class, in table order."""
+    return {name: cls for (kind, name), cls in ARCHITECTURES.items() if kind == task_type}
+
+
 __all__ = [
+    "ARCHITECTURES",
+    "architectures",
     "ModelConfig",
     "RGCNLayer",
     "RGCNStack",

@@ -52,6 +52,8 @@ class PathScorePredictor(Module):
     """Relation-path encoder with a path-conditioned DistMult decoder."""
 
     name = "PathScore"
+    #: Constructor kwargs a checkpoint records (the rest is in ModelConfig).
+    checkpoint_kwargs = ("max_hops", "max_paths")
 
     def __init__(
         self,

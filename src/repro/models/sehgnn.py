@@ -37,6 +37,8 @@ class SeHGNNClassifier(Module):
     """Pre-aggregated metapath features + semantic attention + MLP."""
 
     name = "SeHGNN"
+    #: Constructor kwargs a checkpoint records (the rest is in ModelConfig).
+    checkpoint_kwargs = ("feature_dim",)
 
     def __init__(
         self,

@@ -274,6 +274,8 @@ class ShaDowSAINTClassifier(Module):
     """Ego-subgraph RGCN with root readout (the ShaDowSAINT regime)."""
 
     name = "ShaDowSAINT"
+    #: Constructor kwargs a checkpoint records (the rest is in ModelConfig).
+    checkpoint_kwargs = ("depth", "fanout")
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ from repro.nn.layers import (
     StateDictMismatch,
 )
 from repro.nn.optim import SGD, Adam
-from repro.nn.init import xavier_uniform, xavier_normal
+from repro.nn.init import xavier_uniform
 
 __all__ = [
     "Tensor",
@@ -47,5 +47,4 @@ __all__ = [
     "SGD",
     "Adam",
     "xavier_uniform",
-    "xavier_normal",
 ]

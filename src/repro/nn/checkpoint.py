@@ -21,17 +21,11 @@ deterministically from ``config.rng()``, rebuilding the model from
 trained model's predictions **bit for bit** — the property the serving
 oracle tests assert.
 
-File format (version 1), mirroring the graph store's layout::
-
-    bytes 0..7    magic  b"TOSGCKP1"
-    bytes 8..11   format version   (<u4)
-    bytes 12..15  header length    (<u4, bytes of JSON that follow)
-    bytes 16..19  header CRC-32    (<u4, over the JSON bytes)
-    bytes 20..    JSON header      {"architecture", "graph", "config",
-                                    "model_kwargs", "metrics", "task",
-                                    "sections"}
-    ...           zero padding to a 64-byte boundary
-    ...           sections, each starting on a 64-byte boundary
+The file is a :mod:`repro.sections` container of the ``CHECKPOINT``
+kind, whose module docstring gives the byte layout: its JSON header holds
+``architecture``, ``graph``, ``config``, ``model_kwargs``, ``metrics`` and
+``task``, and every section carries a CRC-32 that :func:`load_checkpoint`
+verifies.
 
 Every structural failure mode — missing file, wrong magic, unsupported
 version, corrupted header, truncated or bit-flipped parameter sections —
@@ -44,42 +38,25 @@ state dict additionally fails loudly inside
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
-_MAGIC = b"TOSGCKP1"
-_FORMAT_VERSION = 1
-_ALIGNMENT = 64
-_PREAMBLE = len(_MAGIC) + 4 + 4 + 4  # magic + version + header length + CRC
-
-#: Constructor kwargs worth persisting per architecture (everything else is
-#: in ``ModelConfig``).  A checkpoint saved with non-default kwargs outside
-#: this table still fails loudly at load time via ``StateDictMismatch``.
-_SAVED_KWARGS = {
-    "ShaDowSAINT": ("depth", "fanout"),
-    "SeHGNN": ("feature_dim",),
-    "PathScore": ("max_hops", "max_paths"),
-}
-
+from repro import sections
 
 class CheckpointError(RuntimeError):
     """A structured checkpoint failure (missing/corrupt/incompatible file)."""
 
 
-def _align(offset: int) -> int:
-    return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
-
-
-def _little_endian(array: np.ndarray) -> np.ndarray:
-    array = np.ascontiguousarray(array)
-    if array.dtype.byteorder == ">":  # pragma: no cover - big-endian hosts only
-        array = array.astype(array.dtype.newbyteorder("<"))
-    return array
+CHECKPOINT = sections.Kind(
+    magic=b"TOSGCKP1",
+    error=CheckpointError,
+    noun="checkpoint",
+    remedy="re-save with `repro train --save-checkpoint`",
+    section_crc=True,
+)
 
 
 def _task_header(task) -> Dict[str, object]:
@@ -196,43 +173,19 @@ class Checkpoint:
                 f"{self.path}: checkpoint was trained on graph "
                 f"{self.graph_name!r} but is being loaded over {kg.name!r}"
             )
-        model_cls = _architecture_class(self.task_type, self.architecture)
+        from repro.models import ARCHITECTURES
+
+        model_cls = ARCHITECTURES.get((self.task_type, self.architecture))
+        if model_cls is None:
+            known = sorted({arch for _, arch in ARCHITECTURES})
+            raise CheckpointError(
+                f"unknown architecture {self.architecture!r} for task type "
+                f"{self.task_type!r}; this build knows {known}"
+            )
         model = model_cls(kg, self.task, self.config, **self.model_kwargs)
         model.load_state_dict(self.state)
         model.eval()
         return model
-
-
-def _architecture_class(task_type: str, architecture: str):
-    from repro.models import (
-        GraphSAINTClassifier,
-        LHGNNPredictor,
-        MorsEPredictor,
-        PathScorePredictor,
-        RGCNLinkPredictor,
-        RGCNNodeClassifier,
-        SeHGNNClassifier,
-        ShaDowSAINTClassifier,
-    )
-
-    classes = {
-        ("NC", "RGCN"): RGCNNodeClassifier,
-        ("NC", "GraphSAINT"): GraphSAINTClassifier,
-        ("NC", "ShaDowSAINT"): ShaDowSAINTClassifier,
-        ("NC", "SeHGNN"): SeHGNNClassifier,
-        ("LP", "RGCN"): RGCNLinkPredictor,
-        ("LP", "MorsE"): MorsEPredictor,
-        ("LP", "LHGNN"): LHGNNPredictor,
-        ("LP", "PathScore"): PathScorePredictor,
-    }
-    model_cls = classes.get((task_type, architecture))
-    if model_cls is None:
-        known = sorted({arch for _, arch in classes})
-        raise CheckpointError(
-            f"unknown architecture {architecture!r} for task type {task_type!r}; "
-            f"this build knows {known}"
-        )
-    return model_cls
 
 
 def save_checkpoint(
@@ -245,37 +198,23 @@ def save_checkpoint(
     """Write ``model``'s trained state as one checkpoint file, atomically.
 
     ``model`` must carry the repo-wide model attributes (``kg``, ``task``,
-    ``config``, class-level ``name``); construction kwargs the architecture
-    needs to rebuild (ShaDowSAINT depth/fanout, SeHGNN feature_dim) are
-    captured automatically unless overridden via ``model_kwargs``.
+    ``config``, class-level ``name``); the construction kwargs its class
+    lists in ``checkpoint_kwargs`` (ShaDowSAINT depth/fanout, SeHGNN
+    feature_dim) are captured automatically unless overridden via
+    ``model_kwargs``.  Other non-default kwargs fail loudly at load time
+    (``StateDictMismatch``).
     Returns a small manifest dict (``path`` / ``nbytes`` / ``parameters``).
     """
     architecture = architecture or getattr(model, "name", type(model).__name__)
     kwargs = dict(model_kwargs or {})
-    for attribute in _SAVED_KWARGS.get(architecture, ()):
-        if attribute not in kwargs and hasattr(model, attribute):
+    for attribute in getattr(model, "checkpoint_kwargs", ()):
+        if attribute not in kwargs:
             kwargs[attribute] = getattr(model, attribute)
 
-    arrays: Dict[str, np.ndarray] = {}
-    for name, array in _task_arrays(model.task).items():
-        arrays[name] = _little_endian(np.asarray(array))
     state = model.state_dict()
+    arrays = _task_arrays(model.task)
     for name, array in state.items():
-        arrays[f"param/{name}"] = _little_endian(np.asarray(array))
-
-    sections: Dict[str, Dict[str, object]] = {}
-    offset = 0
-    for name, array in arrays.items():
-        offset = _align(offset)
-        sections[name] = {
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "offset": offset,
-            "nbytes": int(array.nbytes),
-            "crc32": zlib.crc32(array.tobytes()),
-        }
-        offset += array.nbytes
-
+        arrays[f"param/{name}"] = array
     header = {
         "architecture": architecture,
         "graph": model.kg.name,
@@ -283,68 +222,13 @@ def save_checkpoint(
         "model_kwargs": kwargs,
         "metrics": dict(metrics or {}),
         "task": _task_header(model.task),
-        "sections": sections,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    temp_path = path + ".tmp"
-    with open(temp_path, "wb") as handle:
-        handle.write(_MAGIC)
-        preamble_words = [_FORMAT_VERSION, len(header_bytes), zlib.crc32(header_bytes)]
-        handle.write(np.asarray(preamble_words, dtype="<u4").tobytes())
-        handle.write(header_bytes)
-        position = _PREAMBLE + len(header_bytes)
-        data_start = _align(position)
-        handle.write(b"\x00" * (data_start - position))
-        position = 0  # now relative to data_start
-        for name, array in arrays.items():
-            target = sections[name]["offset"]
-            handle.write(b"\x00" * (target - position))
-            handle.write(array.tobytes())
-            position = target + array.nbytes
-    os.replace(temp_path, path)
+    nbytes = sections.write(path, CHECKPOINT, header, arrays)
     return {
         "path": path,
-        "nbytes": os.path.getsize(path),
+        "nbytes": nbytes,
         "parameters": int(sum(a.size for a in state.values())),
     }
-
-
-def _parse_header(raw: bytes, path: str) -> tuple:
-    """Validate preamble + header; returns ``(header, data_start)``."""
-    if len(raw) < _PREAMBLE:
-        raise CheckpointError(
-            f"{path}: file is {len(raw)} bytes, shorter than the "
-            f"{_PREAMBLE}-byte preamble (truncated?)"
-        )
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise CheckpointError(
-            f"{path}: bad magic {raw[: len(_MAGIC)]!r}; not a TOSG checkpoint file"
-        )
-    version, header_length, header_crc = np.frombuffer(
-        raw, dtype="<u4", count=3, offset=len(_MAGIC)
-    )
-    if int(version) != _FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint format version {int(version)} is not supported "
-            f"(this build reads version {_FORMAT_VERSION}); re-save with "
-            "`repro train --save-checkpoint`"
-        )
-    if _PREAMBLE + int(header_length) > len(raw):
-        raise CheckpointError(
-            f"{path}: header overruns the file ({int(header_length)} header bytes "
-            f"in a {len(raw)}-byte file); truncated checkpoint"
-        )
-    header_bytes = raw[_PREAMBLE : _PREAMBLE + int(header_length)]
-    if zlib.crc32(header_bytes) != int(header_crc):
-        raise CheckpointError(f"{path}: header checksum mismatch; corrupted checkpoint")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    return header, _align(_PREAMBLE + int(header_length))
 
 
 def _read_file(path: str) -> bytes:
@@ -363,7 +247,7 @@ def read_checkpoint_meta(path: str) -> Dict[str, object]:
     task, recorded metric, parameter count) without paying a full load.
     """
     raw = _read_file(path)
-    header, _ = _parse_header(raw, path)
+    header = sections.read_header(raw, path, CHECKPOINT)
     parameters = sum(
         int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
         for name, spec in header["sections"].items()
@@ -391,33 +275,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     """
     from repro.models.base import ModelConfig
 
-    raw = _read_file(path)
-    header, data_start = _parse_header(raw, path)
-
-    arrays: Dict[str, np.ndarray] = {}
-    for name, spec in header["sections"].items():
-        dtype = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        expected = count * dtype.itemsize
-        if expected != int(spec["nbytes"]):
-            raise CheckpointError(
-                f"{path}: section {name!r} is internally inconsistent "
-                f"({spec['nbytes']} bytes for shape {spec['shape']} {dtype})"
-            )
-        start = data_start + int(spec["offset"])
-        end = start + expected
-        if end > len(raw):
-            raise CheckpointError(
-                f"{path}: section {name!r} ends at byte {end} but the file has "
-                f"only {len(raw)}; truncated checkpoint"
-            )
-        payload = raw[start:end]
-        if zlib.crc32(payload) != int(spec["crc32"]):
-            raise CheckpointError(
-                f"{path}: section {name!r} checksum mismatch; corrupted checkpoint"
-            )
-        arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(spec["shape"])
-
+    header, arrays = sections.read(_read_file(path), path, CHECKPOINT)
     try:
         config = ModelConfig(**header["config"])
         task = _rebuild_task(header, arrays)

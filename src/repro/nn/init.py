@@ -26,12 +26,3 @@ def xavier_uniform(
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float64)
-
-
-def xavier_normal(
-    shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    """Glorot/Xavier normal: ``N(0, gain^2 * 2/(fan_in+fan_out))``."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float64)

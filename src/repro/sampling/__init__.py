@@ -9,7 +9,6 @@ FOCS 2006) that the paper's influence-based sampling builds on.
 
 from repro.sampling.walks import RandomWalkEngine
 from repro.sampling.urw import UniformRandomWalkSampler, SampledSubgraph
-from repro.sampling.node_edge import NodeSampler, EdgeSampler
 from repro.sampling.ppr import approximate_ppr, ppr_top_k
 from repro.sampling.paths import (
     enumerate_paths_batch,
@@ -21,8 +20,6 @@ __all__ = [
     "RandomWalkEngine",
     "UniformRandomWalkSampler",
     "SampledSubgraph",
-    "NodeSampler",
-    "EdgeSampler",
     "approximate_ppr",
     "ppr_top_k",
     "enumerate_paths_scalar",

@@ -83,13 +83,13 @@ def _evaluate_nc(model, task: NodeClassificationTask, positions: np.ndarray) -> 
     return accuracy(logits[positions], task.labels[positions])
 
 
-def train_node_classifier(
-    model,
-    task: NodeClassificationTask,
-    config: TrainConfig,
-    meter: Optional[ResourceMeter] = None,
-) -> TrainResult:
-    """Train an NC model and measure the paper's reported quantities."""
+def metric_name(task, config: TrainConfig) -> str:
+    """What a model trained for ``task`` is scored by: accuracy or Hits@k."""
+    return f"hits@{config.hits_k}" if task.task_type == "LP" else "accuracy"
+
+
+def _fit(model, task, config: TrainConfig, meter, evaluate) -> TrainResult:
+    """The one epoch / eval / early-stop loop; ``evaluate(positions)`` scores."""
     rng = np.random.default_rng(config.seed)
     trace: List[TracePoint] = []
     best_valid = -np.inf
@@ -100,7 +100,7 @@ def train_node_classifier(
         loss = model.train_epoch(rng)
         epochs_run = epoch
         if epoch % config.eval_every == 0:
-            valid = _evaluate_nc(model, task, task.split.valid)
+            valid = evaluate(task.split.valid)
             trace.append(
                 TracePoint(epoch, time.perf_counter() - start, float(loss), valid)
             )
@@ -114,7 +114,7 @@ def train_node_classifier(
     train_seconds = time.perf_counter() - start
 
     infer_start = time.perf_counter()
-    test_metric = _evaluate_nc(model, task, task.split.test)
+    test_metric = evaluate(task.split.test)
     inference_seconds = time.perf_counter() - infer_start
 
     return TrainResult(
@@ -126,8 +126,18 @@ def train_node_classifier(
         num_parameters=model.num_parameters(),
         peak_memory_bytes=meter.peak_bytes if meter is not None else 0,
         trace=trace,
-        metric_name="accuracy",
+        metric_name=metric_name(task, config),
     )
+
+
+def train_node_classifier(
+    model,
+    task: NodeClassificationTask,
+    config: TrainConfig,
+    meter: Optional[ResourceMeter] = None,
+) -> TrainResult:
+    """Train an NC model and measure the paper's reported quantities."""
+    return _fit(model, task, config, meter, lambda positions: _evaluate_nc(model, task, positions))
 
 
 def _sample_eval_pairs(
@@ -254,42 +264,9 @@ def train_link_predictor(
     meter: Optional[ResourceMeter] = None,
 ) -> TrainResult:
     """Train an LP model; metric is Hits@k against sampled negatives."""
-    rng = np.random.default_rng(config.seed)
     eval_rng = np.random.default_rng(config.seed + 1)
-    trace: List[TracePoint] = []
-    best_valid = -np.inf
-    stale = 0
-    start = time.perf_counter()
-    epochs_run = 0
-    for epoch in range(1, config.epochs + 1):
-        loss = model.train_epoch(rng)
-        epochs_run = epoch
-        if epoch % config.eval_every == 0:
-            valid = _evaluate_lp(model, task, task.split.valid, config, eval_rng)
-            trace.append(
-                TracePoint(epoch, time.perf_counter() - start, float(loss), valid)
-            )
-            if valid > best_valid + 1e-9:
-                best_valid = valid
-                stale = 0
-            else:
-                stale += 1
-            if config.patience is not None and stale > config.patience:
-                break
-    train_seconds = time.perf_counter() - start
 
-    infer_start = time.perf_counter()
-    test_metric = _evaluate_lp(model, task, task.split.test, config, eval_rng)
-    inference_seconds = time.perf_counter() - infer_start
+    def evaluate(positions: np.ndarray) -> float:
+        return _evaluate_lp(model, task, positions, config, eval_rng)
 
-    return TrainResult(
-        test_metric=test_metric,
-        valid_metric=max(best_valid, 0.0),
-        train_seconds=train_seconds,
-        inference_seconds=inference_seconds,
-        epochs_run=epochs_run,
-        num_parameters=model.num_parameters(),
-        peak_memory_bytes=meter.peak_bytes if meter is not None else 0,
-        trace=trace,
-        metric_name=f"hits@{config.hits_k}",
-    )
+    return _fit(model, task, config, meter, evaluate)

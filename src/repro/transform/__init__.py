@@ -10,7 +10,6 @@ from repro.transform.adjacency import (
     HeteroAdjacency,
     build_csr,
     build_hetero_adjacency,
-    transform_kg,
 )
 from repro.transform.features import xavier_features, one_hot_type_features
 
@@ -18,7 +17,6 @@ __all__ = [
     "HeteroAdjacency",
     "build_csr",
     "build_hetero_adjacency",
-    "transform_kg",
     "xavier_features",
     "one_hot_type_features",
 ]

@@ -135,12 +135,3 @@ def build_hetero_adjacency(
         transform_seconds=elapsed,
         node_types=kg.node_types.copy(),
     )
-
-
-def transform_kg(
-    kg: KnowledgeGraph,
-    add_reverse: bool = True,
-    normalize: bool = True,
-) -> HeteroAdjacency:
-    """Alias of :func:`build_hetero_adjacency` named after the Fig. 4 step."""
-    return build_hetero_adjacency(kg, add_reverse=add_reverse, normalize=normalize)

@@ -245,6 +245,23 @@ def test_train_save_checkpoint_writes_loadable_artifact(tmp_path, capsys):
     assert meta["metrics"]["test_metric"] > 0
 
 
+def test_train_pathscore_saves_a_loadable_lp_checkpoint(tmp_path, capsys):
+    ckpt = str(tmp_path / "aa.ckpt")
+    assert main([
+        "train", "--dataset", "dblp", "--scale", "tiny", "--task", "AA",
+        "--model", "PathScore", "--epochs", "2", "--save-checkpoint", ckpt,
+    ]) == 0
+    assert "checkpoint saved to" in capsys.readouterr().out
+
+    from repro.datasets import catalog
+    from repro.nn.checkpoint import load_checkpoint
+
+    checkpoint = load_checkpoint(ckpt)
+    assert (checkpoint.task_type, checkpoint.architecture) == ("LP", "PathScore")
+    model = checkpoint.build_model(catalog.dblp("tiny", 0).kg)
+    assert model.name == "PathScore"
+
+
 def test_serve_checkpoint_banner(tmp_path, capsys):
     ckpt = str(tmp_path / "pv.ckpt")
     assert main([
