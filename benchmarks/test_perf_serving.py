@@ -7,8 +7,8 @@ configurations:
 
 * **serial** — ``coalesce=False``: every request runs the scalar oracle
   kernel alone, one request at a time (the no-serving-layer baseline).
-* **coalesced** — the micro-batching scheduler merges concurrent requests
-  into ``batch_ppr_top_k`` calls within a 64-request / 2 ms window.
+* **coalesced** — the micro-batching scheduler merges requests that arrive
+  while a batch runs into ``batch_ppr_top_k`` calls of up to 64 targets.
 
 Results must be *bit-identical* between the two modes (enforced inside
 ``compare_serving``; the batch kernels are bit-exact against their
@@ -48,7 +48,6 @@ CONCURRENCY = 64
 REQUESTS = 512
 TOP_K = 16
 MAX_BATCH = 64
-MAX_DELAY = 0.002
 
 # Regression floor for the coalesced/serial throughput ratio, recorded into
 # BENCH_serving.json next to the measurement.  Observed ~4-5x on the mag
@@ -136,7 +135,6 @@ def test_perf_serving_coalesced_vs_serial(benchmark, report, report_dir):
             {"coalesce": True},
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
-            max_delay=MAX_DELAY,
         )
 
     serial, coalesced, speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -148,7 +146,7 @@ def test_perf_serving_coalesced_vs_serial(benchmark, report, report_dir):
             [serial.as_row(), coalesced.as_row()],
             title=(
                 f"closed-loop serving on {bundle.kg.name}: "
-                f"{CONCURRENCY} in flight, window {MAX_BATCH}x{MAX_DELAY * 1e3:.0f}ms "
+                f"{CONCURRENCY} in flight, batches of up to {MAX_BATCH} "
                 f"-> {speedup:.1f}x"
             ),
         ),
@@ -173,7 +171,6 @@ def test_perf_serving_coalesced_vs_serial(benchmark, report, report_dir):
             "concurrency": CONCURRENCY,
             "requests": REQUESTS,
             "max_batch": MAX_BATCH,
-            "max_delay_ms": MAX_DELAY * 1e3,
             "speedup": speedup,
             "floor": FLOOR,
             "serial": serial.as_json(),
@@ -203,7 +200,6 @@ def test_perf_serving_http_front_end(benchmark, report, report_dir):
             {"http": True},
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
-            max_delay=MAX_DELAY,
         )
 
     serial, over_http, speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -238,7 +234,6 @@ def test_perf_serving_http_front_end(benchmark, report, report_dir):
             "concurrency": CONCURRENCY,
             "requests": REQUESTS,
             "max_batch": MAX_BATCH,
-            "max_delay_ms": MAX_DELAY * 1e3,
             "speedup": speedup,
             "floor": HTTP_FLOOR,
             "serial": serial.as_json(),
@@ -275,7 +270,6 @@ def test_perf_serving_worker_pool(benchmark, report, report_dir):
                 {"pool": pool},
                 concurrency=CONCURRENCY,
                 max_batch=MAX_BATCH,
-                max_delay=MAX_DELAY,
             )
 
     serial, pooled, speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -313,7 +307,6 @@ def test_perf_serving_worker_pool(benchmark, report, report_dir):
             "requests": REQUESTS,
             "workers": POOL_WORKERS,
             "max_batch": MAX_BATCH,
-            "max_delay_ms": MAX_DELAY * 1e3,
             "speedup": speedup,
             "floor": POOL_FLOOR,
             "serial": serial.as_json(),
@@ -359,7 +352,6 @@ def test_perf_serving_paths_throughput(benchmark, report, report_dir):
             {"coalesce": True},
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
-            max_delay=MAX_DELAY,
         )
 
     serial, coalesced, speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -395,7 +387,6 @@ def test_perf_serving_paths_throughput(benchmark, report, report_dir):
             "concurrency": CONCURRENCY,
             "requests": PATHS_REQUESTS,
             "max_batch": MAX_BATCH,
-            "max_delay_ms": MAX_DELAY * 1e3,
             "speedup": speedup,
             "floor": PATHS_FLOOR,
             "serial": serial.as_json(),
@@ -446,7 +437,6 @@ def test_perf_serving_distributed_scaling(benchmark, report, report_dir, tmp_pat
                 {"pool": scaled_pool},
                 concurrency=CONCURRENCY,
                 max_batch=MAX_BATCH,
-                max_delay=MAX_DELAY,
                 mmap_dir=store,
             )
         single.mode, scaled.mode = "pooled-1w", f"pooled-{SCALING_WORKERS}w"
@@ -480,7 +470,6 @@ def test_perf_serving_distributed_scaling(benchmark, report, report_dir, tmp_pat
             "requests": REQUESTS,
             "workers": SCALING_WORKERS,
             "max_batch": MAX_BATCH,
-            "max_delay_ms": MAX_DELAY * 1e3,
             "speedup": efficiency,
             "single": single.as_json(),
             "scaled": scaled.as_json(),
@@ -534,7 +523,6 @@ def test_perf_serving_predict_throughput(benchmark, report, report_dir, tmp_path
             checkpoints=[ckpt],
             concurrency=CONCURRENCY,
             max_batch=MAX_BATCH,
-            max_delay=MAX_DELAY,
         )
 
     serial, coalesced, speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -567,7 +555,6 @@ def test_perf_serving_predict_throughput(benchmark, report, report_dir, tmp_path
             "concurrency": CONCURRENCY,
             "requests": REQUESTS,
             "max_batch": MAX_BATCH,
-            "max_delay_ms": MAX_DELAY * 1e3,
             "speedup": speedup,
             "floor": PREDICT_FLOOR,
             "serial": serial.as_json(),

@@ -26,7 +26,9 @@ newline-delimited-JSON TCP or the HTTP/SPARQL-protocol front end
 pool (``--workers N``, optionally zero-copy from a saved store via
 ``--mmap-dir``); ``bench-serve`` runs the closed-loop load generator
 against the serial baseline and either the in-process coalescing
-scheduler or the worker pool (see ``docs/serving.md``).
+scheduler or the worker pool (see ``docs/serving.md``).  The scheduler
+batches requests only while the service is busy, so ``--max-batch`` is
+its one setting.
 
 ``train --save-checkpoint PATH`` additionally persists the trained model
 as a CRC-checked checkpoint artifact (``repro/nn/checkpoint.py``);
@@ -267,7 +269,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = ExtractionService(
             max_pending=args.max_pending,
             max_batch=args.max_batch,
-            max_delay=args.max_delay_ms / 1e3,
             coalesce=not args.no_coalesce,
             pool=pool,
             compact_every=args.compact_every,
@@ -293,7 +294,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         banner = (
             f"serving {kg.name} as graph {args.dataset!r} on "
             f"{args.host}:{bound_port(server)} via {args.protocol} ({mode}, "
-            f"window {args.max_batch}x{args.max_delay_ms}ms, "
+            f"batches of up to {args.max_batch}, "
             f"max {args.max_pending} in flight)"
         )
         await _serve_until_stopped(server, args.duration, banner)
@@ -339,7 +340,6 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
             "name": name,
             "mmap_dir": args.mmap_dir,
             "warm": True,
-            "compression": True,
             "checkpoints": list(args.checkpoint),
         })
 
@@ -436,7 +436,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             baseline={"coalesce": False},
             candidate={"pool": pool, "mmap_dir": args.mmap_dir},
             checkpoints=args.checkpoint, concurrency=args.concurrency,
-            max_batch=args.max_batch, max_delay=args.max_delay_ms / 1e3,
+            max_batch=args.max_batch,
         )
     finally:
         if pool is not None:
@@ -544,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound: in-flight requests before 503/Retry-After")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="coalescing window: max requests per batch-kernel call")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="coalescing window: max ms a request waits to batch")
     serve.add_argument("--no-coalesce", action="store_true",
                        help="serial per-request dispatch (baseline mode)")
     serve.add_argument("--mmap-dir", default=None,
@@ -612,8 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "processes (0: in-process coalescing)")
     bench_serve.add_argument("--max-batch", type=int, default=64,
                              help="coalescing window: max requests per batch-kernel call")
-    bench_serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                             help="coalescing window: max ms a request waits to batch")
     bench_serve.add_argument("--mmap-dir", default=None,
                              help="pool workers memory-map this saved artifact store "
                                   "(see build-artifacts) instead of a private copy "

@@ -212,15 +212,11 @@ class LiveGraph:
         self,
         kg: KnowledgeGraph,
         compact_every: int = 0,
-        history: int = EPOCH_HISTORY,
-        cache_capacity: int = KERNEL_CACHE_CAPACITY,
     ):
         self._lock = threading.RLock()
         self._current = GraphEpoch.initial(kg)
         self._ring: Dict[int, GraphEpoch] = {0: self._current}
-        self._history = max(int(history), 1)
         self.compact_every = max(int(compact_every), 0)
-        self._cache_capacity = max(int(cache_capacity), 0)
         # Per kernel kind: (key, params) -> (answer, support node array),
         # and the counters stats() reports as "<kind>_cache".
         kinds = ("ppr", "ego", "paths")
@@ -351,7 +347,7 @@ class LiveGraph:
     def _install(self, epoch: GraphEpoch) -> None:
         self._current = epoch
         self._ring[epoch.number] = epoch
-        while len(self._ring) > self._history:
+        while len(self._ring) > EPOCH_HISTORY:
             del self._ring[min(self._ring)]
 
     def _invalidate(self, arr: np.ndarray) -> None:
@@ -412,7 +408,7 @@ class LiveGraph:
                     answers[key] = answer
                     if retain:
                         store[(key, params)] = (answer, support)
-                while retain and self._cache_capacity and len(store) > self._cache_capacity:
+                while retain and len(store) > KERNEL_CACHE_CAPACITY:
                     del store[next(iter(store))]
         return [answers[key] for key in keys]
 

@@ -31,7 +31,6 @@ bit-exactness contract honest.
 
 from __future__ import annotations
 
-import mmap
 import os
 from typing import Dict
 
@@ -68,6 +67,7 @@ STORE = sections.Kind(
     error=ArtifactStoreError,
     noun="artifact",
     remedy="rebuild with `repro build-artifacts`",
+    missing="no artifact store at {path}; create one with `repro build-artifacts`",
     section_crc=False,
 )
 
@@ -230,17 +230,7 @@ def open_artifacts(directory: str) -> GraphArtifacts:
     same file.
     """
     path = os.path.join(directory, ARTIFACT_FILENAME)
-    if not os.path.exists(path):
-        raise ArtifactStoreError(
-            f"no artifact store at {path}; create one with `repro build-artifacts`"
-        )
-    with open(path, "rb") as handle:
-        try:
-            buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as exc:  # zero-byte file
-            raise ArtifactStoreError(f"{path}: cannot map artifact file: {exc}") from exc
-
-    header, arrays = sections.read(buffer, path, STORE)
+    header, arrays = sections.read(sections.map_file(path, STORE), path, STORE)
     try:
         vocabs = {
             section: _decode_vocab(

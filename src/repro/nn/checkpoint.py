@@ -38,6 +38,7 @@ state dict additionally fails loudly inside
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -55,6 +56,7 @@ CHECKPOINT = sections.Kind(
     error=CheckpointError,
     noun="checkpoint",
     remedy="re-save with `repro train --save-checkpoint`",
+    missing="no checkpoint at {path}; create one with `repro train --save-checkpoint`",
     section_crc=True,
 )
 
@@ -233,9 +235,7 @@ def save_checkpoint(
 
 def _read_file(path: str) -> bytes:
     if not os.path.exists(path):
-        raise CheckpointError(
-            f"no checkpoint at {path}; create one with `repro train --save-checkpoint`"
-        )
+        raise CheckpointError(CHECKPOINT.missing.format(path=path))
     with open(path, "rb") as handle:
         return handle.read()
 
@@ -246,10 +246,11 @@ def read_checkpoint_meta(path: str) -> Dict[str, object]:
     The model registry and the pool parent route on this (architecture,
     task, recorded metric, parameter count) without paying a full load.
     """
-    raw = _read_file(path)
-    header = sections.read_header(raw, path, CHECKPOINT)
+    with sections.map_file(path, CHECKPOINT) as buffer:
+        header = sections.read_header(buffer, path, CHECKPOINT)
+        nbytes = len(buffer)
     parameters = sum(
-        int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
+        math.prod(spec["shape"])
         for name, spec in header["sections"].items()
         if name.startswith("param/")
     )
@@ -260,8 +261,8 @@ def read_checkpoint_meta(path: str) -> Dict[str, object]:
         "task_name": header["task"]["name"],
         "task_type": header["task"]["type"],
         "metrics": header.get("metrics", {}),
-        "num_parameters": int(parameters),
-        "nbytes": len(raw),
+        "num_parameters": parameters,
+        "nbytes": nbytes,
     }
 
 

@@ -24,7 +24,7 @@ offsets are relative to the 64-byte-aligned data start).  A kind with
 ``section_crc`` also records each section's CRC-32 (``"crc32"``) and
 verifies it on :func:`read`; one without it is read as zero-copy views
 into the caller's buffer (an ``mmap`` for the store, so opening stays
-O(header)).
+O(header)).  :func:`map_file` opens either kind as such a mapping.
 
 Every structural failure (short file, wrong magic, unsupported version,
 corrupted or unreadable header, a section inconsistent with its spec,
@@ -35,6 +35,7 @@ the defect, never a garbage array.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import zlib
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ class Kind:
     error: Type[Exception]
     noun: str  # as in "truncated <noun>", "not a TOSG <noun> file"
     remedy: str  # how to write a file this build reads
+    missing: str  # the error for a missing file; formatted with ``path``
     section_crc: bool  # record a CRC-32 per section and verify it on read
 
 
@@ -112,6 +114,17 @@ def write(
             position = target + array.nbytes
     os.replace(temp_path, path)
     return os.path.getsize(path)
+
+
+def map_file(path: str, kind: Kind) -> mmap.mmap:
+    """The file at ``path`` as a read-only mapping; no page is read yet."""
+    if not os.path.exists(path):
+        raise kind.error(kind.missing.format(path=path))
+    with open(path, "rb") as handle:
+        try:
+            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # zero-byte file
+            raise kind.error(f"{path}: cannot map {kind.noun} file: {exc}") from exc
 
 
 def _parse(buffer, path: str, kind: Kind) -> Tuple[Dict[str, object], int]:

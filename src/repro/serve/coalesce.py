@@ -1,22 +1,25 @@
 """Micro-batching scheduler: live traffic in, batch-kernel calls out.
 
-The PR-1/2 batch kernels (:func:`repro.sampling.ppr.batch_ppr_top_k`,
+The batch kernels (:func:`repro.sampling.ppr.batch_ppr_top_k`,
 :func:`repro.models.shadowsaint.extract_ego_batch`) were built for
 benchmark loops that already hold a whole array of targets.  A service
 receives the same work one request at a time.  :class:`Coalescer` bridges
-the two: concurrent requests that share a *compatibility key* (same graph,
-same kernel parameters) are collected inside a small window — closed by
-whichever comes first, ``max_batch`` items or ``max_delay`` seconds — and
-dispatched as **one** batch-kernel call on a worker thread, with each
-result fanned back to its request's future.
+the two by batching only when busy: requests that share a *compatibility
+key* (same graph, same kernel parameters) dispatch at once while the key
+has a free *lane*; once every lane runs one of the key's batches, new
+requests collect in the key's window, which dispatches as **one**
+batch-kernel call when a lane frees (or at once, when it holds
+``max_batch`` items).  Each result is fanned back to its request's
+future.
 
-Because the batch kernels are bit-exact against their scalar oracles, a
-coalesced request returns *exactly* what a lone request would — the window
-only trades a bounded latency slack for kernel-side throughput.  The
-scheduler does not care where ``dispatch`` executes: in-process it runs
-the kernel directly, in pool mode it ships the batch to the owning
-worker process (``serve/pool.py``) — window semantics and results are
-identical either way.
+Nothing waits on a timer: a lone request never pays for a batch that
+could not form, and under load the window fills for exactly as long as
+the running batch takes.  Because the batch kernels are bit-exact against
+their scalar oracles, a coalesced request returns *exactly* what a lone
+request would.  The scheduler does not care where ``dispatch`` executes:
+in-process it runs the kernel directly, in pool mode it ships the batch
+to an owning worker process (``serve/pool.py``) — results are identical
+either way.
 """
 
 from __future__ import annotations
@@ -27,24 +30,21 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Set
 
 from repro.serve.metrics import ServiceMetrics
 
-# Default window: at most this many requests per dispatched batch ...
+# At most this many requests per dispatched batch.
 MAX_BATCH = 64
-# ... or this many seconds after the first request opened the window.
-MAX_DELAY_SECONDS = 0.002
 
 # dispatch(key, items) -> results, one result per item, same order.
 DispatchFn = Callable[[Hashable, List[Any]], List[Any]]
 
 
 class _Window:
-    """One open batch: items waiting for the size or time trigger."""
+    """One open batch: items waiting for a free lane or the size trigger."""
 
-    __slots__ = ("items", "futures", "timer")
+    __slots__ = ("items", "futures")
 
     def __init__(self) -> None:
         self.items: List[Any] = []
         self.futures: List[asyncio.Future] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class Coalescer:
@@ -57,62 +57,66 @@ class Coalescer:
         (``asyncio.to_thread``); must return one result per item in item
         order.  Raising fails every request of the batch with the same
         exception.
-    max_batch / max_delay:
-        The coalescing window: a batch is dispatched as soon as it holds
-        ``max_batch`` items, or ``max_delay`` seconds after its first item
-        arrived, whichever happens first.  ``max_batch=1`` degenerates to
+    max_batch:
+        A window dispatches as soon as it holds ``max_batch`` items, even
+        while every lane is busy.  ``max_batch=1`` degenerates to
         per-request dispatch (the serial baseline).
     metrics:
         Optional :class:`ServiceMetrics` receiving batch size/duration.
+    lanes:
+        ``lanes(key)``: how many of the key's batches may run at once
+        before new requests wait in its window (default 1) — the service
+        derives it from where batches execute.
     """
 
     def __init__(
         self,
         dispatch: DispatchFn,
         max_batch: int = MAX_BATCH,
-        max_delay: float = MAX_DELAY_SECONDS,
         metrics: Optional[ServiceMetrics] = None,
+        lanes: Callable[[Hashable], int] = lambda key: 1,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self._dispatch = dispatch
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self._metrics = metrics
+        self._lanes = lanes
         self._windows: Dict[Hashable, _Window] = {}
+        self._running: Dict[Hashable, int] = {}  # batches in flight per key
         self._inflight: Set[asyncio.Task] = set()
 
     async def submit(self, key: Hashable, item: Any) -> Any:
         """Queue ``item`` under ``key`` and await its individual result."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         window = self._windows.get(key)
         if window is None:
-            window = _Window()
-            self._windows[key] = window
-            if self.max_batch > 1:
-                # call_later(0, ...) fires on the next loop pass, so a zero
-                # window still coalesces same-tick bursts and never hangs.
-                window.timer = loop.call_later(self.max_delay, self._close, key)
+            window = self._windows[key] = _Window()
         window.items.append(item)
         window.futures.append(future)
-        if len(window.items) >= self.max_batch:
+        if (
+            len(window.items) >= self.max_batch
+            or self._running.get(key, 0) < self._lanes(key)
+        ):
             self._close(key)
         return await future
 
     def _close(self, key: Hashable) -> None:
-        """Close ``key``'s window (idempotent) and dispatch it."""
-        window = self._windows.pop(key, None)
-        if window is None:
-            return
-        if window.timer is not None:
-            window.timer.cancel()
+        """Dispatch ``key``'s open window on a lane of its own."""
+        window = self._windows.pop(key)
+        self._running[key] = self._running.get(key, 0) + 1
         task = asyncio.ensure_future(self._run(key, window))
         # Keep a strong reference until done: the loop only holds weak ones.
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
+
+    def _release(self, key: Hashable) -> None:
+        """A batch of ``key`` ended: its lane takes the waiting window."""
+        running = self._running.pop(key) - 1
+        if running:
+            self._running[key] = running
+        if key in self._windows and running < self._lanes(key):
+            self._close(key)
 
     async def _run(self, key: Hashable, window: _Window) -> None:
         start = time.perf_counter()
@@ -127,15 +131,20 @@ class Coalescer:
             for future in window.futures:
                 if not future.done():
                     future.set_exception(exc)
-            return
-        if self._metrics is not None:
-            self._metrics.record_batch(len(window.items), time.perf_counter() - start)
-        for future, result in zip(window.futures, results):
-            if not future.done():
-                future.set_result(result)
+        else:
+            if self._metrics is not None:
+                self._metrics.record_batch(len(window.items), time.perf_counter() - start)
+            for future, result in zip(window.futures, results):
+                if not future.done():
+                    future.set_result(result)
+        # The lane frees once the batch's requesters have run: a client
+        # that answers with its next request joins the waiting window
+        # instead of splitting a batch of one off it.
+        await asyncio.sleep(0)
+        self._release(key)
 
     async def flush(self) -> None:
-        """Dispatch every open window now and wait for all batches to land."""
+        """Dispatch every waiting window now and wait for all batches to land."""
         for key in list(self._windows):
             self._close(key)
         while self._inflight:
@@ -143,5 +152,5 @@ class Coalescer:
 
     @property
     def open_windows(self) -> int:
-        """Number of keys currently collecting a batch (introspection)."""
+        """Number of keys with requests waiting for a lane (introspection)."""
         return len(self._windows)

@@ -520,9 +520,7 @@ async def _handle_sparql(service: ExtractionService, request: HttpRequest) -> Ht
         return _overloaded_response(exc)
     except SparqlSyntaxError as exc:
         return _error_response(400, "bad_request", f"invalid SPARQL: {exc}")
-    except KeyError as exc:
-        # Evaluation-time query errors (e.g. projecting an unbound
-        # variable) are the client's fault, not a server failure.
+    except ValueError as exc:
         return _error_response(400, "bad_request", f"invalid query: {exc}")
     if _accepts(request, SPARQL_RESULTS_XML):
         # Checked before CSV: a client asking for both formats gets the

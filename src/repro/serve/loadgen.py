@@ -215,7 +215,6 @@ def run_load(
     checkpoints: Sequence[str] = (),
     http: bool = False,
     max_batch: int = 64,
-    max_delay: float = 0.002,
     max_pending: Optional[int] = None,
 ) -> LoadReport:
     """Drive one service configuration with the closed-loop generator.
@@ -240,7 +239,6 @@ def run_load(
     service = ExtractionService(
         max_pending=max_pending if max_pending is not None else 2 * concurrency,
         max_batch=max_batch,
-        max_delay=max_delay,
         coalesce=coalesce,
         pool=pool,
     )

@@ -84,9 +84,8 @@ class _KindStats:
 class ServiceMetrics:
     """Thread-safe counters for one :class:`ExtractionService` instance."""
 
-    def __init__(self, latency_window: int = LATENCY_WINDOW):
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._window = latency_window
         self._kinds: Dict[str, _KindStats] = {}
         # Admission gate.
         self.accepted = 0
@@ -97,7 +96,7 @@ class ServiceMetrics:
         self.batches = 0
         self.batched_items = 0
         self.batch_size_peak = 0
-        self._batch_seconds: Deque[float] = deque(maxlen=latency_window)
+        self._batch_seconds: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         # Exponentially weighted per-request service time estimate; feeds
         # the ``retry_after`` hint of the backpressure contract.
         self._ewma_request_seconds: Optional[float] = None
@@ -129,7 +128,7 @@ class ServiceMetrics:
         with self._lock:
             stats = self._kinds.get(kind)
             if stats is None:
-                stats = self._kinds[kind] = _KindStats(self._window)
+                stats = self._kinds[kind] = _KindStats(LATENCY_WINDOW)
             if error:
                 # Error completions (typically fast-fails) stay out of the
                 # success window and both EWMAs so they cannot drag the

@@ -293,13 +293,6 @@ class WorkerPool:
         How many workers serve each graph (``None``: all of them — the
         per-graph worker pool regime; ``1``: pure sharding, each graph
         lives on exactly its home shard).
-    start_method:
-        ``multiprocessing`` start method for local workers.  Default
-        ``"forkserver"`` where available (workers fork from a clean,
-        thread-free server process, so respawning during live traffic is
-        safe), else ``"spawn"``.
-    compression:
-        Passed to each worker-side :class:`SparqlEndpoint`.
     remote_workers:
         ``HOST:PORT`` addresses of standalone ``repro serve-worker``
         processes.  Remote slots sit after the local slots in index
@@ -314,8 +307,6 @@ class WorkerPool:
         self,
         workers: int = 2,
         replicas: Optional[int] = None,
-        start_method: Optional[str] = None,
-        compression: bool = True,
         remote_workers: Optional[Sequence[str]] = None,
     ):
         remote_workers = list(remote_workers or ())
@@ -328,9 +319,10 @@ class WorkerPool:
             # Normalize up front so the banner, describe()/metrics and the
             # actual placement can never disagree about the replica count.
             replicas = min(max(replicas, 1), total)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "forkserver" if "forkserver" in methods else "spawn"
+        # Local workers fork from a clean, thread-free fork server where
+        # the platform has one, so respawning during live traffic is safe.
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "forkserver" if "forkserver" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         if start_method == "forkserver":
             # Pre-import the heavy stack once in the fork server so every
@@ -340,7 +332,6 @@ class WorkerPool:
         self.start_method = start_method
         self.num_workers = total
         self.replicas = replicas
-        self.compression = compression
         self.parent_id = uuid.uuid4().hex
         self._closed = False
         self._registry_lock = threading.Lock()
@@ -437,7 +428,6 @@ class WorkerPool:
             # cheap as startup.
             "mmap_dir": record.mmap_dir,
             "warm": record.warm,
-            "compression": self.compression,
             # Names this parent to a standalone worker, which keeps one
             # set of shards (and epoch chains) per parent.
             "parent": self.parent_id,

@@ -28,7 +28,8 @@ Three contracts, in order of the request path:
 
 Admission, coalescing windows, per-kind retry-after hints and metrics
 behave identically with and without a pool — the pool only changes where
-a dispatched batch executes.
+a dispatched batch executes, and so how many batches of one key run at
+once (one per owning worker).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 from repro.kg.cache import artifacts_for
 from repro.kg.graph import KnowledgeGraph
 from repro.models.shadowsaint import _EgoGraph
-from repro.serve.coalesce import MAX_BATCH, MAX_DELAY_SECONDS, Coalescer
+from repro.serve.coalesce import MAX_BATCH, Coalescer
 from repro.serve.kernels import WINDOWS
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import WorkerPool
@@ -56,8 +57,12 @@ from repro.sparql.executor import ResultSet
 # busy without letting latency grow without limit under overload.
 MAX_PENDING = 256
 
-# Default bound on the /predict result cache (entries, LRU eviction).
+# Bound on the /predict result cache (entries, LRU eviction).
 PREDICT_CACHE_SIZE = 1024
+
+# Per-request service time the retry-after hint assumes before any
+# request has completed.
+UNOBSERVED_SERVICE_SECONDS = 0.002
 
 # Default /predict parameters: top-k tails returned per LP request, and 0
 # PPR candidates (= score the full tail-class pool).
@@ -93,8 +98,8 @@ class _RegisteredGraph(GraphShard):
 
     __slots__ = ("ingest_lock", "page_stats")
 
-    def __init__(self, kg, compression, registry, compact_every=0):
-        super().__init__(kg, compression, registry, compact_every=compact_every)
+    def __init__(self, kg, registry, compact_every=0):
+        super().__init__(kg, registry, compact_every=compact_every)
         self.ingest_lock = asyncio.Lock()
         self.page_stats = EndpointStats()
 
@@ -112,16 +117,16 @@ class ExtractionService:
     max_pending:
         In-flight request bound (the admission queue size).  Requests
         arriving beyond it raise :class:`ServiceOverloaded`.
-    max_batch / max_delay:
-        Coalescing window passed to every window op's scheduler; see
-        :class:`~repro.serve.coalesce.Coalescer`.
+    max_batch:
+        Largest batch of every window op's scheduler; see
+        :class:`~repro.serve.coalesce.Coalescer`.  A key's batches run on
+        one lane in-process and on one lane per owning worker in pool
+        mode, so windows fill only while every lane is busy.
     coalesce:
         ``False`` switches to the serial one-request-at-a-time baseline:
         every request runs the *scalar* kernel alone, serialized per
         service.  Exists for benchmarking the coalescing win and as the
         ground truth the batched path must match bit-for-bit.
-    compression:
-        Passed through to each graph's :class:`SparqlEndpoint`.
     pool:
         Optional :class:`~repro.serve.pool.WorkerPool`.  When given,
         every kernel dispatch (coalesced PPR/ego batches, SPARQL
@@ -142,12 +147,8 @@ class ExtractionService:
         self,
         max_pending: int = MAX_PENDING,
         max_batch: int = MAX_BATCH,
-        max_delay: float = MAX_DELAY_SECONDS,
         coalesce: bool = True,
-        compression: bool = True,
-        metrics: Optional[ServiceMetrics] = None,
         pool: Optional[WorkerPool] = None,
-        predict_cache_size: int = PREDICT_CACHE_SIZE,
         compact_every: int = 0,
     ):
         if max_pending < 1:
@@ -161,21 +162,19 @@ class ExtractionService:
         self.coalesce = coalesce
         self.pool = pool
         self.compact_every = max(int(compact_every), 0)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self._compression = compression
+        self.metrics = ServiceMetrics()
         self._graphs: Dict[str, _RegisteredGraph] = {}
         self._pending = 0
         self._serial_lock = asyncio.Lock()
         self.max_batch = max_batch
-        self.max_delay = max_delay
         # One coalescing scheduler per window op, each dispatching through
         # its ``_dispatch_<op>`` method (looked up by name on the class).
         self._coalescers = {
             op: Coalescer(
                 getattr(self, f"_dispatch_{op}"),
                 max_batch=max_batch,
-                max_delay=max_delay,
                 metrics=self.metrics,
+                lanes=self._lanes,
             )
             for op in WINDOWS
         }
@@ -188,7 +187,6 @@ class ExtractionService:
         # only when coalescing — the serial baseline must measure the
         # uncached scalar path.  Event-loop-confined: no lock needed.
         self._predict_cache: "OrderedDict[tuple, dict]" = OrderedDict()
-        self._predict_cache_size = max(int(predict_cache_size), 0)
         self._predict_cache_hits = 0
         self._predict_cache_misses = 0
 
@@ -220,7 +218,7 @@ class ExtractionService:
         if name in self._graphs:
             raise ValueError(f"graph {name!r} already registered")
         self._graphs[name] = _RegisteredGraph(
-            kg, self._compression, self.registry, compact_every=self.compact_every
+            kg, self.registry, compact_every=self.compact_every
         )
         if self.pool is not None:
             self.pool.register(name, kg, warm=warm, mmap_dir=mmap_dir)
@@ -322,21 +320,19 @@ class ExtractionService:
         per_request = self.metrics.ewma_request_seconds(kind=kind, default=0.0)
         if per_request == 0.0:
             # No completions of this kind yet: fall back to the aggregate
-            # rate, then to one coalescing window.
-            per_request = self.metrics.ewma_request_seconds(default=self.max_delay)
+            # rate, then to a constant.
+            per_request = self.metrics.ewma_request_seconds(
+                default=UNOBSERVED_SERVICE_SECONDS
+            )
         drain = self._pending * per_request
         # Window kinds are op names, except /predict's per-model
         # ``predict:<architecture>`` (each model gets its own EWMA — the
         # basis of latency-budget routing).
         if self.coalesce and kind.partition(":")[0] in WINDOWS:
             occupancy = self.metrics.batch_occupancy()
-            batch_factor = min(max(occupancy, 1.0), float(self.max_batch))
-            drain /= batch_factor
-            # Floored at one coalescing window: capacity cannot free up
-            # before the currently open window closes.
-            return max(drain, self.max_delay)
-        # Non-coalesced kinds: capacity frees when one in-flight request
-        # of this kind completes, so the floor is one service time.
+            drain /= min(max(occupancy, 1.0), float(self.max_batch))
+        # Capacity frees when one in-flight request of this kind
+        # completes, so the floor is one service time.
         return max(drain, per_request)
 
     async def _serve(self, kind: str, start_request) -> object:
@@ -502,10 +498,10 @@ class ExtractionService:
             # Per-item failures ship inside the window payload so one bad
             # id cannot fail its whole batch; surface as a client error.
             raise ValueError(result["error"])
-        if self.coalesce and self._predict_cache_size:
+        if self.coalesce:
             self._predict_cache[cache_key] = result
             self._predict_cache.move_to_end(cache_key)
-            while len(self._predict_cache) > self._predict_cache_size:
+            while len(self._predict_cache) > PREDICT_CACHE_SIZE:
                 self._predict_cache.popitem(last=False)
         return result
 
@@ -577,7 +573,7 @@ class ExtractionService:
 
         def pages():
             for page in result.iter_pages(page_rows):
-                entry.page_stats.record(page=page, compression=self._compression)
+                entry.page_stats.record(page=page)
                 yield page
 
         return PageStream(
@@ -603,6 +599,11 @@ class ExtractionService:
             return self.pool.call(op, payload)
         return self._graphs[payload["graph"]].execute(op, payload)
 
+    def _lanes(self, key: Hashable) -> int:
+        """Batches of one window key that run at once: one per process
+        that executes them (this one, or each worker owning the graph)."""
+        return 1 if self.pool is None else len(self.pool.shards_of(key[0]))
+
     def _dispatch(self, op: str, key: Hashable, items: List[Any]) -> list:
         """Run one coalesced window of ``op`` (one answer per item)."""
         window = WINDOWS[op]
@@ -615,7 +616,7 @@ class ExtractionService:
     # -- lifecycle / observability --
 
     async def drain(self) -> None:
-        """Flush open coalescing windows and wait for their batches."""
+        """Dispatch waiting coalescing windows and wait for their batches."""
         for coalescer in self._coalescers.values():
             await coalescer.flush()
 
@@ -660,14 +661,13 @@ class ExtractionService:
                 "hits": self._predict_cache_hits,
                 "misses": self._predict_cache_misses,
                 "size": len(self._predict_cache),
-                "capacity": self._predict_cache_size,
+                "capacity": PREDICT_CACHE_SIZE,
             },
             "registry": self.registry.snapshot(),
         }
         snapshot["config"] = {
             "max_pending": self.max_pending,
             "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay * 1e3,
             "coalesce": self.coalesce,
             "compact_every": self.compact_every,
         }

@@ -135,12 +135,11 @@ class GraphShard:
     def __init__(
         self,
         kg,
-        compression: bool,
         registry: Optional[ModelRegistry] = None,
         compact_every: int = 0,
     ):
         self.live = LiveGraph(kg, compact_every=compact_every)
-        self.endpoint = SparqlEndpoint(kg, compression=compression)
+        self.endpoint = SparqlEndpoint(kg)
         self.registry = registry if registry is not None else ModelRegistry()
         self.seq = 0
 
@@ -183,7 +182,7 @@ class GraphShard:
         result = self.live.ingest(payload["triples"], compact=payload["compact"])
         self.seq = seq
         if result["added"]:
-            endpoint = SparqlEndpoint(self.live.kg, compression=self.endpoint.compression)
+            endpoint = SparqlEndpoint(self.live.kg)
             endpoint.stats = self.endpoint.stats  # counters survive the epoch bump
             self.endpoint = endpoint
             self.registry.invalidate_graph(
@@ -220,7 +219,7 @@ def _register(shards: Dict[str, GraphShard], payload: dict, kg=None) -> List[str
             from repro.kg.store import open_artifacts
 
             kg = open_artifacts(payload["mmap_dir"]).kg
-        shards[name] = shard = GraphShard(kg, payload["compression"])
+        shards[name] = shard = GraphShard(kg)
     # Checkpoints ride the registration payload by *path* (respawn
     # replays re-read the same files); models load lazily on the first
     # predict window that reaches this worker.

@@ -24,11 +24,10 @@ from repro.sparql.ast import SelectQuery
 from repro.sparql.executor import QueryExecutor, ResultSet
 from repro.sparql.parser import parse_query
 
-# How many query strings the log retains by default.  The scalar counters
-# (requests, rows, bytes) are always exact over the endpoint's lifetime; the
-# log is a debugging window, and an unbounded list would grow without limit
-# in a long-running service.  Pass ``query_log=None`` for opt-in full
-# retention (tests, short-lived cost-model experiments).
+# How many query strings the log retains.  The scalar counters (requests,
+# rows, bytes) are always exact over the endpoint's lifetime; the log is a
+# debugging window, and an unbounded list would grow without limit in a
+# long-running service.
 QUERY_LOG_LIMIT = 256
 
 
@@ -73,28 +72,20 @@ class EndpointStats:
     not make collections more frequent or longer.  :meth:`snapshot` reads
     all four counters at one moment.
 
-    ``queries`` is a bounded ring of the most recent query strings
-    (:data:`QUERY_LOG_LIMIT` by default); construct with
-    ``EndpointStats.with_query_log(None)`` to retain every query.
+    ``queries`` is a bounded ring of the :data:`QUERY_LOG_LIMIT` most
+    recent query strings.
     """
 
-    def __init__(self, queries: Optional[Deque[str]] = None):
+    def __init__(self) -> None:
         self.requests = 0
         self.rows_returned = 0
-        self.queries: Deque[str] = (
-            deque(maxlen=QUERY_LOG_LIMIT) if queries is None else queries
-        )
+        self.queries: Deque[str] = deque(maxlen=QUERY_LOG_LIMIT)
         self._bytes_raw = 0
         self._bytes_shipped = 0
         self._pending: List[_Page] = []
         self._pending_bytes = 0
         self._settling = 0  # batches taken off the queue, not yet counted
         self._lock = threading.Condition()
-
-    @classmethod
-    def with_query_log(cls, limit: Optional[int]) -> "EndpointStats":
-        """Stats whose query log keeps ``limit`` entries (``None``: all)."""
-        return cls(deque(maxlen=limit))
 
     def record(
         self,
@@ -212,23 +203,13 @@ class SparqlEndpoint:
         counters are exact but computed when read (see
         :class:`EndpointStats`): an endpoint nobody asks for them never
         serializes a page.
-    query_log:
-        How many recent query strings ``stats.queries`` retains
-        (default :data:`QUERY_LOG_LIMIT`); ``None`` keeps every query —
-        opt into that only for short-lived endpoints, a long-running
-        service would leak memory under sustained traffic.
     """
 
-    def __init__(
-        self,
-        kg: KnowledgeGraph,
-        compression: bool = True,
-        query_log: Optional[int] = QUERY_LOG_LIMIT,
-    ):
+    def __init__(self, kg: KnowledgeGraph, compression: bool = True):
         self.kg = kg
         self.executor = QueryExecutor(kg)
         self.compression = compression
-        self.stats = EndpointStats.with_query_log(query_log)
+        self.stats = EndpointStats()
 
     # -- core request handling --
 

@@ -166,7 +166,7 @@ class QueryExecutor:
             source = projection.source.name
             output = projection.output.name
             if source not in base.columns:
-                raise KeyError(f"projected variable ?{source} is not bound by the pattern")
+                raise ValueError(f"projected variable ?{source} is not bound by the pattern")
             variables.append(output)
             columns[output] = base.columns[source]
         return ResultSet(variables, columns)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.kg import cache as cache_module
+from repro.kg import epoch as epoch_module
 from repro.kg import hexastore as hexastore_module
 from repro.kg.cache import artifacts_for
 from repro.kg.epoch import GraphEpoch, LiveGraph
@@ -181,9 +182,10 @@ def test_artifacts_with_a_built_ancestor_merge_instead_of_rebuilding(toy_kg, mon
         assert np.array_equal(index.perm, cold.hexastore._indices[name].perm), name
 
 
-def test_epochs_older_than_the_ring_are_collected(toy_kg):
+def test_epochs_older_than_the_ring_are_collected(toy_kg, monkeypatch):
+    monkeypatch.setattr(epoch_module, "EPOCH_HISTORY", 4)
     warm(toy_kg)
-    live = LiveGraph(toy_kg, history=4)
+    live = LiveGraph(toy_kg)
     rng = np.random.default_rng(59)
     live.ingest(random_delta(toy_kg, 2, rng))
     artifacts_for(live.kg).csr("both")
@@ -336,8 +338,9 @@ def test_compact_every_policy_folds_the_delta(toy_kg):
     assert_epoch_matches_cold_rebuild(live.epoch)
 
 
-def test_epoch_ring_pins_old_epochs_until_history_runs_out(toy_kg):
-    live = LiveGraph(toy_kg, history=4)
+def test_epoch_ring_pins_old_epochs_until_history_runs_out(toy_kg, monkeypatch):
+    monkeypatch.setattr(epoch_module, "EPOCH_HISTORY", 4)
+    live = LiveGraph(toy_kg)
     rng = np.random.default_rng(29)
     epochs = [live.epoch]
     for _ in range(6):
@@ -495,8 +498,9 @@ def test_randomized_live_kernels_match_cold_rebuild_every_epoch(toy_kg):
             assert np.array_equal(ego.rel, expected.rel)
 
 
-def test_kernel_cache_capacity_is_bounded(toy_kg):
-    live = LiveGraph(toy_kg, cache_capacity=4)
+def test_kernel_cache_capacity_is_bounded(toy_kg, monkeypatch):
+    monkeypatch.setattr(epoch_module, "KERNEL_CACHE_CAPACITY", 4)
+    live = LiveGraph(toy_kg)
     live.ppr_top_k(list(range(10)), 3)
     assert live.stats()["ppr_cache"]["entries"] <= 4
     live.ego_batch(list(range(10)), 1, 2, salt=0)

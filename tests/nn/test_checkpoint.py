@@ -7,6 +7,7 @@ problem — never as silently wrong parameters.
 """
 
 import json
+import os
 import zlib
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.models import (
     SeHGNNClassifier,
     ShaDowSAINTClassifier,
 )
+from repro.nn import checkpoint as checkpoint_module
 from repro.nn.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -121,6 +123,22 @@ def test_read_checkpoint_meta_is_header_only(toy_kg, toy_task, tmp_path):
     assert meta["num_parameters"] == model.num_parameters()
     assert meta["metrics"]["test_metric"] == 0.9
     assert meta["nbytes"] > 0
+
+
+def test_read_checkpoint_meta_maps_instead_of_reading_the_file(
+    toy_kg, toy_task, tmp_path, monkeypatch
+):
+    model = RGCNNodeClassifier(toy_kg, toy_task, CONFIG)
+    path = str(tmp_path / "meta.ckpt")
+    save_checkpoint(model, path)
+
+    def read_whole_file(_path):
+        raise AssertionError("read_checkpoint_meta read every parameter byte")
+
+    monkeypatch.setattr(checkpoint_module, "_read_file", read_whole_file)
+    assert read_checkpoint_meta(path)["nbytes"] == os.path.getsize(path)
+    with pytest.raises(CheckpointError, match="repro train --save-checkpoint"):
+        read_checkpoint_meta(str(tmp_path / "nowhere.ckpt"))
 
 
 def test_build_model_rejects_wrong_graph(toy_kg, toy_task, tmp_path):

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.serve import ExtractionService, ServiceMetrics, ServiceOverloaded, WorkerPool
+from repro.serve.service import UNOBSERVED_SERVICE_SECONDS
 
 
 def test_error_latencies_stay_out_of_the_success_window():
@@ -65,7 +66,7 @@ def test_retry_after_uses_the_rejected_kinds_rate(toy_kg):
     at the coalescing window, so a queue full of slow SPARQL requests
     produced a hint ~64x too small.
     """
-    service = ExtractionService(max_batch=64, max_delay=0.002)
+    service = ExtractionService(max_batch=64)
     service.register("toy", toy_kg)
     _seed(service.metrics, "sparql", 0.5)
     _seed(service.metrics, "ppr", 0.01)
@@ -84,7 +85,7 @@ def test_retry_after_uses_the_rejected_kinds_rate(toy_kg):
 
 
 def test_retry_after_divides_ppr_by_observed_occupancy(toy_kg):
-    service = ExtractionService(max_batch=64, max_delay=0.002)
+    service = ExtractionService(max_batch=64)
     service.register("toy", toy_kg)
     _seed(service.metrics, "ppr", 0.64)
     for _ in range(10):
@@ -96,17 +97,28 @@ def test_retry_after_divides_ppr_by_observed_occupancy(toy_kg):
     assert hint == pytest.approx(expected, rel=0.05)
 
 
-def test_retry_after_floors_at_one_window_for_coalesced_kinds(toy_kg):
-    service = ExtractionService(max_batch=64, max_delay=0.002)
+def test_retry_after_floors_at_one_service_time_for_coalesced_kinds(toy_kg):
+    service = ExtractionService(max_batch=64)
     service.register("toy", toy_kg)
-    _seed(service.metrics, "ppr", 1e-6)
+    _seed(service.metrics, "ppr", 0.01)
+    for _ in range(10):
+        service.metrics.record_batch(32, 0.01)
     service._pending = 1
-    assert service._retry_after("ppr") == pytest.approx(0.002)
+    # The drain estimate (0.01 s / 32) is below one ppr service time.
+    assert service._retry_after("ppr") == pytest.approx(0.01)
+
+
+def test_retry_after_before_any_completion_is_the_fallback_constant(toy_kg):
+    service = ExtractionService()
+    service.register("toy", toy_kg)
+    service._pending = 1
+    for kind in ("ppr", "sparql"):
+        assert service._retry_after(kind) == UNOBSERVED_SERVICE_SECONDS
 
 
 def test_overloaded_sparql_request_carries_kind_specific_hint(toy_kg):
     """End-to-end: the hint on a real sparql rejection is the sparql rate."""
-    service = ExtractionService(max_pending=1, max_batch=64, max_delay=0.002)
+    service = ExtractionService(max_pending=1, max_batch=64)
     service.register("toy", toy_kg)
     _seed(service.metrics, "sparql", 0.25)
     _seed(service.metrics, "ppr", 0.001)

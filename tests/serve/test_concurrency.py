@@ -94,7 +94,7 @@ def test_endpoint_stats_counters_never_lose_increments(toy_kg):
 def test_coalesced_results_bit_identical_to_scalar(toy_kg, toy_task):
     """64 concurrent in-flight extractions == 64 lone scalar extractions."""
     targets = [int(t) for t in toy_task.target_nodes] * 11  # 66 requests
-    service = ExtractionService(max_pending=128, max_batch=32, max_delay=0.002)
+    service = ExtractionService(max_pending=128, max_batch=32)
     service.register("toy", toy_kg)
 
     async def scenario():

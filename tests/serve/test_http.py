@@ -257,13 +257,14 @@ def test_negative_limit_is_rejected_over_http(toy_kg):
     assert "non-negative" in json.loads(body)["detail"]
 
 
-def test_overload_maps_to_503_with_retry_after(toy_kg, toy_task):
+def test_overload_maps_to_503_with_retry_after(toy_kg, toy_task, hold_dispatch):
     target = int(toy_task.target_nodes[0])
+    gate = hold_dispatch("ppr")
 
     async def scenario():
-        # A window that never closes on its own: the first request parks
+        # A batch that never ends on its own: the first request parks
         # in flight until admission starts shedding.
-        service = ExtractionService(max_pending=1, max_batch=1000, max_delay=60.0)
+        service = ExtractionService(max_pending=1, max_batch=1000)
         service.register("toy", toy_kg)
         server = await serve_http(service, port=0)
         async with server:
@@ -277,6 +278,7 @@ def test_overload_maps_to_503_with_retry_after(toy_kg, toy_task):
             await asyncio.sleep(0.05)  # let it get admitted and parked
             r2, w2 = await asyncio.open_connection("127.0.0.1", port)
             shed = await _request(r2, w2, "GET", f"/ppr?graph=toy&target={target}")
+            gate.set()
             await service.drain()
             first = await _read_response(r1)
             for w in (w1, w2):
@@ -292,7 +294,7 @@ def test_overload_maps_to_503_with_retry_after(toy_kg, toy_task):
     assert payload["retry_after"] > 0
     # RFC 9110 Retry-After: whole seconds, at least 1.
     assert int(headers["retry-after"]) >= 1
-    assert first[0] == 200  # the parked request completed after the drain
+    assert first[0] == 200  # the parked request completed once released
 
 
 def test_connection_close_is_honored(toy_kg):
@@ -323,7 +325,7 @@ def test_pipelined_http_requests_coalesce(toy_kg, toy_task):
         return [await _read_response(reader) for _ in targets]
 
     responses, service = serve_and_call(
-        toy_kg, calls, max_batch=len(targets), max_delay=0.02
+        toy_kg, calls, max_batch=len(targets)
     )
     adjacency = artifacts_for(toy_kg).csr("both")
     for target, (status, _headers, body, _chunks) in zip(targets, responses):

@@ -36,6 +36,7 @@ from repro.serve import (
     serve_tcp,
 )
 from repro.serve.loadgen import read_http_response
+from repro.serve.service import UNOBSERVED_SERVICE_SECONDS
 from repro.serve.transport import WorkerListener, WorkerServer
 
 
@@ -259,13 +260,14 @@ def test_worker_killed_mid_paths_is_structured_and_respawn_reanswers(toy_kg):
 # -- failure injection: overload -----------------------------------------------
 
 
-def test_paths_overload_maps_to_503_with_retry_after(toy_kg):
+def test_paths_overload_maps_to_503_with_retry_after(toy_kg, hold_dispatch):
     src, dst = _n(toy_kg, "p0"), _n(toy_kg, "a0")
+    gate = hold_dispatch("paths")
 
     async def scenario():
-        # A window that never closes on its own: the first request parks
+        # A batch that never ends on its own: the first request parks
         # in flight until admission starts shedding.
-        service = ExtractionService(max_pending=1, max_batch=1000, max_delay=60.0)
+        service = ExtractionService(max_pending=1, max_batch=1000)
         service.register("toy", toy_kg)
         server = await serve_http(service, port=0)
         async with server:
@@ -281,6 +283,7 @@ def test_paths_overload_maps_to_503_with_retry_after(toy_kg):
             shed = await _request(
                 r2, w2, "GET", f"/paths?graph=toy&src={src}&dst={dst}"
             )
+            gate.set()
             await service.drain()
             first = await read_http_response(r1)
             for w in (w1, w2):
@@ -293,11 +296,12 @@ def test_paths_overload_maps_to_503_with_retry_after(toy_kg):
     assert status == 503
     payload = json.loads(body)
     assert payload["error"] == "overloaded"
-    # paths is a coalesced kind: its Retry-After hint floors at one
-    # coalescing window (60s here), not at a single service time.
-    assert payload["retry_after"] >= 60.0
-    assert int(headers["retry-after"]) >= 60
-    # The parked request completed after the drain, bit-identically.
+    # Nothing has completed yet, so the hint is one assumed service time
+    # (coalesced kinds floor at one service time, like every kind) ...
+    assert payload["retry_after"] == pytest.approx(UNOBSERVED_SERVICE_SECONDS)
+    # ... which RFC 9110 Retry-After rounds up to whole seconds.
+    assert int(headers["retry-after"]) == 1
+    # The parked request completed once released, bit-identically.
     assert first[0] == 200
     assert json.loads(first[2]) == _oracle(toy_kg, src, dst)
 

@@ -37,6 +37,7 @@ from repro.serve import (
     serve_http,
     serve_tcp,
 )
+from repro.serve import service as service_module
 
 CONFIG = ModelConfig(hidden_dim=16, num_layers=2, dropout=0.0, lr=0.05, batch_size=16, seed=3)
 
@@ -108,7 +109,7 @@ async def _gather_predicts(service, task, items, field="node", **kwargs):
 
 def test_nc_predict_matches_scalar_oracle(toy_kg, toy_task, nc_checkpoint):
     targets = [int(t) for t in toy_task.target_nodes]
-    coalesced = make_service(toy_kg, [nc_checkpoint], max_batch=4, max_delay=0.002)
+    coalesced = make_service(toy_kg, [nc_checkpoint], max_batch=4)
     serial = make_service(toy_kg, [nc_checkpoint], coalesce=False)
 
     batched = run(_gather_predicts(coalesced, "PV", targets))
@@ -124,7 +125,7 @@ def test_nc_predict_matches_scalar_oracle(toy_kg, toy_task, nc_checkpoint):
 @pytest.mark.parametrize("candidates", [0, 4])
 def test_lp_predict_matches_scalar_oracle(toy_kg, lp_checkpoint, candidates):
     heads = [int(h) for h in _lp_task(toy_kg).edges[:, 0]]
-    coalesced = make_service(toy_kg, [lp_checkpoint], max_batch=4, max_delay=0.002)
+    coalesced = make_service(toy_kg, [lp_checkpoint], max_batch=4)
     serial = make_service(toy_kg, [lp_checkpoint], coalesce=False)
 
     batched = run(_gather_predicts(
@@ -265,8 +266,9 @@ def test_result_cache_hits_and_metrics(toy_kg, toy_task, nc_checkpoint):
     assert registry["checkpoints"][0]["loaded"]
 
 
-def test_result_cache_is_bounded_lru(toy_kg, toy_task, nc_checkpoint):
-    service = make_service(toy_kg, [nc_checkpoint], predict_cache_size=2)
+def test_result_cache_is_bounded_lru(toy_kg, toy_task, nc_checkpoint, monkeypatch):
+    monkeypatch.setattr(service_module, "PREDICT_CACHE_SIZE", 2)
+    service = make_service(toy_kg, [nc_checkpoint])
     targets = [int(t) for t in toy_task.target_nodes[:4]]
     run(_gather_predicts(service, "PV", targets))
     assert len(service._predict_cache) == 2

@@ -1,6 +1,8 @@
 """ExtractionService: routing, correctness vs oracles, backpressure."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def test_register_warms_the_csr(toy_kg):
 
 
 def test_ppr_matches_scalar_oracle(toy_kg, toy_task):
-    service = make_service(toy_kg, max_batch=4, max_delay=0.002)
+    service = make_service(toy_kg, max_batch=4)
     targets = [int(t) for t in toy_task.target_nodes]
 
     async def scenario():
@@ -52,7 +54,7 @@ def test_ppr_matches_scalar_oracle(toy_kg, toy_task):
 
 
 def test_ego_matches_scalar_oracle(toy_kg, toy_task):
-    service = make_service(toy_kg, max_batch=4, max_delay=0.002)
+    service = make_service(toy_kg, max_batch=4)
     roots = [int(t) for t in toy_task.target_nodes]
 
     async def scenario():
@@ -83,7 +85,7 @@ def test_serial_mode_matches_coalesced_mode(toy_kg, toy_task):
 
 
 def test_mixed_parameter_requests_are_not_merged(toy_kg, toy_task):
-    service = make_service(toy_kg, max_batch=16, max_delay=0.002)
+    service = make_service(toy_kg, max_batch=16)
     target = int(toy_task.target_nodes[0])
 
     async def scenario():
@@ -114,10 +116,11 @@ def test_sparql_facade_matches_sync_endpoint(toy_kg):
         assert result.columns[variable].tolist() == expected.columns[variable].tolist()
 
 
-def test_overload_rejects_with_retry_after(toy_kg, toy_task):
-    # A window that never closes on its own: requests pile up in flight
+def test_overload_rejects_with_retry_after(toy_kg, toy_task, hold_dispatch):
+    # Batches that never end on their own: requests pile up in flight
     # until admission starts shedding.
-    service = make_service(toy_kg, max_pending=3, max_batch=1000, max_delay=60.0)
+    gate = hold_dispatch("ppr")
+    service = make_service(toy_kg, max_pending=3, max_batch=1000)
     target = int(toy_task.target_nodes[0])
 
     async def scenario():
@@ -129,6 +132,7 @@ def test_overload_rejects_with_retry_after(toy_kg, toy_task):
         with pytest.raises(ServiceOverloaded) as excinfo:
             await service.ppr_top_k("toy", target)
         assert excinfo.value.retry_after > 0
+        gate.set()
         await service.drain()
         return await asyncio.gather(*admitted)
 
@@ -141,7 +145,7 @@ def test_overload_rejects_with_retry_after(toy_kg, toy_task):
 
 
 def test_metrics_snapshot_shape(toy_kg, toy_task):
-    service = make_service(toy_kg, max_batch=4, max_delay=0.002)
+    service = make_service(toy_kg, max_batch=4)
     targets = [int(t) for t in toy_task.target_nodes]
 
     async def scenario():
@@ -169,3 +173,43 @@ def test_metrics_snapshot_shape(toy_kg, toy_task):
 def test_invalid_max_pending_rejected():
     with pytest.raises(ValueError):
         ExtractionService(max_pending=0)
+
+
+class _TwoOwners:
+    """A pool stand-in whose graphs each have two owning workers; every
+    call is held until ``gate`` is set."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.calls = []
+
+    def register(self, name, kg, warm=True, mmap_dir=None):
+        return self.shards_of(name)
+
+    def shards_of(self, name):
+        return [0, 1]
+
+    def call(self, op, payload):
+        self.calls.append(list(payload["targets"]))
+        self.gate.wait(timeout=10)
+        return [[] for _ in payload["targets"]]
+
+
+def test_two_owners_run_two_batches_of_one_key_at_once(toy_kg):
+    pool = _TwoOwners()
+    service = ExtractionService(pool=pool)
+    service.register("toy", toy_kg)
+
+    async def scenario():
+        requests = [asyncio.ensure_future(service.ppr_top_k("toy", t)) for t in range(4)]
+        deadline = time.monotonic() + 5.0
+        while len(pool.calls) < 2 and time.monotonic() < deadline:
+            await asyncio.sleep(0.001)
+        await asyncio.sleep(0.02)
+        # One lane per owner: two batches run, the other two requests wait.
+        assert sorted(pool.calls) == [[0], [1]]
+        pool.gate.set()
+        return await asyncio.gather(*requests)
+
+    assert run(scenario()) == [[]] * 4
+    assert pool.calls[2:] == [[2, 3]]

@@ -177,7 +177,7 @@ def test_pipelined_requests_on_one_connection_coalesce(toy_kg, toy_task):
     targets = [int(t) for t in toy_task.target_nodes]
 
     async def scenario():
-        service = ExtractionService(max_batch=len(targets), max_delay=0.02)
+        service = ExtractionService(max_batch=len(targets))
         service.register("toy", toy_kg)
         server = await serve_tcp(service, port=0)
         async with server:
@@ -208,7 +208,7 @@ def test_concurrent_wire_clients_coalesce(toy_kg, toy_task):
     targets = [int(t) for t in toy_task.target_nodes]
 
     async def scenario():
-        service = ExtractionService(max_batch=len(targets), max_delay=0.02)
+        service = ExtractionService(max_batch=len(targets))
         service.register("toy", toy_kg)
         server = await serve_tcp(service, port=0)
         async with server:

@@ -270,7 +270,7 @@ def test_codec_round_trips_every_op(op, toy_kg, toy_task, tmp_path):
     from repro.nn.checkpoint import save_checkpoint
     from repro.serve.wire import result_payload
 
-    shard = GraphShard(toy_kg, compression=True)
+    shard = GraphShard(toy_kg)
     if op == "predict":
         config = ModelConfig(hidden_dim=8, num_layers=2, dropout=0.0, lr=0.05,
                              batch_size=16, seed=3)
@@ -432,10 +432,10 @@ def test_preregistered_graph_serves_each_parent_its_own_chain(toy_kg, toy_store)
     """A CLI pre-registered graph is mapped once and reused by every parent."""
     server = WorkerServer()
     server.register_local(
-        {"name": "toy", "mmap_dir": toy_store, "warm": True, "compression": True}
+        {"name": "toy", "mmap_dir": toy_store, "warm": True}
     )
     assert server.graphs() == ["toy"]
-    registration = {"name": "toy", "mmap_dir": toy_store, "compression": True}
+    registration = {"name": "toy", "mmap_dir": toy_store}
     delta = {"graph": "toy", "triples": [_ids(toy_kg, "p5", "cites", "p0")],
              "compact": False, "seq": 1}
     server.execute("register", dict(registration, parent="a"), "a")
@@ -525,7 +525,7 @@ def test_a_parent_gone_without_goodbye_is_swept_at_the_next_registration(
     toy_store, monkeypatch
 ):
     server = WorkerServer()
-    registration = {"name": "toy", "mmap_dir": toy_store, "compression": True}
+    registration = {"name": "toy", "mmap_dir": toy_store}
     # A connection registers parent "a", then closes without a goodbye.
     _, parent = server.execute("register", dict(registration, parent="a"))
     assert parent == "a"
@@ -607,7 +607,7 @@ def test_worker_server_drops_partial_frames_without_dispatch(worker_thread):
 def test_worker_server_maps_op_errors_to_structured_responses(
     worker_thread, toy_store
 ):
-    register = _request(1, "register", name="toy", mmap_dir=toy_store, compression=True)
+    register = _request(1, "register", name="toy", mmap_dir=toy_store)
     unknown = _request(3, "nope", graph="toy")
     registered, response = _raw_exchange(worker_thread.port, register + unknown)
     assert registered["status"] == "ok"

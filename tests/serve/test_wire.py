@@ -1,14 +1,26 @@
 """The wire op table: validation and routes derived from one declaration.
 
 Every case here is generated from :data:`repro.serve.wire.OP_TABLE`, so
-an op added to the table is covered without new test code.
+an op added to the table is covered without new test code.  The last
+test holds every front end to one error contract for a bad query.
 """
 
 import asyncio
+import json
+from urllib.parse import urlencode
 
 import pytest
 
-from repro.serve import ExtractionService, http, wire
+from repro.serve import (
+    ExtractionService,
+    WorkerPool,
+    bound_port,
+    http,
+    serve_http,
+    serve_tcp,
+    wire,
+)
+from repro.serve.loadgen import read_http_response
 from repro.serve.wire import OP_TABLE, OPS, REQUIRED, BadRequest, perform_op
 
 #: A valid value per cast, so one field can be tested in isolation.
@@ -105,3 +117,49 @@ def test_http_routes_derive_from_the_table():
         "/graphs": (("GET",), "graphs"),
         "/ping": (("GET",), "ping"),
     }
+
+
+UNBOUND = "select ?x where { ?s ?p ?o }"  # ?x is projected but never bound
+
+
+async def _unbound_projection_answers(service):
+    """TCP ``sparql`` / ``count`` and HTTP ``/sparql`` answers to :data:`UNBOUND`."""
+    tcp = await serve_tcp(service, port=0)
+    async with tcp:
+        reader, writer = await asyncio.open_connection("127.0.0.1", bound_port(tcp))
+        for op in ("sparql", "count"):
+            request = {"op": op, "graph": "toy", "query": UNBOUND}
+            writer.write(json.dumps(request).encode() + b"\n")
+        await writer.drain()
+        answers = [json.loads(await reader.readline()) for _ in range(2)]
+        writer.close()
+        await writer.wait_closed()
+    web = await serve_http(service, port=0)
+    async with web:
+        reader, writer = await asyncio.open_connection("127.0.0.1", bound_port(web))
+        writer.write(
+            f"GET /sparql?graph=toy&{urlencode({'query': UNBOUND})} HTTP/1.1\r\n"
+            "Host: test\r\nConnection: close\r\n\r\n".encode()
+        )
+        await writer.drain()
+        status, _headers, body, _chunks = await read_http_response(reader)
+        writer.close()
+        await writer.wait_closed()
+    return answers, status, json.loads(body)
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_unbound_projection_is_a_bad_request_on_every_front_end(toy_kg, workers):
+    pool = WorkerPool(workers=workers) if workers else None
+    try:
+        service = ExtractionService(pool=pool)
+        service.register("toy", toy_kg)
+        answers, status, body = asyncio.run(_unbound_projection_answers(service))
+    finally:
+        if pool is not None:
+            pool.close()
+    for answer in answers:
+        assert answer["ok"] is False and answer["error"] == "bad_request"
+        assert "not bound" in answer["detail"]
+    assert status == 400 and body["error"] == "bad_request"
+    assert "not bound" in body["detail"]

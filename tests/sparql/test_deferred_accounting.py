@@ -101,7 +101,7 @@ def test_threaded_fetch_counters_equal_eager_accounting(toy_kg):
 
 
 def test_epoch_bump_hands_queued_pages_to_the_new_endpoint(toy_kg):
-    shard = GraphShard(toy_kg, compression=True)
+    shard = GraphShard(toy_kg)
     before = shard.execute("sparql", {"query": ALL})
     old = shard.endpoint
     shard.ingest({"graph": "toy", "seq": 1, "triples": [[0, 0, 2]], "compact": False})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sparql import endpoint as endpoint_module
 from repro.sparql.endpoint import EndpointStats, SparqlEndpoint, _serialize
 from repro.sparql.executor import ResultSet
 from repro.sparql.parser import parse_query
@@ -159,7 +160,7 @@ def test_fetch_all_single_oversized_page_matches_unpaged(toy_kg):
         assert merged.columns[variable].tolist() == unpaged.columns[variable].tolist()
 
 
-# -- query-log retention: bounded by default, opt-in full history --
+# -- query-log retention: a bounded ring --
 
 
 def test_query_log_is_bounded_under_sustained_traffic(toy_kg):
@@ -177,23 +178,14 @@ def test_query_log_is_bounded_under_sustained_traffic(toy_kg):
     assert endpoint.stats.queries.maxlen == QUERY_LOG_LIMIT
 
 
-def test_query_log_keeps_most_recent_entries(toy_kg):
-    endpoint = SparqlEndpoint(toy_kg, query_log=3)
+def test_query_log_keeps_most_recent_entries(toy_kg, monkeypatch):
+    monkeypatch.setattr(endpoint_module, "QUERY_LOG_LIMIT", 3)
+    endpoint = SparqlEndpoint(toy_kg)
     endpoint.count(ALL)
     for _ in range(3):
         endpoint.query(ALL)
     assert len(endpoint.stats.queries) == 3
     assert all(not q.startswith("COUNT") for q in endpoint.stats.queries)
-
-
-def test_query_log_opt_in_full_retention(toy_kg):
-    endpoint = SparqlEndpoint(toy_kg, query_log=None)
-    from repro.sparql.endpoint import QUERY_LOG_LIMIT
-
-    total = QUERY_LOG_LIMIT + 10
-    for _ in range(total):
-        endpoint.count(ALL)
-    assert len(endpoint.stats.queries) == total
 
 
 def test_compression_ratio_with_zero_bytes_is_one(toy_kg):

@@ -125,7 +125,7 @@ def test_count_ignores_pagination(toy_kg):
 def test_projection_of_unbound_variable_raises(toy_kg):
     executor = QueryExecutor(toy_kg)
     query = parse_query("select ?missing where { ?s ?p ?o }")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="not bound"):
         executor.evaluate(query)
 
 
