@@ -40,6 +40,7 @@ import numpy as np
 from repro.core import extract_tosg
 from repro.datasets import catalog
 from repro.models import GraphSAINTClassifier, ModelConfig
+from repro.models.graphsaint import STEPS_PER_EPOCH
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
@@ -131,7 +132,7 @@ def test_perf_train_step_row_sparse(benchmark, report, report_dir):
     for name in want:
         assert np.array_equal(got[name], want[name]), name
 
-    steps = EPOCHS * models["dense"].steps_per_epoch
+    steps = EPOCHS * STEPS_PER_EPOCH
     kg = tosg.subgraph
     report(
         "perf_train_step_row_sparse",

@@ -144,11 +144,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
             run.model, args.save_checkpoint,
             metrics={"test_metric": run.metric, "metric": run.metric_name},
         )
+        if args.tosa:
+            # No served graph is the extracted KG', so no serve command fits.
+            hint = f"it serves only the KG' it was trained on ({graph.name})"
+        else:
+            hint = (
+                f"serve it with: repro serve --dataset {args.dataset} --scale {args.scale} "
+                f"--seed {args.seed} --checkpoint {args.save_checkpoint}"
+            )
         print(
             f"checkpoint saved to {manifest['path']} "
             f"({manifest['nbytes'] / 1e3:.1f} kB, {manifest['parameters']} parameters); "
-            f"serve it with: repro serve --dataset {args.dataset} "
-            f"--checkpoint {args.save_checkpoint}"
+            + hint
         )
     return 0
 
@@ -639,9 +646,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (``python -m repro ...``)."""
+    from repro.kg.store import ArtifactStoreError
+    from repro.nn.checkpoint import CheckpointError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CheckpointError, ArtifactStoreError) as exc:
+        # A bad or mismatched file: its message already names the remedy.
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,7 +6,7 @@ Re-implementations of the six state-of-the-art methods' *mechanisms* on the
 * :class:`~repro.models.rgcn.RGCNNodeClassifier` /
   :class:`~repro.models.rgcn.RGCNLinkPredictor` — full-batch RGCN (Eq. 1);
 * :class:`~repro.models.graphsaint.GraphSAINTClassifier` — subgraph-sampled
-  minibatch training (URW by default; BRW pluggable, as in Figure 8);
+  minibatch training over uniform random walks (URW);
 * :class:`~repro.models.shadowsaint.ShaDowSAINTClassifier` — decoupled
   depth/scope ego-subgraphs with root readout;
 * :class:`~repro.models.sehgnn.SeHGNNClassifier` — one-shot pre-aggregated
@@ -15,6 +15,11 @@ Re-implementations of the six state-of-the-art methods' *mechanisms* on the
   initialisation with TransE scoring;
 * :class:`~repro.models.lhgnn.LHGNNPredictor` — latent-channel
   heterogeneous GNN with DistMult scoring.
+
+The link predictors share one training body,
+:class:`~repro.models.base.LinkPredictor`: each declares its encoder and
+its decoder (:func:`~repro.models.base.distmult` or
+:func:`~repro.models.base.transe`).
 
 Beyond the paper's six, :class:`~repro.models.pathscore.PathScorePredictor`
 is the KagNet-style path-reasoning LP scorer built on the ``/paths``

@@ -1,4 +1,12 @@
-"""Shared model building blocks.
+"""Shared model building blocks and the two training bodies.
+
+:class:`Model` is what every architecture shares: its graph, task and
+config, one Adam optimizer with its modeled-memory registration, one
+optimizer step and one inference context.  :class:`LinkPredictor` is the
+one link-prediction body (margin-ranking step, tail-class candidate pool,
+cached eval embeddings); an LP architecture declares only its encoder and
+its decoder.  :class:`MinibatchClassifier` is the node-classification
+body over shuffled minibatches of training targets.
 
 :class:`RGCNLayer` implements Equation 1 of the paper:
 
@@ -13,15 +21,20 @@ per-relation transforms are separate parameters so model size scales with
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.kg.graph import KnowledgeGraph
+from repro.nn.functional import cross_entropy, margin_ranking_loss
 from repro.nn.init import xavier_uniform
 from repro.nn.layers import Module, Parameter
-from repro.nn.tensor import Tensor, spmm
+from repro.nn.optim import Adam
+from repro.nn.tensor import Tensor, no_grad, spmm
+from repro.training.resources import ResourceMeter
 from repro.transform.adjacency import HeteroAdjacency
 
 
@@ -155,3 +168,150 @@ def adjacency_nbytes(matrices: Sequence[sp.csr_matrix]) -> int:
     for matrix in matrices:
         total += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     return int(total)
+
+
+class Model(Module):
+    """What every architecture shares.
+
+    ``checkpoint_kwargs`` names the constructor options beyond
+    ``(kg, task, config, meter)``; a checkpoint records their values, so a
+    loaded model is rebuilt with them.
+    """
+
+    checkpoint_kwargs: Tuple[str, ...] = ()
+
+    def __init__(self, kg: KnowledgeGraph, task, config: ModelConfig):
+        super().__init__()
+        self.kg = kg
+        self.task = task
+        self.config = config
+
+    def _build_optimizer(
+        self,
+        meter: Optional[ResourceMeter],
+        inputs: Dict[str, int],
+        activations: Optional[int] = None,
+    ) -> None:
+        """Adam over every parameter, then the modeled memory in one order.
+
+        ``inputs`` (graph, features, ...) first, then the parameters, the
+        optimizer state (Adam's two moments) and the activations.
+        """
+        self.optimizer = Adam(
+            self.parameters(), lr=self.config.lr, weight_decay=self.config.weight_decay
+        )
+        if meter is None:
+            return
+        for name, nbytes in inputs.items():
+            meter.register(name, nbytes)
+        meter.register("parameters", self.parameter_nbytes())
+        meter.register("optimizer", 2 * self.parameter_nbytes())
+        if activations is not None:
+            meter.register("activations", activations)
+
+    def _step(self, loss: Tensor) -> float:
+        """One optimizer step on ``loss``; returns its value."""
+        self.optimizer.zero_grad()
+        loss.backward()
+        self.optimizer.step()
+        return loss.item()
+
+    @contextmanager
+    def _inference(self) -> Iterator[None]:
+        """Eval mode without a tape, back in training mode afterwards."""
+        self.eval()
+        try:
+            with no_grad():
+                yield
+        finally:
+            self.train()
+
+
+class MinibatchClassifier(Model):
+    """Node classification over shuffled minibatches of training targets.
+
+    A subclass declares ``_forward(positions)``: the logits of those task
+    target positions.
+    """
+
+    def _forward(self, positions: np.ndarray) -> Tensor:
+        raise NotImplementedError
+
+    def train_epoch(self, rng: np.random.Generator) -> float:
+        """One pass over the training targets, one step per minibatch."""
+        self.train()
+        positions = rng.permutation(self.task.split.train)
+        batch_size = self.config.batch_size
+        losses = []
+        for start in range(0, len(positions), batch_size):
+            batch = positions[start : start + batch_size]
+            losses.append(self._step(cross_entropy(self._forward(batch), self.task.labels[batch])))
+        return float(np.mean(losses)) if losses else 0.0
+
+
+def distmult(h, relation, t):
+    """DistMult ``Σ h ⊙ r ⊙ t`` per row (higher = more plausible)."""
+    return (h * relation * t).sum(axis=1)
+
+
+def transe(h, relation, t):
+    """Negated L1 TransE distance ``-‖h + r - t‖₁`` per row."""
+    return -abs(h + relation - t).sum(axis=1)
+
+
+class LinkPredictor(Model):
+    """Margin-ranking link prediction over an encoder and a decoder.
+
+    A subclass declares ``_encode()`` (every node's embedding as one
+    tensor), its ``decoder`` (:func:`distmult` or :func:`transe`; it scores
+    tensors in training and arrays in :meth:`score_pairs`) and
+    ``relation_table``, the embedding whose row ``task.predicate`` is the
+    decoder's relation.  A scorer that is not an encoder-decoder overrides
+    :meth:`_score` and :meth:`score_pairs` and keeps the step and the pool.
+    """
+
+    decoder = staticmethod(distmult)
+    relation_table = "score_relation"
+    #: Eval-mode node embeddings, kept until the next training step.
+    _cached: Optional[np.ndarray] = None
+
+    def _encode(self) -> Tensor:
+        raise NotImplementedError
+
+    def _score(self, embeddings: Tensor, heads: np.ndarray, tails: np.ndarray) -> Tensor:
+        relation = getattr(self, self.relation_table).weight.gather_rows(
+            np.full(len(heads), self.task.predicate, dtype=np.int64)
+        )
+        return self.decoder(embeddings.gather_rows(heads), relation, embeddings.gather_rows(tails))
+
+    def train_epoch(self, rng: np.random.Generator) -> float:
+        """One encode + margin step over sampled train edges.
+
+        Each positive ``(head, tail)`` is ranked against ``(head, tail')``
+        with ``tail'`` drawn from :meth:`candidate_pool`.
+        """
+        self.train()
+        self._cached = None
+        train_edges = self.task.edges[self.task.split.train]
+        if len(train_edges) == 0:
+            return 0.0
+        batch = min(self.config.batch_size, len(train_edges))
+        chosen = train_edges[rng.choice(len(train_edges), size=batch, replace=False)]
+        negatives = rng.choice(self.candidate_pool(), size=batch)
+        embeddings = self._encode()
+        positive = self._score(embeddings, chosen[:, 0], chosen[:, 1])
+        negative = self._score(embeddings, chosen[:, 0], negatives)
+        return self._step(margin_ranking_loss(positive, negative, margin=self.config.margin))
+
+    def candidate_pool(self) -> np.ndarray:
+        """Tail candidates: every node of the task's tail class."""
+        pool = self.kg.nodes_of_type(int(self.task.tail_class))
+        return pool if len(pool) else np.arange(self.kg.num_nodes, dtype=np.int64)
+
+    def score_pairs(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Decoder scores over the eval-mode embeddings, cached until a step."""
+        if self._cached is None:
+            with self._inference():
+                self._cached = self._encode().numpy()
+        relation = getattr(self, self.relation_table).weight.data[int(self.task.predicate)]
+        return self.decoder(self._cached[heads], relation, self._cached[tails])

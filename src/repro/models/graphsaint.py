@@ -1,13 +1,9 @@
 """GraphSAINT (Zeng et al., ICLR 2020) adapted to heterogeneous KGs.
 
-Subgraph-sampled minibatch training: each step draws a subgraph with a
-walk-based sampler, trains an RGCN stack on it, and (at inference) runs the
-full graph.  The sampler is pluggable:
-
-* default — the uniform random-walk (URW) sampler whose type-blind roots
-  produce the Figure 2 pathologies;
-* ``GraphSAINTClassifier.with_brw`` — the paper's "GraphSAINT+BRW"
-  configuration (Figure 8) that roots walks at task targets.
+Subgraph-sampled minibatch training: each step draws a subgraph with the
+uniform random-walk (URW) sampler — type-blind roots, the source of the
+Figure 2 pathologies — trains the RGCN node classifier on it, and
+evaluates on the full graph.
 
 Training memory is dominated by the sampled subgraph, which the meter
 reflects by registering per-step activation working sets at subgraph scale.
@@ -15,30 +11,29 @@ reflects by registering per-step activation working sets at subgraph scale.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
-from repro.core.brw import BiasedRandomWalkSampler
 from repro.core.tasks import NodeClassificationTask
-from repro.models.base import ModelConfig, RGCNStack, adjacency_nbytes, restrict_matrices
+from repro.models.base import ModelConfig, adjacency_nbytes, restrict_matrices
+from repro.models.rgcn import RGCNNodeClassifier
 from repro.nn.functional import cross_entropy
-from repro.nn.layers import Embedding, Module
-from repro.nn.optim import Adam
-from repro.nn.tensor import no_grad
-from repro.sampling.urw import UniformRandomWalkSampler
-from repro.training.resources import ResourceMeter, activation_bytes
+from repro.training.resources import ResourceMeter
 from repro.kg.cache import artifacts_for
 
-# A node sampler: rng -> global node ids forming this step's subgraph.
-NodeSampler = Callable[[np.random.Generator], np.ndarray]
+#: URW sampler: walk hops, uniform roots per subgraph, subgraphs per epoch.
+WALK_LENGTH = 2
+NUM_ROOTS = 512
+STEPS_PER_EPOCH = 4
 
 
-class GraphSAINTClassifier(Module):
+class GraphSAINTClassifier(RGCNNodeClassifier):
     """Subgraph-sampled RGCN node classifier (GraphSAINT regime)."""
 
     name = "GraphSAINT"
+    full_batch = False
 
     def __init__(
         self,
@@ -46,74 +41,28 @@ class GraphSAINTClassifier(Module):
         task: NodeClassificationTask,
         config: ModelConfig,
         meter: Optional[ResourceMeter] = None,
-        node_sampler: Optional[NodeSampler] = None,
-        walk_length: int = 2,
-        num_roots: int = 512,
-        steps_per_epoch: int = 4,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
-        self.steps_per_epoch = steps_per_epoch
+        super().__init__(kg, task, config, meter)
         self.meter = meter
-        rng = config.rng()
-        self.adjacency = artifacts_for(kg).hetero(add_reverse=True, normalize=True)
-        num_relations = self.adjacency.num_relations
-        self.embedding = Embedding(kg.num_nodes, config.hidden_dim, rng)
-        dims = [config.hidden_dim] * config.num_layers + [task.num_labels]
-        self.stack = RGCNStack(num_relations, dims, rng, dropout=config.dropout)
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-
-        if node_sampler is None:
-            urw = UniformRandomWalkSampler(
-                kg, walk_length=walk_length, num_roots=min(num_roots, kg.num_nodes)
-            )
-            node_sampler = lambda sampler_rng: urw.engine.walk(  # noqa: E731
-                sampler_rng.choice(kg.num_nodes, size=urw.num_roots, replace=False),
-                urw.walk_length,
-                sampler_rng,
-            )
-        self.node_sampler = node_sampler
-
         # Position of each graph node in the task's target list (-1 = none).
         self._target_position = np.full(kg.num_nodes, -1, dtype=np.int64)
         self._target_position[task.target_nodes] = np.arange(task.num_targets)
         self._is_train = np.zeros(task.num_targets, dtype=bool)
         self._is_train[task.split.train] = True
 
-        if meter is not None:
-            meter.register("graph", self.adjacency.nbytes())
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-
-    @classmethod
-    def with_brw(
-        cls,
-        kg: KnowledgeGraph,
-        task: NodeClassificationTask,
-        config: ModelConfig,
-        meter: Optional[ResourceMeter] = None,
-        walk_length: int = 3,
-        batch_size: int = 20000,
-        **kwargs,
-    ) -> "GraphSAINTClassifier":
-        """The paper's GraphSAINT+BRW configuration (Figure 8 baseline)."""
-        brw = BiasedRandomWalkSampler(kg, walk_length=walk_length, batch_size=batch_size)
-
-        def sampler(rng: np.random.Generator) -> np.ndarray:
-            initial = brw._initial_vertices(task, rng)
-            visited = brw.engine.walk(initial, brw.walk_length, rng)
-            return np.unique(np.concatenate([initial, visited]))
-
-        return cls(kg, task, config, meter=meter, node_sampler=sampler, **kwargs)
+    def _sample_nodes(self, rng: np.random.Generator) -> np.ndarray:
+        """URW: walks from roots drawn uniformly over every node."""
+        roots = rng.choice(
+            self.kg.num_nodes, size=min(NUM_ROOTS, self.kg.num_nodes), replace=False
+        )
+        return artifacts_for(self.kg).walk_engine("both").walk(roots, WALK_LENGTH, rng)
 
     def train_epoch(self, rng: np.random.Generator) -> float:
-        """``steps_per_epoch`` sampled-subgraph gradient steps."""
+        """``STEPS_PER_EPOCH`` sampled-subgraph gradient steps."""
         self.train()
         losses = []
-        for _step in range(self.steps_per_epoch):
-            nodes = np.asarray(self.node_sampler(rng), dtype=np.int64)
+        for _step in range(STEPS_PER_EPOCH):
+            nodes = np.asarray(self._sample_nodes(rng), dtype=np.int64)
             matrices, nodes = restrict_matrices(self.adjacency, nodes)
             positions = self._target_position[nodes]
             has_target = positions >= 0
@@ -122,34 +71,13 @@ class GraphSAINTClassifier(Module):
             if not train_mask.any():
                 continue
             if self.meter is not None:
-                self.meter.register(
-                    "activations",
-                    activation_bytes(
-                        len(nodes),
-                        self.config.hidden_dim,
-                        self.config.num_layers,
-                        num_relations=self.adjacency.num_relations,
-                    ),
-                )
+                self.meter.register("activations", self._activations(len(nodes)))
                 self.meter.register("subgraph", adjacency_nbytes(matrices))
-            local_x = self.embedding(nodes)
-            logits = self.stack(local_x, matrices)
+            logits = self.stack(self.embedding(nodes), matrices)
             local_targets = np.flatnonzero(train_mask)
             loss = cross_entropy(
                 logits.gather_rows(local_targets),
                 self.task.labels[positions[local_targets]],
             )
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            losses.append(loss.item())
+            losses.append(self._step(loss))
         return float(np.mean(losses)) if losses else 0.0
-
-    def predict_logits(self) -> np.ndarray:
-        """Full-graph inference (GraphSAINT evaluates without sampling)."""
-        self.eval()
-        with no_grad():
-            logits = self.stack(self.embedding.all(), self.adjacency.matrices)
-            out = logits.gather_rows(self.task.target_nodes).numpy()
-        self.train()
-        return out

@@ -17,18 +17,17 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.kg.graph import KnowledgeGraph
 from repro.core.tasks import LinkPredictionTask
-from repro.models.base import ModelConfig
-from repro.nn.functional import margin_ranking_loss
+from repro.models.base import LinkPredictor, ModelConfig
 from repro.nn.init import xavier_uniform
 from repro.nn.layers import Embedding, Module, Parameter
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad, spmm, stack
+from repro.nn.tensor import Tensor, spmm, stack
 from repro.training.resources import ResourceMeter, activation_bytes
 from repro.kg.cache import artifacts_for
+
+#: Latent channels per layer (each a learned mixture over the relations).
+NUM_CHANNELS = 3
 
 
 class _LatentLayer(Module):
@@ -78,7 +77,7 @@ class _LatentLayer(Module):
         return fused + x @ self.self_weight
 
 
-class LHGNNPredictor(Module):
+class LHGNNPredictor(LinkPredictor):
     """Latent-channel GNN encoder with a DistMult decoder."""
 
     name = "LHGNN"
@@ -89,84 +88,24 @@ class LHGNNPredictor(Module):
         task: LinkPredictionTask,
         config: ModelConfig,
         meter: Optional[ResourceMeter] = None,
-        num_channels: int = 3,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
-        self.num_channels = num_channels
+        super().__init__(kg, task, config)
         rng = config.rng()
         hidden = config.hidden_dim
         self.adjacency = artifacts_for(kg).hetero(add_reverse=True, normalize=True)
         num_relations = self.adjacency.num_relations
         self.embedding = Embedding(kg.num_nodes, hidden, rng)
-        self.layer_one = _LatentLayer(num_relations, num_channels, hidden, hidden, rng)
-        self.layer_two = _LatentLayer(num_relations, num_channels, hidden, hidden, rng)
+        self.layer_one = _LatentLayer(num_relations, NUM_CHANNELS, hidden, hidden, rng)
+        self.layer_two = _LatentLayer(num_relations, NUM_CHANNELS, hidden, hidden, rng)
         self.score_relation = Embedding(max(kg.num_edge_types, 1), hidden, rng)
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-        self._cached: Optional[np.ndarray] = None
-
-        if meter is not None:
-            meter.register("graph", self.adjacency.nbytes())
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-            # K channels × |R| relations of materialised messages per layer:
-            # the product that makes LHGNN the heaviest method in Figure 7.
-            meter.register(
-                "activations",
-                activation_bytes(
-                    kg.num_nodes,
-                    hidden,
-                    2,
-                    num_relations=num_channels * num_relations,
-                ),
-            )
+        # K channels × |R| relations of materialised messages per layer:
+        # the product that makes LHGNN the heaviest method in Figure 7.
+        self._build_optimizer(
+            meter,
+            {"graph": self.adjacency.nbytes()},
+            activation_bytes(kg.num_nodes, hidden, 2, num_relations=NUM_CHANNELS * num_relations),
+        )
 
     def _encode(self) -> Tensor:
         hidden = self.layer_one(self.embedding.all(), self.adjacency.matrices)
         return self.layer_two(hidden, self.adjacency.matrices)
-
-    def _distmult(self, embeddings: Tensor, heads: np.ndarray, tails: np.ndarray) -> Tensor:
-        relation = self.score_relation.weight.gather_rows(
-            np.full(len(heads), self.task.predicate, dtype=np.int64)
-        )
-        h = embeddings.gather_rows(heads)
-        t = embeddings.gather_rows(tails)
-        return (h * relation * t).sum(axis=1)
-
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        self.train()
-        self._cached = None
-        train_edges = self.task.edges[self.task.split.train]
-        if len(train_edges) == 0:
-            return 0.0
-        batch = min(self.config.batch_size, len(train_edges))
-        chosen = train_edges[rng.choice(len(train_edges), size=batch, replace=False)]
-        pool = self.candidate_pool()
-        negatives = rng.choice(pool, size=batch)
-        embeddings = self._encode()
-        positive = self._distmult(embeddings, chosen[:, 0], chosen[:, 1])
-        negative = self._distmult(embeddings, chosen[:, 0], negatives)
-        loss = margin_ranking_loss(positive, negative, margin=self.config.margin)
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
-
-    def candidate_pool(self) -> np.ndarray:
-        pool = self.kg.nodes_of_type(int(self.task.tail_class))
-        return pool if len(pool) else np.arange(self.kg.num_nodes, dtype=np.int64)
-
-    def _node_embeddings(self) -> np.ndarray:
-        if self._cached is None:
-            self.eval()
-            with no_grad():
-                self._cached = self._encode().numpy()
-            self.train()
-        return self._cached
-
-    def score_pairs(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        embeddings = self._node_embeddings()
-        relation = self.score_relation.weight.data[int(self.task.predicate)]
-        return (embeddings[heads] * relation * embeddings[tails]).sum(axis=1)

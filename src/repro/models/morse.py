@@ -21,11 +21,9 @@ import scipy.sparse as sp
 
 from repro.kg.graph import KnowledgeGraph
 from repro.core.tasks import LinkPredictionTask
-from repro.models.base import ModelConfig, RGCNStack
-from repro.nn.functional import margin_ranking_loss
-from repro.nn.layers import Embedding, Module
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad, spmm
+from repro.models.base import LinkPredictor, ModelConfig, RGCNStack, transe
+from repro.nn.layers import Embedding
+from repro.nn.tensor import Tensor, spmm
 from repro.training.resources import ResourceMeter, activation_bytes
 from repro.kg.cache import artifacts_for
 from repro.transform.features import xavier_features
@@ -43,10 +41,11 @@ def _relation_incidence(kg: KnowledgeGraph) -> sp.csr_matrix:
     return (sp.diags(scale) @ matrix).tocsr()
 
 
-class MorsEPredictor(Module):
+class MorsEPredictor(LinkPredictor):
     """Entity-independent initialisation + RGCN refinement + TransE."""
 
     name = "MorsE"
+    decoder = staticmethod(transe)
 
     def __init__(
         self,
@@ -55,10 +54,7 @@ class MorsEPredictor(Module):
         config: ModelConfig,
         meter: Optional[ResourceMeter] = None,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
+        super().__init__(kg, task, config)
         rng = config.rng()
         num_rel = max(kg.num_edge_types, 1)
         hidden = config.hidden_dim
@@ -78,28 +74,22 @@ class MorsEPredictor(Module):
         self.refine = RGCNStack(
             self.adjacency.num_relations, [hidden, hidden], rng, dropout=config.dropout
         )
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-        self._cached: Optional[np.ndarray] = None
-
-        if meter is not None:
-            incidence_bytes = (
-                self.incidence.data.nbytes
-                + self.incidence.indices.nbytes
-                + self.incidence.indptr.nbytes
-            )
-            meter.register("graph", self.adjacency.nbytes() + incidence_bytes)
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-            # MorsE's memory profile is far lighter than full-batch RGCN:
-            # entity-independent init means no |V|-sized embedding table and
-            # the single refinement layer does not materialise per-relation
-            # messages (the reference implementation fuses them).
-            meter.register(
-                "activations",
-                activation_bytes(
-                    kg.num_nodes, hidden, 1, num_relations=1, relation_materialized=False
-                ),
-            )
+        incidence_bytes = (
+            self.incidence.data.nbytes
+            + self.incidence.indices.nbytes
+            + self.incidence.indptr.nbytes
+        )
+        # MorsE's memory profile is far lighter than full-batch RGCN:
+        # entity-independent init means no |V|-sized embedding table and
+        # the single refinement layer does not materialise per-relation
+        # messages (the reference implementation fuses them).
+        self._build_optimizer(
+            meter,
+            {"graph": self.adjacency.nbytes() + incidence_bytes},
+            activation_bytes(
+                kg.num_nodes, hidden, 1, num_relations=1, relation_materialized=False
+            ),
+        )
 
     def _encode(self) -> Tensor:
         """Entity embeddings from meta information + fixed node features."""
@@ -109,49 +99,3 @@ class MorsEPredictor(Module):
             + Tensor(self.node_features)
         )
         return self.refine(initial, self.adjacency.matrices)
-
-    def _transe_score(self, embeddings: Tensor, heads: np.ndarray, tails: np.ndarray) -> Tensor:
-        """Negated L1 TransE distance (higher = more plausible)."""
-        relation = self.score_relation.weight.gather_rows(
-            np.full(len(heads), self.task.predicate, dtype=np.int64)
-        )
-        h = embeddings.gather_rows(heads)
-        t = embeddings.gather_rows(tails)
-        return -(h + relation - t).abs().sum(axis=1)
-
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        self.train()
-        self._cached = None
-        train_edges = self.task.edges[self.task.split.train]
-        if len(train_edges) == 0:
-            return 0.0
-        batch = min(self.config.batch_size, len(train_edges))
-        chosen = train_edges[rng.choice(len(train_edges), size=batch, replace=False)]
-        pool = self.candidate_pool()
-        negatives = rng.choice(pool, size=batch)
-        embeddings = self._encode()
-        positive = self._transe_score(embeddings, chosen[:, 0], chosen[:, 1])
-        negative = self._transe_score(embeddings, chosen[:, 0], negatives)
-        loss = margin_ranking_loss(positive, negative, margin=self.config.margin)
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
-
-    def candidate_pool(self) -> np.ndarray:
-        pool = self.kg.nodes_of_type(int(self.task.tail_class))
-        return pool if len(pool) else np.arange(self.kg.num_nodes, dtype=np.int64)
-
-    def _node_embeddings(self) -> np.ndarray:
-        if self._cached is None:
-            self.eval()
-            with no_grad():
-                self._cached = self._encode().numpy()
-            self.train()
-        return self._cached
-
-    def score_pairs(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        embeddings = self._node_embeddings()
-        relation = self.score_relation.weight.data[int(self.task.predicate)]
-        distance = np.abs(embeddings[heads] + relation - embeddings[tails]).sum(axis=1)
-        return -distance

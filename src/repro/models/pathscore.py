@@ -38,17 +38,15 @@ import numpy as np
 
 from repro.core.tasks import LinkPredictionTask
 from repro.kg.graph import KnowledgeGraph
-from repro.models.base import ModelConfig
-from repro.nn.functional import margin_ranking_loss
+from repro.models.base import LinkPredictor, ModelConfig
 from repro.nn.init import xavier_uniform
-from repro.nn.layers import Embedding, Module, Parameter
-from repro.nn.optim import Adam
+from repro.nn.layers import Embedding, Parameter
 from repro.nn.tensor import Tensor
 from repro.sampling.paths import enumerate_paths_batch
 from repro.training.resources import ResourceMeter
 
 
-class PathScorePredictor(Module):
+class PathScorePredictor(LinkPredictor):
     """Relation-path encoder with a path-conditioned DistMult decoder."""
 
     name = "PathScore"
@@ -64,10 +62,7 @@ class PathScorePredictor(Module):
         max_hops: int = 3,
         max_paths: int = 16,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
+        super().__init__(kg, task, config)
         self.max_hops = int(max_hops)
         self.max_paths = int(max_paths)
         if self.max_hops < 1:
@@ -89,21 +84,13 @@ class PathScorePredictor(Module):
             xavier_uniform((1, hidden), rng), name="no_path"
         )
         self.decode = Parameter(xavier_uniform((hidden, hidden), rng), name="decode")
-        self.optimizer = Adam(
-            self.parameters(), lr=config.lr, weight_decay=config.weight_decay
-        )
         #: (head, tail) -> list of relation sequences (one per path).
         self._path_cache: Dict[Tuple[int, int], List[List[int]]] = {}
-
-        if meter is not None:
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-            # The padded (pairs × paths × hops) relation block one training
-            # batch materializes.
-            meter.register(
-                "activations",
-                8 * config.batch_size * self.max_paths * self.max_hops * hidden,
-            )
+        # The padded (pairs × paths × hops) relation block one training
+        # batch materializes.
+        self._build_optimizer(
+            meter, {}, 8 * config.batch_size * self.max_paths * self.max_hops * hidden
+        )
 
     # -- path featurization (structural, cached) --
 
@@ -161,31 +148,13 @@ class PathScorePredictor(Module):
         connected = Tensor((counts > 0).astype(np.float64).reshape(batch, 1))
         return pooled * connected + self.no_path * (1.0 - connected)
 
-    def _score(self, heads: np.ndarray, tails: np.ndarray) -> Tensor:
+    def _encode(self) -> Tensor:
+        """The endpoint embeddings are a plain node table."""
+        return self.embedding.weight
+
+    def _score(self, embeddings: Tensor, heads: np.ndarray, tails: np.ndarray) -> Tensor:
         operator = (self._pair_vectors(heads, tails) @ self.decode).tanh()
-        h = self.embedding.weight.gather_rows(heads)
-        t = self.embedding.weight.gather_rows(tails)
-        return (h * operator * t).sum(axis=1)
-
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        self.train()
-        train_edges = self.task.edges[self.task.split.train]
-        if len(train_edges) == 0:
-            return 0.0
-        batch = min(self.config.batch_size, len(train_edges))
-        chosen = train_edges[rng.choice(len(train_edges), size=batch, replace=False)]
-        negatives = rng.choice(self.candidate_pool(), size=batch)
-        positive = self._score(chosen[:, 0], chosen[:, 1])
-        negative = self._score(chosen[:, 0], negatives)
-        loss = margin_ranking_loss(positive, negative, margin=self.config.margin)
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
-
-    def candidate_pool(self) -> np.ndarray:
-        pool = self.kg.nodes_of_type(int(self.task.tail_class))
-        return pool if len(pool) else np.arange(self.kg.num_nodes, dtype=np.int64)
+        return self.decoder(embeddings.gather_rows(heads), operator, embeddings.gather_rows(tails))
 
     # -- inference (plain numpy over the trained parameters) --
 
@@ -202,4 +171,4 @@ class PathScorePredictor(Module):
         pair_vectors = np.where(connected, pooled, self.no_path.data)
         operator = np.tanh(pair_vectors @ self.decode.data)
         node_table = self.embedding.weight.data
-        return (node_table[heads] * operator * node_table[tails]).sum(axis=1)
+        return self.decoder(node_table[heads], operator, node_table[tails])

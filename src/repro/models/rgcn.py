@@ -20,19 +20,21 @@ import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.core.tasks import LinkPredictionTask, NodeClassificationTask
-from repro.models.base import ModelConfig, RGCNStack
-from repro.nn.functional import cross_entropy, margin_ranking_loss
-from repro.nn.layers import Embedding, Module
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad
+from repro.models.base import LinkPredictor, Model, ModelConfig, RGCNStack
+from repro.nn.functional import cross_entropy
+from repro.nn.layers import Embedding
+from repro.nn.tensor import Tensor
 from repro.training.resources import ResourceMeter, activation_bytes
 from repro.kg.cache import artifacts_for
 
 
-class RGCNNodeClassifier(Module):
+class RGCNNodeClassifier(Model):
     """Full-batch RGCN for single-label node classification."""
 
     name = "RGCN"
+    #: Full-batch training holds every node's activations from the start;
+    #: a sampled subclass registers its subgraph's per step instead.
+    full_batch = True
 
     def __init__(
         self,
@@ -41,60 +43,53 @@ class RGCNNodeClassifier(Module):
         config: ModelConfig,
         meter: Optional[ResourceMeter] = None,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
+        super().__init__(kg, task, config)
         rng = config.rng()
         self.adjacency = artifacts_for(kg).hetero(add_reverse=True, normalize=True)
-        num_relations = self.adjacency.num_relations
         self.embedding = Embedding(kg.num_nodes, config.hidden_dim, rng)
         dims = [config.hidden_dim] * config.num_layers + [task.num_labels]
-        self.stack = RGCNStack(num_relations, dims, rng, dropout=config.dropout)
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-        if meter is not None:
-            meter.register("graph", self.adjacency.nbytes())
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-            meter.register(
-                "activations",
-                activation_bytes(
-                    kg.num_nodes,
-                    config.hidden_dim,
-                    config.num_layers,
-                    num_relations=num_relations,
-                ),
-            )
+        self.stack = RGCNStack(self.adjacency.num_relations, dims, rng, dropout=config.dropout)
+        self._build_optimizer(
+            meter,
+            {"graph": self.adjacency.nbytes()},
+            self._activations(kg.num_nodes) if self.full_batch else None,
+        )
+
+    def _activations(self, num_nodes: int) -> int:
+        """Modeled activation bytes of one forward over ``num_nodes`` nodes."""
+        return activation_bytes(
+            num_nodes,
+            self.config.hidden_dim,
+            self.config.num_layers,
+            num_relations=self.adjacency.num_relations,
+        )
 
     def _forward_all(self) -> Tensor:
         """Full-graph logits for every node."""
         return self.stack(self.embedding.all(), self.adjacency.matrices)
 
+    def _loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
+        return cross_entropy(logits, labels)
+
     def train_epoch(self, rng: np.random.Generator) -> float:
         """One full-batch gradient step over the training targets."""
         self.train()
-        logits = self._forward_all().gather_rows(
-            self.task.target_nodes[self.task.split.train]
-        )
-        loss = cross_entropy(logits, self.task.labels[self.task.split.train])
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
+        train = self.task.split.train
+        logits = self._forward_all().gather_rows(self.task.target_nodes[train])
+        return self._step(self._loss(logits, self.task.labels[train]))
 
     def predict_logits(self) -> np.ndarray:
         """Logits for every task target position (inference mode)."""
-        self.eval()
-        with no_grad():
+        with self._inference():
             logits = self._forward_all().gather_rows(self.task.target_nodes)
-        self.train()
         return logits.numpy()
 
 
-class RGCNLinkPredictor(Module):
+class RGCNLinkPredictor(LinkPredictor):
     """Full-batch RGCN encoder with a DistMult decoder (the RGCN LP setup)."""
 
     name = "RGCN"
+    relation_table = "relation_embedding"
 
     def __init__(
         self,
@@ -103,10 +98,7 @@ class RGCNLinkPredictor(Module):
         config: ModelConfig,
         meter: Optional[ResourceMeter] = None,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
+        super().__init__(kg, task, config)
         rng = config.rng()
         self.adjacency = artifacts_for(kg).hetero(add_reverse=True, normalize=True)
         num_relations = self.adjacency.num_relations
@@ -115,69 +107,13 @@ class RGCNLinkPredictor(Module):
         self.stack = RGCNStack(num_relations, dims, rng, dropout=config.dropout)
         # DistMult relation diagonal for the task predicate.
         self.relation_embedding = Embedding(max(kg.num_edge_types, 1), config.hidden_dim, rng)
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-        self._cached: Optional[np.ndarray] = None
-        if meter is not None:
-            meter.register("graph", self.adjacency.nbytes())
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-            meter.register(
-                "activations",
-                activation_bytes(
-                    kg.num_nodes,
-                    config.hidden_dim,
-                    config.num_layers,
-                    num_relations=num_relations,
-                ),
-            )
+        self._build_optimizer(
+            meter,
+            {"graph": self.adjacency.nbytes()},
+            activation_bytes(
+                kg.num_nodes, config.hidden_dim, config.num_layers, num_relations=num_relations
+            ),
+        )
 
     def _encode(self) -> Tensor:
         return self.stack(self.embedding.all(), self.adjacency.matrices)
-
-    def _distmult(self, h: Tensor, t: Tensor) -> Tensor:
-        relation = self.relation_embedding.weight.gather_rows(
-            np.full(h.shape[0], self.task.predicate, dtype=np.int64)
-        )
-        return (h * relation * t).sum(axis=1)
-
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        """One full-graph encode + margin step over sampled train edges."""
-        self.train()
-        self._cached = None
-        train_edges = self.task.edges[self.task.split.train]
-        if len(train_edges) == 0:
-            return 0.0
-        batch = min(self.config.batch_size, len(train_edges))
-        chosen = train_edges[rng.choice(len(train_edges), size=batch, replace=False)]
-        pool = self.candidate_pool()
-        negatives = rng.choice(pool, size=batch)
-        embeddings = self._encode()
-        heads = embeddings.gather_rows(chosen[:, 0])
-        tails = embeddings.gather_rows(chosen[:, 1])
-        corrupt = embeddings.gather_rows(negatives)
-        positive = self._distmult(heads, tails)
-        negative = self._distmult(heads, corrupt)
-        loss = margin_ranking_loss(positive, negative, margin=self.config.margin)
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
-
-    def candidate_pool(self) -> np.ndarray:
-        """Tail candidates: every node of the task's tail class."""
-        pool = self.kg.nodes_of_type(int(self.task.tail_class))
-        return pool if len(pool) else np.arange(self.kg.num_nodes, dtype=np.int64)
-
-    def _node_embeddings(self) -> np.ndarray:
-        if self._cached is None:
-            self.eval()
-            with no_grad():
-                self._cached = self._encode().numpy()
-            self.train()
-        return self._cached
-
-    def score_pairs(self, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """DistMult scores (higher = more plausible)."""
-        embeddings = self._node_embeddings()
-        relation = self.relation_embedding.weight.data[int(self.task.predicate)]
-        return (embeddings[heads] * relation * embeddings[tails]).sum(axis=1)

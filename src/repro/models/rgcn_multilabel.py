@@ -8,77 +8,22 @@ threshold at inference.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.kg.graph import KnowledgeGraph
-from repro.core.multilabel import MultiLabelNodeClassificationTask
-from repro.models.base import ModelConfig, RGCNStack
+from repro.models.rgcn import RGCNNodeClassifier
 from repro.nn.functional import bce_with_logits
-from repro.nn.layers import Embedding, Module
-from repro.nn.optim import Adam
-from repro.nn.tensor import no_grad
-from repro.training.resources import ResourceMeter, activation_bytes
-from repro.kg.cache import artifacts_for
+from repro.nn.tensor import Tensor
 
 
-class RGCNMultiLabelClassifier(Module):
+class RGCNMultiLabelClassifier(RGCNNodeClassifier):
     """Full-batch RGCN with an independent sigmoid head per label."""
 
     name = "RGCN-ML"
 
-    def __init__(
-        self,
-        kg: KnowledgeGraph,
-        task: MultiLabelNodeClassificationTask,
-        config: ModelConfig,
-        meter: Optional[ResourceMeter] = None,
-    ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
-        rng = config.rng()
-        self.adjacency = artifacts_for(kg).hetero(add_reverse=True, normalize=True)
-        num_relations = self.adjacency.num_relations
-        self.embedding = Embedding(kg.num_nodes, config.hidden_dim, rng)
-        dims = [config.hidden_dim] * config.num_layers + [task.num_labels]
-        self.stack = RGCNStack(num_relations, dims, rng, dropout=config.dropout)
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-        if meter is not None:
-            meter.register("graph", self.adjacency.nbytes())
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-            meter.register(
-                "activations",
-                activation_bytes(
-                    kg.num_nodes, config.hidden_dim, config.num_layers,
-                    num_relations=num_relations,
-                ),
-            )
-
-    def _logits_all_targets(self):
-        logits = self.stack(self.embedding.all(), self.adjacency.matrices)
-        return logits.gather_rows(self.task.target_nodes)
-
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        self.train()
-        train = self.task.split.train
-        logits = self.stack(self.embedding.all(), self.adjacency.matrices).gather_rows(
-            self.task.target_nodes[train]
-        )
-        loss = bce_with_logits(logits, self.task.labels[train].astype(np.float64))
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
+    def _loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
+        return bce_with_logits(logits, labels.astype(np.float64))
 
     def predict_labels(self, threshold: float = 0.5) -> np.ndarray:
         """0/1 predictions for every target (sigmoid ≥ threshold)."""
-        self.eval()
-        with no_grad():
-            logits = self._logits_all_targets().numpy()
-        self.train()
-        probabilities = 1.0 / (1.0 + np.exp(-logits))
+        probabilities = 1.0 / (1.0 + np.exp(-self.predict_logits()))
         return (probabilities >= threshold).astype(np.int64)

@@ -10,7 +10,7 @@ the model width scale with the number of metapaths, i.e. with |R| — which
 is exactly the dependency KG-TOSA shrinks.
 
 Metapaths used: every relation in both orientations (length 1) plus the
-``num_two_hop`` most frequent length-2 compositions around the targets.
+``NUM_TWO_HOP`` most frequent length-2 compositions around the targets.
 """
 
 from __future__ import annotations
@@ -22,18 +22,19 @@ import scipy.sparse as sp
 
 from repro.kg.graph import KnowledgeGraph
 from repro.core.tasks import NodeClassificationTask
-from repro.models.base import ModelConfig
-from repro.nn.functional import cross_entropy
-from repro.nn.layers import Linear, Module, Parameter
+from repro.models.base import MinibatchClassifier, ModelConfig
+from repro.nn.layers import Linear, Parameter
 from repro.nn.init import xavier_uniform
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, no_grad, stack
+from repro.nn.tensor import Tensor, stack
 from repro.training.resources import ResourceMeter
 from repro.kg.cache import artifacts_for
 from repro.transform.features import xavier_features
 
+#: Length-2 metapaths kept: the first hops that reach the most targets.
+NUM_TWO_HOP = 4
 
-class SeHGNNClassifier(Module):
+
+class SeHGNNClassifier(MinibatchClassifier):
     """Pre-aggregated metapath features + semantic attention + MLP."""
 
     name = "SeHGNN"
@@ -47,19 +48,15 @@ class SeHGNNClassifier(Module):
         config: ModelConfig,
         meter: Optional[ResourceMeter] = None,
         feature_dim: int = 32,
-        num_two_hop: int = 4,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
+        super().__init__(kg, task, config)
         rng = config.rng()
         self.feature_dim = feature_dim
 
         adjacency = artifacts_for(kg).hetero(add_reverse=True, normalize=True)
         features = xavier_features(kg.num_nodes, feature_dim, rng)
         self.metapath_names, metapath_feats = self._preaggregate(
-            adjacency.matrices, adjacency.relation_names, features, num_two_hop
+            adjacency.matrices, adjacency.relation_names, features
         )
         # (num_targets, num_metapaths, feature_dim) — frozen after preproc.
         self.metapath_features = np.stack(metapath_feats, axis=1)
@@ -73,21 +70,20 @@ class SeHGNNClassifier(Module):
             setattr(self, f"proj_{index}", projection)
         self.attention_query = Parameter(xavier_uniform((hidden, 1), rng), name="attn_q")
         self.classifier = Linear(hidden, task.num_labels, rng)
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-
-        if meter is not None:
-            meter.register("graph", adjacency.nbytes())
-            meter.register("features", int(features.nbytes))
-            meter.register("metapath-features", int(self.metapath_features.nbytes))
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
+        self._build_optimizer(
+            meter,
+            {
+                "graph": adjacency.nbytes(),
+                "features": int(features.nbytes),
+                "metapath-features": int(self.metapath_features.nbytes),
+            },
+        )
 
     def _preaggregate(
         self,
         matrices: List[sp.csr_matrix],
         names: List[str],
         features: np.ndarray,
-        num_two_hop: int,
     ) -> Tuple[List[str], List[np.ndarray]]:
         """One-shot neighbour aggregation per metapath (rows = targets)."""
         targets = self.task.target_nodes
@@ -100,7 +96,7 @@ class SeHGNNClassifier(Module):
         # Two-hop compositions: rank first hops by how many target rows they
         # reach, compose the best with every relation's full matrix.
         coverage = [int((rows.getnnz(axis=1) > 0).sum()) for rows in target_rows]
-        first_hops = np.argsort(coverage)[::-1][:num_two_hop]
+        first_hops = np.argsort(coverage)[::-1][:NUM_TWO_HOP]
         for first in first_hops:
             if coverage[first] == 0:
                 continue
@@ -110,7 +106,7 @@ class SeHGNNClassifier(Module):
             aggregated.append(np.asarray(composed @ features))
         return metapath_names, aggregated
 
-    def _forward_positions(self, positions: np.ndarray) -> Tensor:
+    def _forward(self, positions: np.ndarray) -> Tensor:
         """Logits for given target positions (semantic attention fusion)."""
         channels = []
         for index in range(self.num_metapaths):
@@ -123,24 +119,7 @@ class SeHGNNClassifier(Module):
         fused = (stacked * weights.reshape(batch, m, 1)).sum(axis=1)
         return self.classifier(fused)
 
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        self.train()
-        train_positions = rng.permutation(self.task.split.train)
-        batch_size = self.config.batch_size
-        losses = []
-        for start in range(0, len(train_positions), batch_size):
-            batch = train_positions[start : start + batch_size]
-            logits = self._forward_positions(batch)
-            loss = cross_entropy(logits, self.task.labels[batch])
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            losses.append(loss.item())
-        return float(np.mean(losses)) if losses else 0.0
-
     def predict_logits(self) -> np.ndarray:
-        self.eval()
-        with no_grad():
-            logits = self._forward_positions(np.arange(self.task.num_targets))
-        self.train()
+        with self._inference():
+            logits = self._forward(np.arange(self.task.num_targets))
         return logits.numpy()

@@ -29,11 +29,9 @@ import scipy.sparse as sp
 from repro.kg.cache import artifacts_for
 from repro.kg.graph import KnowledgeGraph
 from repro.core.tasks import NodeClassificationTask
-from repro.models.base import ModelConfig, RGCNStack
-from repro.nn.functional import cross_entropy
-from repro.nn.layers import Embedding, Linear, Module
-from repro.nn.optim import Adam
-from repro.nn.tensor import no_grad
+from repro.models.base import MinibatchClassifier, ModelConfig, RGCNStack
+from repro.nn.layers import Embedding, Linear
+from repro.nn.tensor import Tensor
 from repro.nputil import expand_ranges, rank_within_sorted_groups, splitmix64
 from repro.training.resources import ResourceMeter, activation_bytes
 
@@ -270,7 +268,7 @@ def _extract_ego_chunk(
     return egos
 
 
-class ShaDowSAINTClassifier(Module):
+class ShaDowSAINTClassifier(MinibatchClassifier):
     """Ego-subgraph RGCN with root readout (the ShaDowSAINT regime)."""
 
     name = "ShaDowSAINT"
@@ -286,11 +284,7 @@ class ShaDowSAINTClassifier(Module):
         depth: int = 2,
         fanout: int = 8,
     ):
-        super().__init__()
-        self.kg = kg
-        self.task = task
-        self.config = config
-        self.meter = meter
+        super().__init__(kg, task, config)
         self.depth = depth
         self.fanout = fanout
         rng = config.rng()
@@ -300,7 +294,6 @@ class ShaDowSAINTClassifier(Module):
         dims = [config.hidden_dim] * (config.num_layers + 1)
         self.stack = RGCNStack(num_relations, dims, rng, dropout=config.dropout)
         self.readout = Linear(config.hidden_dim, task.num_labels, rng)
-        self.optimizer = Adam(self.parameters(), lr=config.lr, weight_decay=config.weight_decay)
 
         # Content-addressed sampling salt: per-config-seed determinism with
         # fresh subsamples per seed, evaluated identically by the batched
@@ -332,22 +325,17 @@ class ShaDowSAINTClassifier(Module):
         )
 
         max_ego = max((len(e.nodes) for e in self._egos), default=1)
-        if meter is not None:
-            graph_bytes = sum(
-                e.nodes.nbytes + e.src.nbytes + e.dst.nbytes + e.rel.nbytes for e in self._egos
-            )
-            meter.register("ego-graphs", graph_bytes)
-            meter.register("parameters", self.parameter_nbytes())
-            meter.register("optimizer", 2 * self.parameter_nbytes())
-            meter.register(
-                "activations",
-                activation_bytes(
-                    max_ego * min(config.batch_size, max(task.num_targets, 1)),
-                    config.hidden_dim,
-                    config.num_layers,
-                    num_relations=num_relations,
-                ),
-            )
+        flat = (self._flat_nodes, self._flat_src, self._flat_dst, self._flat_rel)
+        self._build_optimizer(
+            meter,
+            {"ego-graphs": sum(array.nbytes for array in flat)},
+            activation_bytes(
+                max_ego * min(config.batch_size, max(task.num_targets, 1)),
+                config.hidden_dim,
+                config.num_layers,
+                num_relations=num_relations,
+            ),
+        )
 
     # -- batch assembly --
 
@@ -427,36 +415,18 @@ class ShaDowSAINTClassifier(Module):
 
     # -- training / inference --
 
-    def _forward_batch(self, ego_indices: np.ndarray):
-        nodes, matrices, roots = self._assemble(ego_indices)
-        x = self.embedding(nodes)
-        hidden = self.stack(x, matrices)
+    def _forward(self, positions: np.ndarray) -> Tensor:
+        nodes, matrices, roots = self._assemble(positions)
+        hidden = self.stack(self.embedding(nodes), matrices)
         return self.readout(hidden.gather_rows(roots))
 
-    def train_epoch(self, rng: np.random.Generator) -> float:
-        self.train()
-        train_positions = rng.permutation(self.task.split.train)
-        batch_size = self.config.batch_size
-        losses = []
-        for start in range(0, len(train_positions), batch_size):
-            batch = train_positions[start : start + batch_size]
-            logits = self._forward_batch(batch)
-            loss = cross_entropy(logits, self.task.labels[batch])
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            losses.append(loss.item())
-        return float(np.mean(losses)) if losses else 0.0
-
     def predict_logits(self) -> np.ndarray:
-        self.eval()
         outputs = []
         batch_size = self.config.batch_size
-        with no_grad():
+        with self._inference():
             for start in range(0, self.task.num_targets, batch_size):
                 batch = np.arange(start, min(start + batch_size, self.task.num_targets))
-                outputs.append(self._forward_batch(batch).numpy())
-        self.train()
+                outputs.append(self._forward(batch).numpy())
         return (
             np.concatenate(outputs, axis=0)
             if outputs

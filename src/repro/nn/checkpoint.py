@@ -202,9 +202,9 @@ def save_checkpoint(
     ``model`` must carry the repo-wide model attributes (``kg``, ``task``,
     ``config``, class-level ``name``); the construction kwargs its class
     lists in ``checkpoint_kwargs`` (ShaDowSAINT depth/fanout, SeHGNN
-    feature_dim) are captured automatically unless overridden via
-    ``model_kwargs``.  Other non-default kwargs fail loudly at load time
-    (``StateDictMismatch``).
+    feature_dim, PathScore max_hops/max_paths) are captured automatically
+    unless overridden via ``model_kwargs``; no architecture takes any other
+    constructor option.
     Returns a small manifest dict (``path`` / ``nbytes`` / ``parameters``).
     """
     architecture = architecture or getattr(model, "name", type(model).__name__)

@@ -405,6 +405,8 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    __abs__ = abs
+
     def log_softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))

@@ -1,8 +1,11 @@
-"""Shared RGCN building blocks."""
+"""Shared RGCN building blocks and the architecture contract."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from repro.models import ARCHITECTURES
 from repro.models.base import ModelConfig, RGCNLayer, RGCNStack, restrict_matrices
 from repro.nn.tensor import Tensor
 from repro.transform.adjacency import build_hetero_adjacency
@@ -76,3 +79,14 @@ def test_restrict_matrices(toy_kg):
 def test_model_config_rng_deterministic():
     config = ModelConfig(seed=5)
     assert config.rng().integers(1000) == ModelConfig(seed=5).rng().integers(1000)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(ARCHITECTURES), ids=[f"{kind}-{name}" for kind, name in sorted(ARCHITECTURES)]
+)
+def test_constructor_options_are_the_checkpointed_ones(key):
+    """A constructor option a checkpoint does not record cannot be restored on load."""
+    cls = ARCHITECTURES[key]
+    names = list(inspect.signature(cls.__init__).parameters)
+    assert names[:5] == ["self", "kg", "task", "config", "meter"]
+    assert tuple(names[5:]) == tuple(getattr(cls, "checkpoint_kwargs", ()))

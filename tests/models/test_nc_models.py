@@ -71,14 +71,6 @@ def test_rgcn_fullbatch_registers_relation_heavy_activations(toy_kg, toy_task):
     assert meter.components["activations"] > meter.components["parameters"] * 0
 
 
-def test_graphsaint_with_brw_sampler(toy_kg, toy_task):
-    model = GraphSAINTClassifier.with_brw(
-        toy_kg, toy_task, CONFIG, walk_length=2, batch_size=4
-    )
-    loss = model.train_epoch(np.random.default_rng(0))
-    assert np.isfinite(loss)
-
-
 def test_graphsaint_trains_through_trainer(toy_kg, toy_task):
     meter = ResourceMeter()
     model = GraphSAINTClassifier(toy_kg, toy_task, CONFIG, meter=meter)
@@ -119,8 +111,9 @@ def test_shadow_flat_gather_assembly_matches_scalar_oracle(toy_kg, toy_task):
             np.testing.assert_array_equal(matrix.data, oracle.data)
 
 
-def test_sehgnn_metapath_features_precomputed(toy_kg, toy_task):
-    model = SeHGNNClassifier(toy_kg, toy_task, CONFIG, feature_dim=8, num_two_hop=2)
+def test_sehgnn_metapath_features_precomputed(toy_kg, toy_task, monkeypatch):
+    monkeypatch.setattr("repro.models.sehgnn.NUM_TWO_HOP", 2)
+    model = SeHGNNClassifier(toy_kg, toy_task, CONFIG, feature_dim=8)
     assert model.metapath_features.shape[0] == toy_task.num_targets
     assert model.metapath_features.shape[1] == model.num_metapaths
     assert model.metapath_names[0] == "self"

@@ -627,3 +627,66 @@ def test_sigterm_stops_a_server_gracefully(argv):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+
+
+def test_train_save_checkpoint_prints_a_serve_command_that_loads_it(tmp_path, capsys):
+    ckpt = str(tmp_path / "pv.ckpt")
+    assert main([
+        "train", "--dataset", "mag", "--scale", "tiny", "--seed", "7", "--task", "PV",
+        "--model", "RGCN", "--epochs", "1", "--save-checkpoint", ckpt,
+    ]) == 0
+    hint = capsys.readouterr().out.split("serve it with: repro ")[1].split()
+    assert hint[:7] == ["serve", "--dataset", "mag", "--scale", "tiny", "--seed", "7"]
+    assert main(hint + ["--port", "0", "--duration", "0.2"]) == 0
+    assert "1 checkpoint(s)" in capsys.readouterr().out
+
+
+def test_train_save_checkpoint_on_kg_prime_names_the_graph_it_serves(tmp_path, capsys):
+    assert main([
+        "train", "--dataset", "mag", "--scale", "tiny", "--task", "PV", "--tosa",
+        "--model", "RGCN", "--epochs", "1", "--save-checkpoint", str(tmp_path / "pv.ckpt"),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "serves only the KG' it was trained on (MAG-tiny-tosa-d1h1)" in out
+    assert "repro serve" not in out
+
+
+@pytest.fixture(scope="module")
+def bad_file_setup(tmp_path_factory):
+    """A MAG-tiny checkpoint and a DBLP-tiny artifact store: they do not match."""
+    root = tmp_path_factory.mktemp("bad-files")
+    ckpt, store = str(root / "pv.ckpt"), str(root / "dblp-store")
+    assert main([
+        "train", "--dataset", "mag", "--scale", "tiny", "--task", "PV",
+        "--model", "RGCN", "--epochs", "1", "--save-checkpoint", ckpt,
+    ]) == 0
+    assert main(["build-artifacts", "--dataset", "dblp", "--scale", "tiny", "--out", store]) == 0
+    return root, ckpt, store
+
+
+@pytest.mark.parametrize("case", ["missing-checkpoint", "wrong-graph-checkpoint",
+                                  "worker-wrong-graph-checkpoint", "missing-store"])
+def test_bad_container_file_exits_with_one_line(bad_file_setup, case):
+    import subprocess
+    import sys
+
+    root, ckpt, store = bad_file_setup
+    argv = {
+        "missing-checkpoint": ["serve", "--scale", "tiny", "--checkpoint", str(root / "nope")],
+        "wrong-graph-checkpoint": ["serve", "--checkpoint", ckpt],
+        "worker-wrong-graph-checkpoint": [
+            "serve-worker", "--listen", "127.0.0.1:0", "--mmap-dir", store, "--checkpoint", ckpt,
+        ],
+        "missing-store": ["serve", "--mmap-dir", str(root / "nope")],
+    }[case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--duration", "5"],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert done.stderr.strip().startswith(f"repro {argv[0]}: ")
+    assert len(done.stderr.strip().splitlines()) == 1
